@@ -30,7 +30,8 @@ from .large_sieve import (context_bound, detect_exceptional, exceptional_counts,
 from .multfn import dirichlet_inverse, get_values
 from .reports import (DECAY_COLUMNS, DISCREPANCY_COLUMNS, EXCEPTIONAL_COLUMNS,
                       IDENTITY_COLUMNS, PSI_COLUMNS, SIEVE_COLUMNS,
-                      discrepancy_row, emit_report, fmt_number)
+                      _write_atomic, discrepancy_row, emit_report,
+                      fmt_number)
 from .sieve import build_sieve, psi, psi_coprime, psi_progression
 from .util import ordered_map
 
@@ -213,12 +214,10 @@ def cmd_exceptional(args):
     _emit(args, "exceptional", EXCEPTIONAL_COLUMNS, rows, config,
           summary={"count": count, "weighted": weighted, "context_bound": bound})
     if args.format in ("json", "both"):
-        import json as _json
         path = os.path.join(args.out, "exceptional-characters.json")
         doc = {"config": config,
                "members": [w.character.to_record() for w in found.members]}
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        _write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
         print(f"wrote {path}")
     return 0
 

@@ -25,9 +25,10 @@ CLASS_C_SLACK = 1e-12
 class MultFnSpec:
     """A multiplicative function f with f(1) = 1, defined on prime powers.
 
-    The label plus the sampled oracle values form the cache identity, so a
+    The label plus the sampled oracle values form the fingerprint, so a
     label should name its function uniquely (the library constructors bake
-    their parameters in).
+    their parameters in).  Value supports are cached by spec identity, not
+    by fingerprint.
     """
 
     __slots__ = ("label", "oracle", "smooth_bound", "_fingerprint")
@@ -43,7 +44,7 @@ class MultFnSpec:
         return self.oracle(p, k)
 
     def fingerprint(self) -> str:
-        """Stable digest of (label, y, values at prime powers <= 64); cache key."""
+        """Stable digest of (label, y, values at prime powers <= 64)."""
         if self._fingerprint is None:
             parts = [self.label, str(self.smooth_bound)]
             for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
@@ -184,81 +185,111 @@ def evaluate(f: MultFnSpec, n: int, table: SieveTable) -> complex:
     return val
 
 
-def values_array(f: MultFnSpec, table: SieveTable, x: int) -> np.ndarray:
-    """f(n) for n = 0..x as a complex array (f[0] = 0), computed in O(x) waves.
+def _fold_passes(x: int) -> int:
+    """Passes of the fold that settle every n <= x: the largest omega(n)."""
+    passes, prod = 1, 6
+    while prod <= x:
+        passes += 1
+        prod *= primes_upto(200)[passes]  # the (passes+1)-th prime
+    return passes
 
-    Each pass rewrites vals[n] = f(P-power part of n) * vals[cofactor]; after
-    j passes every n with at most j distinct primes is correct, so omega(x)
-    passes converge.
+
+def _support_values(f: MultFnSpec, table: SieveTable, x: int):
+    """(ns, vs): the n in 1..x with f(n) != 0, ascending, and f there.
+
+    Only n with P(n) <= y can be nonzero (y = x for unbounded f), so the
+    work and memory are O(Psi(x,y)).
     """
     if x > table.x_max:
         raise RangeError(f"x={x} exceeds table x_max={table.x_max}")
-    fpp = np.zeros(x + 1, dtype=np.complex128)
-    if x >= 1:
-        fpp[1] = 1.0
     bound = x if f.smooth_bound is None else min(x, f.smooth_bound)
+    ns = np.flatnonzero(table.lpf[: x + 1] <= max(bound, 1))[1:]  # drop n = 0
+    vals = _fold_on_support(f, table, x, bound, ns)
+    keep = np.flatnonzero(vals)
+    return ns[keep], vals[keep]
+
+
+def _fold_on_support(f: MultFnSpec, table: SieveTable, x: int, bound: int,
+                     ns: np.ndarray) -> np.ndarray:
+    """f at each n of ns, the n <= x with P(n) <= bound.
+
+    Each pass rewrites vals[n] = f(P-power part of n) * vals[cofactor]; the
+    cofactor of a bound-smooth n is bound-smooth, so ns is closed under the
+    fold, and after j passes every n with at most j distinct primes is
+    correct.
+    """
+    pp = _prime_power_part(table, ns)
+    cof_idx = np.searchsorted(ns, ns // pp)
+    powers, fvals = [1], [1.0 + 0j]
     for p in table.primes:
         p = int(p)
         if p > bound:
             break
         pe, k = p, 1
         while pe <= x:
-            fpp[pe] = complex(f.at(p, k))
+            powers.append(pe)
+            fvals.append(complex(f.at(p, k)))
             pe *= p
             k += 1
-    ppart = table.prime_power_part()[: x + 1]
-    n = np.arange(x + 1)
-    cof = n // ppart
-    # passes needed = max number of distinct prime factors below x
-    passes, prod = 1, 6
-    while prod <= x:
-        passes += 1
-        prod *= _nth_prime(passes + 1)
-    vals = np.ones(x + 1, dtype=np.complex128)
-    for _ in range(max(passes, 1)):
-        vals = fpp[ppart] * vals[cof]
-    vals[0] = 0
-    if x >= 1:
-        vals[1] = 1.0
+    order = np.argsort(powers)
+    powers = np.asarray(powers, dtype=np.int64)[order]
+    fpp = np.asarray(fvals, dtype=np.complex128)[order][np.searchsorted(powers, pp)]
+    vals = np.ones(ns.size, dtype=np.complex128)
+    for _ in range(_fold_passes(x)):
+        # not `fpp * vals[cof_idx]`: numpy may elide the temporary by
+        # swapping the operands, and complex multiply is not bitwise
+        # commutative under FMA
+        np.multiply(fpp, vals[cof_idx], out=vals)
     return vals
 
 
-def _nth_prime(i: int) -> int:
-    ps = primes_upto(200)
-    return ps[i - 1]
-
-
-def get_values(f: MultFnSpec, table: SieveTable, x: int) -> np.ndarray:
-    """values_array with per-table caching; returns a read-only view 0..x."""
-    key = f.fingerprint()
-    cached = table._values_cache.get(key)
-    if cached is None or cached.size < x + 1:
-        cached = values_array(f, table, x)
-        cached.setflags(write=False)
-        table._values_cache[key] = cached
-    return cached[: x + 1]
+def _prime_power_part(table: SieveTable, ns: np.ndarray) -> np.ndarray:
+    """p^v for each n of ns, where p = P(n) and p^v || n (1 at n = 1)."""
+    p = table.lpf[ns].astype(np.int64)
+    pp = np.ones_like(ns)
+    act = np.flatnonzero(p > 1)
+    while act.size:
+        pp[act] *= p[act]
+        act = act[ns[act] // pp[act] % p[act] == 0]
+    return pp
 
 
 def get_support(f: MultFnSpec, table: SieveTable, x: int):
-    """(positions n <= x with f(n) != 0, values there), as read-only views.
+    """(positions n <= x with f(n) != 0, values there), as read-only arrays.
 
     Smooth-supported f vanishes off the Psi(x,y) smooth integers, so the
-    residue-wise sums downstream only ever need to touch this support.
+    residue-wise sums downstream only ever need to touch this support.  The
+    table keeps the support of the last spec asked for (compared by
+    identity) at the largest x asked for, and answers smaller x from its
+    prefix.
     """
-    get_values(f, table, x)
-    full = table._values_cache[f.fingerprint()]
-    key = (f.fingerprint(), "support")
-    entry = table._values_cache.get(key)
-    if entry is None or entry[0] is not full:
-        ns = np.nonzero(full)[0]
-        vs = full[ns]
+    entry = table._support
+    if entry is None or entry[0] is not f or entry[1] < x:
+        ns, vs = _support_values(f, table, x)
         ns.setflags(write=False)
         vs.setflags(write=False)
-        entry = (full, ns, vs)
-        table._values_cache[key] = entry
-    _, ns, vs = entry
-    hi = int(np.searchsorted(ns, x + 1))
+        entry = (f, x, ns, vs)
+        table._support = entry
+    _, _, ns, vs = entry
+    hi = int(np.searchsorted(ns, x, side="right"))
     return ns[:hi], vs[:hi]
+
+
+def values_array(f: MultFnSpec, table: SieveTable, x: int) -> np.ndarray:
+    """f(n) for n = 0..x as a fresh read-only complex array (f[0] = 0).
+
+    The support from get_support scattered into zeros.
+    """
+    ns, vs = get_support(f, table, x)
+    vals = np.zeros(x + 1, dtype=np.complex128)
+    vals[ns] = vs
+    vals.setflags(write=False)
+    return vals
+
+
+def get_values(f: MultFnSpec, table: SieveTable, x: int) -> np.ndarray:
+    """values_array: f(n) for n = 0..x, read-only."""
+    return values_array(f, table, x)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +393,7 @@ def dirichlet_inverse(f: MultFnSpec, N: int) -> MultFnSpec:
                 f"inverse[{f.label}]: no oracle value at (p={p}, k={k}); built up to {N}"
             ) from None
 
-    return MultFnSpec(f"inverse[{f.label}]", oracle, smooth_bound=y)
+    return MultFnSpec(f"inverse[{f.label},N={N}]", oracle, smooth_bound=y)
 
 
 def restrict_smooth(f: MultFnSpec, y: int) -> MultFnSpec:

@@ -40,24 +40,9 @@ class SieveTable:
         self.x_max = x_max
         self.lpf = lpf
         self.primes = primes
-        self._ppart = None  # largest-prime-power part, built lazily
-        self._values_cache: dict = {}  # multiplicative-function value arrays
+        self._support = None  # (f, x, ns, vs) of the last multfn.get_support build
         lpf.setflags(write=False)
         primes.setflags(write=False)
-
-    def prime_power_part(self) -> np.ndarray:
-        """ppart[n] = p^v where p = lpf(n) and p^v || n (ppart[1] = 1)."""
-        if self._ppart is None:
-            pp = np.ones(self.x_max + 1, dtype=np.int64)
-            for p in self.primes:
-                pe = int(p)
-                while pe <= self.x_max:
-                    pp[pe::pe] = pe
-                    pe *= int(p)
-            pp[0] = 1  # unused; keeps n // ppart[n] well-defined
-            pp.setflags(write=False)
-            self._ppart = pp
-        return self._ppart
 
     def smooth_mask(self, x: int, y: int) -> np.ndarray:
         """Boolean mask over 0..x, True where n >= 1 is y-smooth."""

@@ -1,15 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Golden values are recorded into tests/golden/acceptance.json on the first
-verified run and pinned afterwards (ratios must not regress by more than
-1e-6; other goldens by more than 1e-9 relative).
+Golden values are pinned in tests/golden/acceptance.json (ratios must not
+regress by more than 1e-6; other goldens by more than 1e-9 relative).  A
+missing key fails, unless SMOOTHAP_RECORD_GOLDENS=1 is set: then it is
+recorded.
 """
 
 import json
 import math
+import os
 import time
 
 import numpy as np
+import pytest
 
 import oracles
 from smoothap import multfn
@@ -36,16 +39,29 @@ def load_golden(golden_dir):
 
 
 def pin_golden(golden_dir, key, value, tol):
-    """Return the recorded value, writing it on the first verified run."""
+    """Return the pinned value; record a missing key only when asked to."""
     path = golden_dir / GOLDEN_FILE
     data = load_golden(golden_dir)
     if key not in data:
+        assert os.environ.get("SMOOTHAP_RECORD_GOLDENS") == "1", (
+            f"no golden at {key}; rerun with SMOOTHAP_RECORD_GOLDENS=1 to record it")
         data[key] = value
         path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
         return value, True
     old = data[key]
     assert abs(value - old) <= tol, f"golden regression at {key}: {old} -> {value}"
     return old, False
+
+
+def test_pin_golden_missing_key_fails_unless_recording(tmp_path, monkeypatch):
+    monkeypatch.delenv("SMOOTHAP_RECORD_GOLDENS", raising=False)
+    with pytest.raises(AssertionError, match="no golden at k"):
+        pin_golden(tmp_path, "k", 1.5, tol=0.0)
+    assert not (tmp_path / GOLDEN_FILE).exists()
+    monkeypatch.setenv("SMOOTHAP_RECORD_GOLDENS", "1")
+    assert pin_golden(tmp_path, "k", 1.5, tol=0.0) == (1.5, True)
+    monkeypatch.delenv("SMOOTHAP_RECORD_GOLDENS")
+    assert pin_golden(tmp_path, "k", 1.5, tol=0.0) == (1.5, False)
 
 
 def report(n, ok, detail):

@@ -5,10 +5,11 @@ import oracles
 from smoothap import multfn
 from smoothap.characters import enumerate_characters
 from smoothap.errors import OracleError, RangeError
-from smoothap.multfn import (check_class_c, dirichlet_inverse, evaluate,
-                             from_prime_powers, get_support, get_values,
-                             lambda_f, restrict_smooth, values_array)
-from smoothap.sieve import psi
+from smoothap.multfn import (check_class_c, completely_multiplicative,
+                             dirichlet_inverse, evaluate, from_prime_powers,
+                             get_support, get_values, lambda_f, restrict_smooth,
+                             values_array)
+from smoothap.sieve import psi, primes_upto
 
 
 def convolution(fv, gv, N):
@@ -36,6 +37,107 @@ def test_evaluate_errors(table_1e4):
     assert "p=2" in str(err.value)
     with pytest.raises(RangeError):
         evaluate(multfn.one(), 10**5, table_1e4)
+
+
+def dense_values_oracle(f, table, x):
+    """f(n) for n = 0..x by O(x) dense waves over the whole range.
+
+    Every pass rewrites vals[n] = f(P-power part of n) * vals[cofactor] for
+    all n <= x, smooth or not, with no support, cache or searchsorted.
+    """
+    if x == 0:
+        return np.zeros(1, dtype=np.complex128)
+    fpp = np.zeros(x + 1, dtype=np.complex128)
+    fpp[1] = 1.0
+    bound = x if f.smooth_bound is None else min(x, f.smooth_bound)
+    for p in table.primes:
+        p = int(p)
+        if p > bound:
+            break
+        pe, k = p, 1
+        while pe <= x:
+            fpp[pe] = complex(f.at(p, k))
+            pe *= p
+            k += 1
+    ppart = np.ones(x + 1, dtype=np.int64)  # p^v with p = P(n), p^v || n
+    for p in table.primes:
+        pe = int(p)
+        if pe > x:
+            break
+        while pe <= x:
+            ppart[pe::pe] = pe
+            pe *= int(p)
+    n = np.arange(x + 1)
+    cof = n // ppart
+    passes, prod = 1, 6
+    while prod <= x:
+        passes += 1
+        prod *= primes_upto(200)[passes]
+    vals = np.ones(x + 1, dtype=np.complex128)
+    for _ in range(passes):
+        vals = fpp[ppart] * vals[cof]
+    vals[0] = 0
+    vals[1] = 1.0
+    return vals
+
+
+ORACLE_SPECS = [
+    multfn.one(),
+    multfn.smooth_indicator(13),
+    multfn.moebius_smooth(30),
+    multfn.random_unit_circle(5, smooth_bound=60),
+    multfn.random_unit_circle(5),
+    from_prime_powers("zeros", {(2, 1): 1j, (2, 2): 0.0, (3, 1): 0.0, (5, 1): -1.0,
+                                (7, 1): 0.5 + 0.5j}, smooth_bound=7),
+]
+
+
+def assert_support_matches_oracle(f, table, x):
+    dense = dense_values_oracle(f, table, x)
+    want_ns = np.flatnonzero(dense)
+    ns, vs = get_support(f, table, x)
+    assert np.array_equal(ns, want_ns)
+    assert np.array_equal(vs.view(np.float64), dense[want_ns].view(np.float64))
+
+
+def spec_id(f):
+    return f"{f.label}-y={f.smooth_bound}"
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 2000, 20000])
+@pytest.mark.parametrize("f", ORACLE_SPECS, ids=spec_id)
+def test_support_bitwise_matches_dense_oracle(table_1e6, f, x):
+    assert_support_matches_oracle(f, table_1e6, x)
+
+
+@pytest.mark.parametrize("f", [multfn.moebius_smooth(100),
+                               multfn.random_unit_circle(7, smooth_bound=63),
+                               multfn.random_unit_circle(7)],
+                         ids=spec_id)
+def test_support_bitwise_matches_dense_oracle_large(table_1e6, f):
+    # well past numpy's 256 KB temporary-elision threshold
+    assert_support_matches_oracle(f, table_1e6, 250_000)
+    # a later, smaller x is answered from the prefix of the cached support
+    assert_support_matches_oracle(f, table_1e6, 30_000)
+
+
+def test_support_cache_keys_on_spec_identity(table_1e4):
+    a = completely_multiplicative("g", lambda p: 1.0)
+    b = completely_multiplicative("g", lambda p: -1.0 if p == 67 else 1.0)
+    assert a.fingerprint() == b.fingerprint()  # they differ only past p = 64
+    assert get_values(a, table_1e4, 100)[67] == 1.0
+    assert get_values(b, table_1e4, 100)[67] == evaluate(b, 67, table_1e4) == -1.0
+
+
+def test_inverse_built_to_n_is_not_answered_past_n(table_1e4):
+    f = multfn.random_unit_circle(9)
+    g200, g100 = dirichlet_inverse(f, 200), dirichlet_inverse(f, 100)
+    assert g200.label != g100.label
+    get_values(g200, table_1e4, 200)
+    with pytest.raises(OracleError):
+        evaluate(g100, 199, table_1e4)
+    with pytest.raises(OracleError):
+        get_values(g100, table_1e4, 199)
 
 
 def test_values_array_matches_evaluate(table_1e4):
