@@ -6,7 +6,6 @@ Submodules:
     multfn       prime-power oracles, Lambda_f coefficients, Dirichlet inverses
     discrepancy  progression discrepancies, the truncated kernel, BV averages
     large_sieve  smooth-supported large-sieve experiments and exceptional scans
-    cache        persistent character-sum cache
     reports      CSV/JSON report emission
     cli          the `smoothap` command-line entry point
 """

@@ -4,7 +4,7 @@ Subcommands: psi, delta, bv-average, large-sieve, exceptional,
 verify-identities.  Reports are written as CSV and/or JSON with the
 resolved configuration embedded; fixed seeds give byte-identical reports
 across runs and across --threads settings.  Exit codes: 0 success,
-1 computation/verification failure, 2 usage error, 3 cache integrity error.
+1 computation/verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ import sys
 import numpy as np
 
 from . import multfn
-from .cache import CharacterSumCache
 from .characters import family_A, trivial_character
 from .discrepancy import (ExceptionalSet, bv_average, delta_record,
                           u_kernel_chardef, u_kernel_moebius,
                           verify_transfer_identity)
-from .errors import (CacheIntegrityError, DomainError, OracleError, RangeError,
-                     SizingError)
+from .errors import DomainError, OracleError, RangeError, SizingError
 from .large_sieve import (context_bound, detect_exceptional, exceptional_counts,
                           ls_primal, modulus_range_Q)
-from .multfn import dirichlet_inverse, get_values
+from .multfn import dirichlet_inverse, values_array
 from .reports import (DECAY_COLUMNS, DISCREPANCY_COLUMNS, EXCEPTIONAL_COLUMNS,
                       IDENTITY_COLUMNS, PSI_COLUMNS, SIEVE_COLUMNS,
                       _write_atomic, discrepancy_row, emit_report,
@@ -182,18 +180,8 @@ def cmd_exceptional(args):
     table = build_sieve(args.x)
     families = family_A(args.Q)
     f = _parse_function(args.f, args.y, args.f_seed, families)
-    cache = None
-    cache_path = args.cache
-    if cache_path is None and os.environ.get("SMOOTHAP_CACHE_DIR"):
-        cache_path = os.path.join(os.environ["SMOOTHAP_CACHE_DIR"],
-                                  "character_sums.cache")
-    if cache_path:
-        if os.path.isdir(cache_path) or cache_path.endswith(os.sep):
-            cache_path = os.path.join(cache_path, "character_sums.cache")
-        os.makedirs(os.path.dirname(os.path.abspath(cache_path)), exist_ok=True)
-        cache = CharacterSumCache(cache_path)
     found = detect_exceptional(f, args.x, args.y, args.Q, args.B, args.eps,
-                               table, families, threads=args.threads, cache=cache)
+                               table, families, threads=args.threads)
     count, weighted = exceptional_counts(found)
     bound = context_bound(args.x, args.B)
     rows = []
@@ -207,10 +195,6 @@ def cmd_exceptional(args):
               "f_record": f.to_record()}
     print(f"|Xi(B)| = {count}, weighted = {fmt_number(weighted)}, "
           f"(log x)^(3B+13) = {fmt_number(bound)} [context only]")
-    if cache is not None:
-        print(f"cache: {cache.hits} hits, {cache.misses} misses, "
-              f"{cache.audits} audited", file=sys.stderr)
-        cache.close()
     _emit(args, "exceptional", EXCEPTIONAL_COLUMNS, rows, config,
           summary={"count": count, "weighted": weighted, "context_bound": bound})
     if args.format in ("json", "both"):
@@ -262,8 +246,8 @@ def cmd_verify_identities(args):
     for trial in range(5):
         f = multfn.random_unit_circle(seed=1000 + trial)
         g = dirichlet_inverse(f, args.xmax)
-        fv = get_values(f, table, args.xmax)
-        gv = get_values(g, table, args.xmax)
+        fv = values_array(f, table, args.xmax)
+        gv = values_array(g, table, args.xmax)
         conv = np.zeros(args.xmax + 1, dtype=np.complex128)
         for d in range(1, args.xmax + 1):
             conv[d::d] += fv[d] * gv[1 : args.xmax // d + 1]
@@ -289,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default="reports", help="output directory")
     ap.add_argument("--format", choices=["csv", "json", "both"], default="both")
     ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--cache", default=None, help="character-sum cache file or dir")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psi", help="smooth counting queries")
@@ -365,10 +348,6 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}),
               file=sys.stderr)
         return 2
-    except CacheIntegrityError as exc:
-        print(json.dumps({"error": str(exc), "type": "CacheIntegrityError"}),
-              file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -115,16 +115,11 @@ def beta_stats(xi: ExceptionalSet) -> tuple[Fraction, float]:
 # residue-wise summation helpers
 
 
-def residue_sums(fv: np.ndarray, q: int) -> np.ndarray:
-    """sum of fv[n] over n = r (mod q), as a length-q complex vector."""
-    res = np.arange(fv.size) % q
-    re = np.bincount(res, weights=fv.real, minlength=q)
-    im = np.bincount(res, weights=fv.imag, minlength=q)
-    return re + 1j * im
-
-
 def _f_residue_sums(f: MultFnSpec, table: SieveTable, x: int, q: int) -> np.ndarray:
-    """residue_sums of the values of f up to x, touching only its support."""
+    """sum of f(n) over n <= x with n = r (mod q), as a length-q complex vector.
+
+    Reads only the support of f, in ascending n.
+    """
     ns, vs = get_support(f, table, x)
     res = ns % q
     re = np.bincount(res, weights=vs.real, minlength=q)

@@ -15,7 +15,3 @@ class DomainError(ValueError):
 
 class OracleError(LookupError):
     """A multiplicative-function oracle has no value at a needed prime power."""
-
-
-class CacheIntegrityError(RuntimeError):
-    """A cache record failed its checksum or its audit recomputation."""

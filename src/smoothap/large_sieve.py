@@ -21,7 +21,7 @@ import numpy as np
 from .characters import CharacterFamily, DirichletCharacter, decompose, enumerate_characters
 from .discrepancy import ExceptionalSet, ExceptionalWitness
 from .errors import DomainError
-from .multfn import MultFnSpec, get_values
+from .multfn import MultFnSpec, get_support
 from .sieve import SieveTable, dyadic_partition, psi, psi_prefix
 from .util import ordered_map
 
@@ -263,20 +263,24 @@ def refine_grid(grid: list[int], prefix: np.ndarray, T: float) -> list[int]:
 
 def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: float,
                        table: SieveTable, families: CharacterFamily,
-                       threads: int = 1, cache=None) -> ExceptionalSet:
+                       threads: int = 1) -> ExceptionalSet:
     """Primitive characters of conductor <= Q whose correlation with f is large.
 
     A character enters the set when |S_f(X_j, chi)| >= Psi(X_j, y)/(2T) at
     some point X_j of the (refined) dyadic grid over (x^{1/4}, x], with
     T = (u log u)^4 (log x)^B.  Near-misses within a factor 2 of the
-    threshold are reported separately for diagnostics.
+    threshold are reported separately for diagnostics.  Each character's
+    sums are one cumulative sum over the support of f, read at the last
+    support point <= X_j.
     """
     if f.smooth_bound is None or f.smooth_bound > y:
         raise DomainError("f must be supported on y-smooth integers")
     if families.D < Q:
         raise DomainError(f"family covers conductors <= {families.D}, need {Q}")
-    fv = get_values(f, table, x)
-    if float(np.max(np.abs(fv))) > 1 + 1e-9:
+    if x < 16:  # dyadic_partition's bound, checked before log x is taken
+        raise DomainError(f"need x >= 16, got {x}")
+    ns, vs = get_support(f, table, x)
+    if float(np.max(np.abs(vs))) > 1 + 1e-9:
         raise DomainError("f must be 1-bounded")
 
     T = detection_scale(x, y, B)
@@ -284,16 +288,13 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
     grid = refine_grid(dyadic_partition(x, T, eps), prefix, T)
     gx = np.array(grid, dtype=np.int64)
     thresholds = prefix[gx] / (2.0 * T)
+    at = np.searchsorted(ns, gx, side="right")  # csum[at[j]] sums n <= X_j
     members = families.up_to(Q)
 
     def scan(chi: DirichletCharacter):
-        terms = fv * np.conj(chi.complex_table())[np.arange(x + 1) % chi.q]
-        csum = np.cumsum(terms)
-        svals = np.abs(csum[gx])
-        if cache is not None:
-            for Xj in grid:
-                key = (f.fingerprint(), int(Xj), chi.q, chi.rank)
-                cache.get_or_compute(key, lambda v=complex(csum[Xj]): v)
+        csum = np.zeros(ns.size + 1, dtype=np.complex128)
+        np.cumsum(vs * np.conj(chi.complex_table())[ns % chi.q], out=csum[1:])
+        svals = np.abs(csum[at])
         margins = svals / thresholds  # thresholds > 0: Psi(X_0, y) >= 2 always
         j = int(np.argmax(margins))
         return margins[j], ExceptionalWitness(chi, int(gx[j]), float(svals[j]),

@@ -25,43 +25,21 @@ CLASS_C_SLACK = 1e-12
 class MultFnSpec:
     """A multiplicative function f with f(1) = 1, defined on prime powers.
 
-    The label plus the sampled oracle values form the fingerprint, so a
-    label should name its function uniquely (the library constructors bake
-    their parameters in).  Value supports are cached by spec identity, not
-    by fingerprint.
+    The label names the function in reports, so it should name it uniquely
+    (the library constructors bake their parameters in).  Value supports
+    are cached by spec identity, not by label.
     """
 
-    __slots__ = ("label", "oracle", "smooth_bound", "_fingerprint")
+    __slots__ = ("label", "oracle", "smooth_bound")
 
     def __init__(self, label: str, oracle, smooth_bound: int | None = None):
         self.label = label
         self.oracle = oracle  # (p, k) -> complex
         self.smooth_bound = smooth_bound
-        self._fingerprint = None
 
     def at(self, p: int, k: int) -> complex:
         """Oracle value f(p^k); smoothness is NOT applied here."""
         return self.oracle(p, k)
-
-    def fingerprint(self) -> str:
-        """Stable digest of (label, y, values at prime powers <= 64)."""
-        if self._fingerprint is None:
-            parts = [self.label, str(self.smooth_bound)]
-            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
-                k = 1
-                while p**k <= 64:
-                    if self.smooth_bound is not None and p > self.smooth_bound:
-                        v = 0j
-                    else:
-                        try:
-                            v = complex(self.oracle(p, k))
-                        except OracleError:
-                            v = complex("nan")
-                    parts.append(f"{p}^{k}:{v.real:.12g},{v.imag:.12g}")
-                    k += 1
-            digest = hashlib.blake2b("|".join(parts).encode(), digest_size=12)
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
 
     def to_record(self) -> dict:
         """Serializable spec: label, bound, and sample (p, k, value) triples."""
@@ -278,18 +256,14 @@ def get_support(f: MultFnSpec, table: SieveTable, x: int):
 def values_array(f: MultFnSpec, table: SieveTable, x: int) -> np.ndarray:
     """f(n) for n = 0..x as a fresh read-only complex array (f[0] = 0).
 
-    The support from get_support scattered into zeros.
+    The support from get_support scattered into zeros: the dense form, kept
+    for unbounded f (the Dirichlet-inverse check convolves it).
     """
     ns, vs = get_support(f, table, x)
     vals = np.zeros(x + 1, dtype=np.complex128)
     vals[ns] = vs
     vals.setflags(write=False)
     return vals
-
-
-def get_values(f: MultFnSpec, table: SieveTable, x: int) -> np.ndarray:
-    """values_array: f(n) for n = 0..x, read-only."""
-    return values_array(f, table, x)
 
 
 # ---------------------------------------------------------------------------

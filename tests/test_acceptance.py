@@ -24,7 +24,7 @@ from smoothap.discrepancy import (ExceptionalSet, bv_average,
 from smoothap.large_sieve import (context_bound, detect_exceptional,
                                   detection_scale, exceptional_counts, ls_dual,
                                   ls_primal, max_ratio_power_iteration)
-from smoothap.multfn import check_class_c, dirichlet_inverse, get_values
+from smoothap.multfn import check_class_c, dirichlet_inverse, values_array
 from smoothap.sieve import alpha_saddle, psi, psi_prefix
 from smoothap.cli import main as cli_main
 
@@ -133,8 +133,8 @@ def test_criterion_3_inverse_and_class_c_suite(table_1e4):
     for seed in range(50):
         f = multfn.random_unit_circle(seed=3000 + seed)
         g = dirichlet_inverse(f, N)
-        fv = get_values(f, table_1e4, N)
-        gv = get_values(g, table_1e4, N)
+        fv = values_array(f, table_1e4, N)
+        gv = values_array(g, table_1e4, N)
         conv = np.zeros(N + 1, dtype=np.complex128)
         for d in range(1, N + 1):
             conv[d::d] += fv[d] * gv[1 : N // d + 1]
@@ -264,7 +264,7 @@ def test_criterion_7_exceptional_detection_suite(table_1e4, golden_dir):
     got = {(w.character.q, w.character.rank) for w in found.members}
     T = detection_scale(x, y, B)
     prefix = psi_prefix(table_1e4, x, y)
-    fv = get_values(f, table_1e4, x)
+    fv = values_array(f, table_1e4, x)
     x0 = math.ceil(x**0.25)
     oracle_hits = 0
     for chi in fams.members:

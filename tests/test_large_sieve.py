@@ -11,7 +11,7 @@ from smoothap.large_sieve import (classify_eta, context_bound, detect_exceptiona
                                   detection_scale, exceptional_counts, ls_dual,
                                   ls_primal, max_ratio_power_iteration, refine_grid,
                                   modulus_range_Q)
-from smoothap.multfn import get_values
+from smoothap.multfn import values_array
 from smoothap.sieve import dyadic_partition, psi, psi_prefix
 
 
@@ -170,7 +170,7 @@ def test_detect_exceptional_superset_of_full_scan(table_1e4):
               multfn.moebius_smooth(y)):
         found = detect_exceptional(f, x, y, Q, B, 0.5, table_1e4, fams)
         got = {(w.character.q, w.character.rank) for w in found.members}
-        fv = get_values(f, table_1e4, x)
+        fv = values_array(f, table_1e4, x)
         for chi in fams.members:
             terms = fv * np.conj(chi.complex_table())[np.arange(x + 1) % chi.q]
             csum = np.abs(np.cumsum(terms))
@@ -178,6 +178,60 @@ def test_detect_exceptional_superset_of_full_scan(table_1e4):
             hit = np.any(csum[x0 + 1 : x + 1] >= thresholds[x0 + 1 : x + 1])
             if bool(hit):  # oracle threshold Psi/T over every integer X
                 assert (chi.q, chi.rank) in got
+
+
+def dense_scan_oracle(f, x, y, Q, B, eps, table, fams):
+    """(members, near_misses) from one dense cumulative sum over 0..x per character."""
+    T = detection_scale(x, y, B)
+    prefix = psi_prefix(table, x, y)
+    gx = np.array(refine_grid(dyadic_partition(x, T, eps), prefix, T), dtype=np.int64)
+    thresholds = prefix[gx] / (2.0 * T)
+    fv = values_array(f, table, x)
+    members, near = [], []
+    for chi in fams.up_to(Q):
+        terms = fv * np.conj(chi.complex_table())[np.arange(x + 1) % chi.q]
+        svals = np.abs(np.cumsum(terms)[gx])
+        margins = svals / thresholds
+        j = int(np.argmax(margins))
+        row = (chi.q, chi.rank, int(gx[j]), float(svals[j]), float(thresholds[j]))
+        if margins[j] >= 1.0:
+            members.append(row)
+        elif margins[j] >= 0.5:
+            near.append(row)
+    return members, near
+
+
+@pytest.mark.parametrize("B", [1.0, -1.0])  # B = -1 raises the thresholds
+@pytest.mark.parametrize("name", ["smooth_indicator", "moebius_smooth", "random_unit",
+                                  "twist"])
+def test_detect_exceptional_support_scan_matches_dense_scan(table_1e4, name, B):
+    fams = family_A(20)
+    x, y, Q = 10**4, 50, 20
+    f = {"smooth_indicator": lambda: multfn.smooth_indicator(y),
+         "moebius_smooth": lambda: multfn.moebius_smooth(y),
+         "random_unit": lambda: multfn.random_unit_circle(5, smooth_bound=y),
+         "twist": lambda: multfn.character_twist(fams.members[7], y)}[name]()
+    # most grid points are not y-smooth, so the scan reads the sum at the
+    # last support point below them
+    assert psi(table_1e4, x, y) < x // 4
+    found = detect_exceptional(f, x, y, Q, B, 0.5, table_1e4, fams)
+    members, near = dense_scan_oracle(f, x, y, Q, B, 0.5, table_1e4, fams)
+    assert members and (near or B > 0)
+    for wits, rows in ((found.members, members), (found.near_misses, near)):
+        got = [(w.character.q, w.character.rank, w.X, w.value, w.threshold) for w in wits]
+        assert [g[:3] + g[4:] for g in got] == [r[:3] + r[4:] for r in rows]
+        for g, r in zip(got, rows):
+            if name in ("smooth_indicator", "moebius_smooth"):
+                assert g[3] == r[3]  # real f: every product is exact
+            else:
+                assert g[3] == pytest.approx(r[3], rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0, 15])
+def test_detect_exceptional_rejects_tiny_x(table_1e4, x):
+    with pytest.raises(DomainError):
+        detect_exceptional(multfn.smooth_indicator(50), x, 50, 5, 1.0, 0.5, table_1e4,
+                           family_A(5))
 
 
 def test_detect_exceptional_degenerate_function(table_1e4):

@@ -7,8 +7,7 @@ from smoothap.characters import enumerate_characters
 from smoothap.errors import OracleError, RangeError
 from smoothap.multfn import (check_class_c, completely_multiplicative,
                              dirichlet_inverse, evaluate, from_prime_powers,
-                             get_support, get_values, lambda_f, restrict_smooth,
-                             values_array)
+                             get_support, lambda_f, restrict_smooth, values_array)
 from smoothap.sieve import psi, primes_upto
 
 
@@ -124,20 +123,20 @@ def test_support_bitwise_matches_dense_oracle_large(table_1e6, f):
 def test_support_cache_keys_on_spec_identity(table_1e4):
     a = completely_multiplicative("g", lambda p: 1.0)
     b = completely_multiplicative("g", lambda p: -1.0 if p == 67 else 1.0)
-    assert a.fingerprint() == b.fingerprint()  # they differ only past p = 64
-    assert get_values(a, table_1e4, 100)[67] == 1.0
-    assert get_values(b, table_1e4, 100)[67] == evaluate(b, 67, table_1e4) == -1.0
+    # same label, different functions: they differ only at p = 67
+    assert values_array(a, table_1e4, 100)[67] == 1.0
+    assert values_array(b, table_1e4, 100)[67] == evaluate(b, 67, table_1e4) == -1.0
 
 
 def test_inverse_built_to_n_is_not_answered_past_n(table_1e4):
     f = multfn.random_unit_circle(9)
     g200, g100 = dirichlet_inverse(f, 200), dirichlet_inverse(f, 100)
     assert g200.label != g100.label
-    get_values(g200, table_1e4, 200)
+    values_array(g200, table_1e4, 200)
     with pytest.raises(OracleError):
         evaluate(g100, 199, table_1e4)
     with pytest.raises(OracleError):
-        get_values(g100, table_1e4, 199)
+        values_array(g100, table_1e4, 199)
 
 
 def test_values_array_matches_evaluate(table_1e4):
@@ -152,14 +151,14 @@ def test_values_array_matches_evaluate(table_1e4):
 def test_get_support_is_nonzero_positions(table_1e4):
     f = multfn.moebius_smooth(10)
     ns, vs = get_support(f, table_1e4, 500)
-    fv = get_values(f, table_1e4, 500)
+    fv = values_array(f, table_1e4, 500)
     assert list(ns) == [n for n in range(501) if fv[n] != 0]
     assert np.all(fv[ns] == vs)
 
 
 def test_smooth_indicator_sums_to_psi(table_1e4):
     f = multfn.smooth_indicator(7)
-    fv = get_values(f, table_1e4, 3000)
+    fv = values_array(f, table_1e4, 3000)
     assert int(fv.real.sum()) == psi(table_1e4, 3000, 7)
 
 
@@ -224,8 +223,8 @@ def test_inverse_completely_multiplicative(table_1e4):
     for p in (2, 3, 13):
         assert g.at(p, 1) == pytest.approx(-f.at(p, 1))
         assert g.at(p, 2) == pytest.approx(0.0, abs=1e-14)
-    fv = get_values(f, table_1e4, 10**4)
-    gv = get_values(g, table_1e4, 10**4)
+    fv = values_array(f, table_1e4, 10**4)
+    gv = values_array(g, table_1e4, 10**4)
     conv = convolution(fv, gv, 10**4)
     assert conv[1] == pytest.approx(1.0)
     assert float(np.max(np.abs(conv[2:]))) <= 1e-10
@@ -242,7 +241,7 @@ def test_class_c_closed_under_inversion():
 def test_certified_f_is_one_bounded(table_1e4):
     f = multfn.random_unit_circle(23)
     assert check_class_c(f, 10**4).valid
-    fv = get_values(f, table_1e4, 10**4)
+    fv = values_array(f, table_1e4, 10**4)
     assert float(np.max(np.abs(fv))) <= 1 + 1e-9
 
 
@@ -253,7 +252,7 @@ def test_restrict_smooth(table_1e4):
     for n in range(1, 200):
         if int(table_1e4.lpf[n]) <= 5:
             assert evaluate(f, n, table_1e4) == evaluate(full, n, table_1e4)
-    fv = get_values(f, table_1e4, 2500)
+    fv = values_array(f, table_1e4, 2500)
     assert int(fv.real.sum()) == psi(table_1e4, 2500, 5)
 
 
@@ -263,12 +262,3 @@ def test_character_twist_self_correlation(table_1e4):
     for n in (3, 10, 48):
         expect = psi7.cvalue(n) if int(table_1e4.lpf[n]) <= 50 else 0
         assert evaluate(f, n, table_1e4) == pytest.approx(expect)
-
-
-def test_fingerprint_distinguishes_functions():
-    a = multfn.smooth_indicator(5)
-    b = multfn.smooth_indicator(7)
-    c = multfn.random_unit_circle(1)
-    d = multfn.random_unit_circle(2)
-    assert len({a.fingerprint(), b.fingerprint(), c.fingerprint(), d.fingerprint()}) == 4
-    assert a.fingerprint() == multfn.smooth_indicator(5).fingerprint()
