@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import euler_phi, factorize
+from .arith import euler_phi, factorize, residues, unit_mask
 from .errors import DomainError
 
 MODULUS_CAP = 1_000_000  # dlog tables are O(q); raise deliberately if needed
@@ -75,9 +75,7 @@ class UnitGroup:
             self.components.extend(self._local(p, e, q))
         self.M = math.lcm(*(c.order for c in self.components)) if self.components else 1
         self.phi = euler_phi(q)
-        self.unit_mask = np.fromiter(
-            (math.gcd(r, q) == 1 for r in range(q)), dtype=bool, count=q
-        ) if q > 1 else np.ones(1, dtype=bool)
+        self.unit_mask = unit_mask(q)
         self.unit_mask.setflags(write=False)
         self._dlog_rows = None
 
@@ -127,7 +125,7 @@ class UnitGroup:
         """Per component, dlog of every residue 0..q-1 (garbage off units)."""
         if self._dlog_rows is None:
             n = np.arange(self.q)
-            self._dlog_rows = [c.dlog[n % c.pe] for c in self.components]
+            self._dlog_rows = [c.dlog[residues(n, c.pe)] for c in self.components]
         return self._dlog_rows
 
 

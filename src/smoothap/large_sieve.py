@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arith import residues
 from .characters import CharacterFamily, DirichletCharacter, decompose, enumerate_characters
-from .discrepancy import ExceptionalSet, ExceptionalWitness
+from .discrepancy import ExceptionalSet, ExceptionalWitness, residue_sums
 from .errors import DomainError
 from .multfn import MultFnSpec, get_support
 from .sieve import SieveTable, dyadic_partition, psi, psi_prefix
@@ -74,12 +75,10 @@ def ls_primal(x: int, y: int, Q: int, a: np.ndarray, weight_mode: str,
     members = families.up_to(Q)
     moduli = sorted({chi.q for chi in members})
     nz = np.nonzero(a)[0]
-    nz_vals = a[nz]
+    re, im = a.real[nz], a.imag[nz]
 
     def modulus_term(q: int) -> float:
-        res = nz % q
-        rs = (np.bincount(res, weights=nz_vals.real, minlength=q)
-              + 1j * np.bincount(res, weights=nz_vals.imag, minlength=q))
+        rs = residue_sums(nz, re, im, q)
         w = 1.0 if weight_mode == "unweighted" else 1.0 / math.sqrt(q)
         sub = 0.0
         for chi in members:
@@ -110,7 +109,7 @@ def ls_dual(x: int, y: int, Q: int, b: np.ndarray, table: SieveTable,
     G = np.zeros(x + 1, dtype=np.complex128)
     for coef, chi in zip(b, members):
         if coef != 0:
-            G += coef * chi.complex_table()[n % chi.q]
+            G += coef * chi.complex_table()[residues(n, chi.q)]
     mask = table.smooth_mask(x, y)
     lhs = float(np.sum(np.abs(G[mask]) ** 2))
     rhs = float(psi(table, x, y)) * float(np.sum(np.abs(b) ** 2))
@@ -129,7 +128,7 @@ def max_ratio_power_iteration(x: int, y: int, Q: int, table: SieveTable,
     members = families.up_to(Q)
     mask = table.smooth_mask(x, y)
     smooth_n = np.nonzero(mask)[0]
-    tables = [chi.complex_table()[smooth_n % chi.q] for chi in members]
+    tables = [chi.complex_table()[residues(smooth_n, chi.q)] for chi in members]
     Psi = float(smooth_n.size)
     rng = np.random.RandomState(seed)
 
@@ -200,7 +199,7 @@ def classify_eta(x: int, y: int, Q: int, table: SieveTable,
     Psi = float(np.count_nonzero(mask))
 
     def class_rows(q: int):
-        counts = np.bincount(np.arange(x + 1)[mask] % q, minlength=q).astype(float)
+        counts = np.bincount(residues(np.arange(x + 1)[mask], q), minlength=q).astype(float)
         rows = []
         for chi in enumerate_characters(q):
             if chi.is_principal:
@@ -293,7 +292,7 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
 
     def scan(chi: DirichletCharacter):
         csum = np.zeros(ns.size + 1, dtype=np.complex128)
-        np.cumsum(vs * np.conj(chi.complex_table())[ns % chi.q], out=csum[1:])
+        np.cumsum(vs * np.conj(chi.complex_table())[residues(ns, chi.q)], out=csum[1:])
         svals = np.abs(csum[at])
         margins = svals / thresholds  # thresholds > 0: Psi(X_0, y) >= 2 always
         j = int(np.argmax(margins))

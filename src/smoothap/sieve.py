@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import residues, unit_mask
 from .errors import DomainError, RangeError, SizingError
 
 # One int32 word per integer; 5e7 keeps the table + masks comfortably in RAM.
@@ -87,9 +88,7 @@ def psi_coprime(table: SieveTable, x: int, y: int, q: int) -> int:
         raise DomainError(f"modulus must be >= 1, got {q}")
     if q == 1:
         return psi(table, x, y)
-    coprime = np.array([math.gcd(r, q) == 1 for r in range(q)], dtype=bool)
-    n = np.arange(x + 1)
-    mask = table.smooth_mask(x, y) & coprime[n % q]
+    mask = table.smooth_mask(x, y) & unit_mask(q)[residues(np.arange(x + 1), q)]
     return int(np.count_nonzero(mask))
 
 

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from smoothap import multfn
-from smoothap.arith import euler_phi, factorize
+from smoothap.arith import euler_phi, factorize, residues
 from smoothap.characters import (enumerate_characters, family_A, induce,
                                  trivial_character)
 from smoothap.discrepancy import (ExceptionalSet, beta_stats, bv_average,
                                   character_sum, delta, delta_A, delta_record,
-                                  delta_xi,
+                                  delta_xi, delta_xi_record, residue_sums,
                                   u_kernel_chardef, u_kernel_chardef_row,
                                   u_kernel_moebius, verify_transfer_identity)
 from smoothap.errors import DomainError
 from smoothap.multfn import dirichlet_inverse, evaluate
-from smoothap.sieve import psi_coprime, psi_progression
+from smoothap.sieve import X_MAX_CAP, psi_coprime, psi_progression
 
 XI_TRIVIAL = ExceptionalSet.from_characters([trivial_character()])
 XI_EMPTY = ExceptionalSet(members=[])
@@ -208,13 +208,91 @@ def test_bv_average_filters_moduli(table_1e4):
     assert [r.q for r in records] == [q for q in range(1, 21) if math.gcd(q, 6) == 1]
 
 
+RECORD_FIELDS = ("delta", "delta_xi", "progression_sum", "coprime_main", "xi_main")
+
+
+def _bits(z) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+def _same_records(recs1, recs2) -> bool:
+    return len(recs1) == len(recs2) and all(
+        r1.q == r2.q and r1.delta_a is None and r2.delta_a is None
+        and all(_bits(getattr(r1, k)) == _bits(getattr(r2, k)) for k in RECORD_FIELDS)
+        for r1, r2 in zip(recs1, recs2))
+
+
 def test_bv_average_thread_determinism(table_1e4):
     f = multfn.random_unit_circle(5, smooth_bound=50)
-    runs = [bv_average(f, 3000, 40, 1, 1, XI_TRIVIAL, table_1e4, threads=k)
-            for k in (1, 4, 8)]
-    assert runs[0][0] == runs[1][0] == runs[2][0]
-    for rec1, rec4 in zip(runs[0][1], runs[1][1]):
-        assert rec1.delta_xi == rec4.delta_xi
+    xi_a = ExceptionalSet.from_characters(family_A(12).members)
+    for xi in (XI_TRIVIAL, xi_a):
+        runs = [bv_average(f, 3000, 40, 1, 1, xi, table_1e4, threads=k)
+                for k in (1, 4, 8)]
+        assert runs[0][0] == runs[1][0] == runs[2][0]
+        assert _same_records(runs[0][1], runs[1][1])
+        assert _same_records(runs[0][1], runs[2][1])
+
+
+def test_residues_equal_remainder():
+    rng = np.random.default_rng(7)
+    for q in [*range(1, 601), 999_983]:
+        mult = q * np.arange(X_MAX_CAP // q + 1, step=max(1, X_MAX_CAP // q // 50))
+        n = np.concatenate([np.arange(3 * q + 2), mult, mult[1:] - 1, mult + 1,
+                            [X_MAX_CAP - 1, X_MAX_CAP],
+                            rng.integers(0, X_MAX_CAP + 1, size=200)])
+        for dtype in (np.int32, np.int64):
+            nd = n.astype(dtype)
+            got = residues(nd, q)
+            assert got.dtype == dtype
+            assert np.array_equal(got, nd % q)
+
+
+def test_residue_sums_bitwise_across_layouts(table_1e4):
+    # int32 positions with contiguous parts give the same bins as int64
+    # positions with the strided views of the complex support
+    ns, vs = multfn.get_support(multfn.random_unit_circle(3, smooth_bound=50),
+                                table_1e4, 10**4)
+    re, im = np.ascontiguousarray(vs.real), np.ascontiguousarray(vs.imag)
+    for q in (1, 2, 7, 60, 97, 600, 9999):
+        res = ns % q
+        want = (np.bincount(res, weights=vs.real, minlength=q)
+                + 1j * np.bincount(res, weights=vs.imag, minlength=q))
+        for got in (residue_sums(ns, vs.real, vs.imag, q),
+                    residue_sums(ns.astype(np.int32), re, im, q)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_member_value_equals_induced_value_at_units():
+    # the Xi main term reads psi(b) for a unit b mod q instead of inducing
+    for psi0 in family_A(12).members:
+        for q in range(psi0.q, 121, psi0.q):
+            chi = induce(psi0, q)
+            for b in range(q):
+                if math.gcd(b, q) == 1:
+                    assert psi0.value(b) == chi.value(b)
+                    assert _bits(psi0.cvalue(b)) == _bits(chi.cvalue(b))
+
+
+def test_bv_average_records_equal_delta_xi_record(table_1e6):
+    # the hoisted per-modulus path of bv_average against the public one
+    x, Q = 10**5, 60
+    xis = (XI_EMPTY, XI_TRIVIAL, ExceptionalSet.from_characters(family_A(12).members))
+    twist = family_A(12).members[7]
+    fs = (multfn.random_unit_circle(5, smooth_bound=50), multfn.moebius_smooth(50),
+          multfn.character_twist(twist, 50))
+    for f in fs:
+        for xi in xis:
+            for a1, a2 in ((1, 1), (2, 3)):
+                want = [delta_xi_record(f, x, q, a1, a2, xi, table_1e6)
+                        for q in range(1, Q + 1) if math.gcd(q, a1 * a2) == 1]
+                want_total = 0.0
+                for rec in want:
+                    want_total += abs(rec.delta_xi)
+                for threads in (1, 2):
+                    total, got = bv_average(f, x, Q, a1, a2, xi, table_1e6,
+                                            threads=threads)
+                    assert total == want_total
+                    assert _same_records(got, want)
 
 
 def test_transfer_identity_xi_equals_family(table_1e4):
