@@ -151,13 +151,14 @@ def character_sum(f: MultFnSpec, X: int, chi: DirichletCharacter,
     return complex((np.conj(chi.complex_table()) * rs).sum())
 
 
-def _sum_induced(rs: np.ndarray, psi: DirichletCharacter, q: int, conj: bool) -> complex:
-    """sum over residues of rs[r] * psi_q(r), psi_q = psi induced to modulus q."""
-    units = _unit_residues(q)
-    vals = psi.complex_table()[residues(units, psi.q)]
-    if conj:
-        vals = np.conj(vals)
-    return complex((vals * rs[units]).sum())
+def _sum_induced(rs_units: np.ndarray, units: np.ndarray, psi: DirichletCharacter) -> complex:
+    """sum over the units u mod q of rs[u] * conj(psi(u)), given rs_units = rs[units].
+
+    On the units of q the character induced by psi equals psi, and off them
+    it vanishes, so this is the sum against conj of psi induced to q.
+    """
+    vals = np.conj(psi.complex_table()[residues(units, psi.q)])
+    return complex((vals * rs_units).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +202,13 @@ def _xi_record(rs: np.ndarray, q: int, a1: int, a2: int,
     b = (a1 % q) * modinv(a2, q) % q if q > 1 else 0
     prog = complex(rs[b])
     units = _unit_residues(q)
-    coprime = complex(rs[units].sum())
+    rs_units = rs[units]
+    coprime = complex(rs_units.sum())
     phi = euler_phi(q)
     xi_main = 0j
     for psi in xi.members_dividing(q):
         # b is a unit mod q, where the character induced by psi equals psi
-        xi_main += psi.cvalue(b) * _sum_induced(rs, psi, q, conj=True)
+        xi_main += psi.cvalue(b) * _sum_induced(rs_units, units, psi)
     dxi = prog - xi_main / phi
     return DiscrepancyRecord(q=q, a1=a1, a2=a2, delta=prog - coprime / phi,
                              delta_xi=dxi, progression_sum=prog,
@@ -229,6 +231,21 @@ def delta_xi_residue(f: MultFnSpec, x: int, q: int, a: int,
 # the conductor-truncated kernel, both exact forms
 
 
+def _kernel_divisor_sum(g: int, q: int, D: int) -> int:
+    """sum_{d<=D, d | g} phi(d) * sum_{b<=D/d, b | q/d} mu(b), g = gcd(q, n-1)."""
+    total = 0
+    for d in divisors(g):
+        if d > D:
+            continue
+        inner = 0
+        lim = D // d
+        for b in divisors(q // d):
+            if b <= lim:
+                inner += moebius(b)
+        total += euler_phi(d) * inner
+    return total
+
+
 def u_kernel_moebius(n: int, q: int, D: int) -> Fraction:
     """Divisor-sum form of the kernel, exact rational.
 
@@ -242,23 +259,37 @@ def u_kernel_moebius(n: int, q: int, D: int) -> Fraction:
     if math.gcd(n, q) != 1:
         return Fraction(0)
     ind = 1 if n % q == 1 % q else 0
-    g = math.gcd(q, n - 1)
-    total = 0
-    for d in divisors(g):
-        if d > D:
-            continue
-        inner = 0
-        lim = D // d
-        for b in divisors(q // d):
-            if b <= lim:
-                inner += moebius(b)
-        total += euler_phi(d) * inner
     phi = euler_phi(q)
-    return Fraction(ind * phi - total, phi)
+    return Fraction(ind * phi - _kernel_divisor_sum(math.gcd(q, n - 1), q, D), phi)
+
+
+def u_kernel_moebius_row(q: int, D: int) -> np.ndarray:
+    """float(u_kernel_moebius(n, q, D)) at every residue n mod q at once.
+
+    The value at a unit n depends only on g = gcd(q, n-1), and n = 1 (mod q)
+    exactly when g = q, so the divisor sum and the Fraction are formed once
+    per distinct g.
+    """
+    if q < 1 or D < 1:
+        raise DomainError(f"need q >= 1 and D >= 1, got q={q}, D={D}")
+    phi = euler_phi(q)
+    row = np.zeros(q)
+    by_gcd: dict[int, float] = {}
+    for n in np.flatnonzero(unit_mask(q)).tolist():
+        g = math.gcd(q, n - 1)
+        if g not in by_gcd:
+            ind = 1 if g == q else 0
+            by_gcd[g] = float(Fraction(ind * phi - _kernel_divisor_sum(g, q, D), phi))
+        row[n] = by_gcd[g]
+    return row
 
 
 def u_kernel_chardef(n: int, q: int, D: int, family: CharacterFamily) -> complex:
-    """Definition form: [n=1 mod q] - (1/phi(q)) sum_{chi mod q, cond<=D} chi(n)."""
+    """Definition form: [n=1 mod q] - (1/phi(q)) sum_{chi mod q, cond<=D} chi(n).
+
+    One induction per member per call: the oracle that the row form is
+    tested against.
+    """
     if family.D < min(D, q):
         raise DomainError(f"family only covers conductors <= {family.D}, need {min(D, q)}")
     n %= q
@@ -273,7 +304,12 @@ def u_kernel_chardef(n: int, q: int, D: int, family: CharacterFamily) -> complex
 
 
 def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
-    """u_kernel_chardef at every residue mod q at once (one induction per member)."""
+    """u_kernel_chardef at every residue mod q at once, bitwise equal to it.
+
+    One table gather per member and no induction.  The real and imaginary
+    parts are divided by phi(q) separately, as Python's complex / int does:
+    numpy's complex / float can differ in the last bit.
+    """
     if family.D < min(D, q):
         raise DomainError(f"family only covers conductors <= {family.D}, need {min(D, q)}")
     n = np.arange(q)
@@ -284,7 +320,11 @@ def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
         if psi.q <= D and q % psi.q == 0:
             s += psi.complex_table()[residues(n, psi.q)]
     s[~unit_mask(q)] = 0  # induced characters vanish off the units of q
-    return ind - s / euler_phi(q)
+    phi = euler_phi(q)
+    out = np.empty(q, dtype=np.complex128)
+    out.real = ind - s.real / phi
+    out.imag = 0.0 - s.imag / phi  # float - complex subtracts from (ind, 0.0)
+    return out
 
 
 def delta_a_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int,
@@ -293,9 +333,7 @@ def delta_a_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int,
         raise DomainError(f"need gcd(a1*a2, q) = 1, got a1={a1}, a2={a2}, q={q}")
     c = modinv(a1, q) * (a2 % q) % q if q > 1 else 0  # kernel argument scale
     rs = _f_residue_sums(f, table, x, q)
-    row = np.array(
-        [float(u_kernel_moebius((r * c) % q if q > 1 else 0, q, D)) for r in range(q)]
-    )
+    row = u_kernel_moebius_row(q, D)[residues(np.arange(q) * c, q)]
     da = complex((row * rs).sum())
     units = _unit_residues(q)
     coprime = complex(rs[units].sum())

@@ -5,7 +5,9 @@ import sys
 from pathlib import Path
 
 import smoothap
-from smoothap.cli import main
+from smoothap import characters, discrepancy
+from smoothap.characters import family_A
+from smoothap.cli import _kernel_worst, main
 from smoothap.reports import DISCREPANCY_COLUMNS, emit_report, fmt_number
 
 
@@ -61,6 +63,69 @@ def test_verify_identities_command(tmp_path):
     doc = json.loads((tmp_path / "verify-identities.json").read_text())
     assert doc["summary"]["all_ok"] == "true"
     assert all(r["ok"] == "true" for r in doc["records"])
+
+
+def test_verify_identities_kernel_rows_pinned(tmp_path):
+    # the kernel rows depend on neither --seed nor --tuples
+    assert run_cli(["verify-identities", "--qmax", "160", "--tuples", "1",
+                    "--xmax", "200", "--seed", "5"], tmp_path) == 0
+    rows = (tmp_path / "verify-identities.csv").read_text().splitlines()[2:]
+    kernel = [r.split(",") for r in rows if r.startswith("kernel-identity,")]
+    assert [(r[1], r[2], r[3]) for r in kernel] == [
+        ("q<=160", "D=1", "0"),
+        ("q<=160", "D=2", "0"),
+        ("q<=160", "D=3", "1.11022302463e-16"),
+        ("q<=160", "D=5", "1.11022302463e-16"),
+        ("q<=160", "D=10", "1.33432201416e-16"),
+    ]
+
+
+def test_kernel_worst_equals_cell_loop():
+    fam = family_A(10)
+    for D in (1, 2, 3, 5, 10):
+        for q in range(1, 61):
+            worst = 0.0
+            for n in range(q):
+                mo = float(discrepancy.u_kernel_moebius(n, q, D))
+                worst = max(worst, abs(discrepancy.u_kernel_chardef(n, q, D, fam) - mo))
+            assert _kernel_worst(q, D, fam) == worst, (q, D)
+    # np.abs rounds differently from Python's abs in a few rows above q = 60
+    for D in (5, 10):
+        for q in range(61, 161):
+            d = (discrepancy.u_kernel_chardef_row(q, D, fam)
+                 - discrepancy.u_kernel_moebius_row(q, D))
+            assert _kernel_worst(q, D, fam) == max(abs(complex(v)) for v in d), (q, D)
+
+
+def test_verify_identities_calls_no_scalar_kernel(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar route called")
+
+    # every smoothap name bound to one of them, wherever it was imported
+    scalar = (characters.induce, discrepancy.u_kernel_chardef, discrepancy.u_kernel_moebius)
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "smoothap":
+            for attr, val in list(vars(mod).items()):
+                if any(val is fn for fn in scalar):
+                    monkeypatch.setattr(mod, attr, forbidden)
+    assert run_cli(["verify-identities", "--qmax", "30", "--tuples", "3",
+                    "--xmax", "300"], tmp_path) == 0
+
+
+def test_verify_identities_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 1 MB of peak RSS; np.unique is one way to pull it in
+    src = str(Path(smoothap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from smoothap.cli import main\n"
+            f"assert main(['--out', {str(tmp_path)!r}, 'verify-identities', '--qmax', '20',"
+            " '--tuples', '3', '--xmax', '300']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_usage_error_exit_2(tmp_path):

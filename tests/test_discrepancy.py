@@ -13,7 +13,8 @@ from smoothap.discrepancy import (ExceptionalSet, beta_stats, bv_average,
                                   character_sum, delta, delta_A, delta_record,
                                   delta_xi, delta_xi_record, residue_sums,
                                   u_kernel_chardef, u_kernel_chardef_row,
-                                  u_kernel_moebius, verify_transfer_identity)
+                                  u_kernel_moebius, u_kernel_moebius_row,
+                                  verify_transfer_identity)
 from smoothap.errors import DomainError
 from smoothap.multfn import dirichlet_inverse, evaluate
 from smoothap.sieve import X_MAX_CAP, psi_coprime, psi_progression
@@ -154,8 +155,36 @@ def test_kernel_scalar_matches_row():
         q = rng.randrange(1, 40)
         D = rng.choice([1, 2, 3, 5, 10])
         n = rng.randrange(q)
-        assert abs(u_kernel_chardef(n, q, D, fam)
-                   - u_kernel_chardef_row(q, D, fam)[n]) <= 1e-12
+        assert u_kernel_chardef(n, q, D, fam) == u_kernel_chardef_row(q, D, fam)[n]
+
+
+# Exact == on the real and imaginary parts: bitwise, except that signed
+# zeros compare by value.
+
+def test_kernel_chardef_row_bitwise_equals_cells():
+    fam = family_A(10)
+    grid = [(q, 10) for q in range(1, 161)]
+    grid += [(q, D) for q in range(1, 61) for D in (1, 2, 3, 5)]
+    for q, D in grid:
+        row = u_kernel_chardef_row(q, D, fam)
+        assert row.shape == (q,)
+        for n in range(q):
+            cell = u_kernel_chardef(n, q, D, fam)
+            assert row[n].real == cell.real and row[n].imag == cell.imag, (q, D, n)
+
+
+def test_kernel_moebius_row_bitwise_equals_cells():
+    for q in range(1, 301):
+        for D in (1, 2, 3, 5, 10, 20, 30):
+            row = u_kernel_moebius_row(q, D)
+            assert row.dtype == np.float64 and row.shape == (q,)
+            assert row.tolist() == [float(u_kernel_moebius(n, q, D)) for n in range(q)], (q, D)
+
+
+def test_kernel_moebius_row_domain():
+    for q, D in ((0, 1), (-3, 2), (5, 0)):
+        with pytest.raises(DomainError):
+            u_kernel_moebius_row(q, D)
 
 
 def test_kernel_vanishing_and_bound():
@@ -186,6 +215,17 @@ def test_delta_A_at_D_one_equals_delta(table_1e4):
         da = delta_A(f, 1000, q, a, 1, 1, table_1e4)
         # family A(1) = {trivial}: same main term as plain delta at b = a * conj(1)
         assert da == pytest.approx(delta(f, 1000, q, a, table_1e4), abs=1e-10)
+
+
+def test_delta_A_equals_scalar_kernel_cells(table_1e4):
+    # the gathered Moebius row against one exact scalar kernel call per residue
+    f = multfn.random_unit_circle(3, smooth_bound=50)
+    ns, vs = multfn.get_support(f, table_1e4, 3000)
+    for q, a1, a2, D in ((1, 1, 1, 2), (7, 3, 1, 5), (12, 5, 7, 3), (30, 7, 11, 10)):
+        c = pow(a1, -1, q) * a2 % q if q > 1 else 0
+        cells = np.array([float(u_kernel_moebius(r * c % q, q, D)) for r in range(q)])
+        expected = complex((cells * residue_sums(ns, vs.real, vs.imag, q)).sum())
+        assert delta_A(f, 3000, q, a1, a2, D, table_1e4) == expected
 
 
 def test_bv_average_rejects_Q_above_x(table_1e4):
