@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OracleError, RangeError
-from .sieve import SieveTable, primes_upto
+from .sieve import SieveTable, primes_upto, smooth_pieces
 
 CLASS_C_SLACK = 1e-12
 
@@ -163,73 +163,30 @@ def evaluate(f: MultFnSpec, n: int, table: SieveTable) -> complex:
     return val
 
 
-def _fold_passes(x: int) -> int:
-    """Passes of the fold that settle every n <= x: the largest omega(n)."""
-    passes, prod = 1, 6
-    while prod <= x:
-        passes += 1
-        prod *= primes_upto(200)[passes]  # the (passes+1)-th prime
-    return passes
-
-
 def _support_values(f: MultFnSpec, table: SieveTable, x: int):
     """(ns, vs): the n in 1..x with f(n) != 0, ascending, and f there.
 
     Only n with P(n) <= y can be nonzero (y = x for unbounded f), so the
-    work and memory are O(Psi(x,y)).
+    support is generated from the primes <= y (sieve.smooth_pieces) in
+    O(Psi(x,y)) work and memory, and sorted once.
     """
     if x > table.x_max:
         raise RangeError(f"x={x} exceeds table x_max={table.x_max}")
     bound = x if f.smooth_bound is None else min(x, f.smooth_bound)
-    ns = np.flatnonzero(table.lpf[: x + 1] <= max(bound, 1))[1:]  # drop n = 0
-    vals = _fold_on_support(f, table, x, bound, ns)
-    keep = np.flatnonzero(vals)
-    return ns[keep], vals[keep]
-
-
-def _fold_on_support(f: MultFnSpec, table: SieveTable, x: int, bound: int,
-                     ns: np.ndarray) -> np.ndarray:
-    """f at each n of ns, the n <= x with P(n) <= bound.
-
-    Each pass rewrites vals[n] = f(P-power part of n) * vals[cofactor]; the
-    cofactor of a bound-smooth n is bound-smooth, so ns is closed under the
-    fold, and after j passes every n with at most j distinct primes is
-    correct.
-    """
-    pp = _prime_power_part(table, ns)
-    cof_idx = np.searchsorted(ns, ns // pp)
-    powers, fvals = [1], [1.0 + 0j]
-    for p in table.primes:
-        p = int(p)
-        if p > bound:
-            break
-        pe, k = p, 1
-        while pe <= x:
-            powers.append(pe)
-            fvals.append(complex(f.at(p, k)))
-            pe *= p
-            k += 1
-    order = np.argsort(powers)
-    powers = np.asarray(powers, dtype=np.int64)[order]
-    fpp = np.asarray(fvals, dtype=np.complex128)[order][np.searchsorted(powers, pp)]
-    vals = np.ones(ns.size, dtype=np.complex128)
-    for _ in range(_fold_passes(x)):
-        # not `fpp * vals[cof_idx]`: numpy may elide the temporary by
-        # swapping the operands, and complex multiply is not bitwise
-        # commutative under FMA
-        np.multiply(fpp, vals[cof_idx], out=vals)
-    return vals
-
-
-def _prime_power_part(table: SieveTable, ns: np.ndarray) -> np.ndarray:
-    """p^v for each n of ns, where p = P(n) and p^v || n (1 at n = 1)."""
-    p = table.lpf[ns].astype(np.int64)
-    pp = np.ones_like(ns)
-    act = np.flatnonzero(p > 1)
-    while act.size:
-        pp[act] *= p[act]
-        act = act[ns[act] // pp[act] % p[act] == 0]
-    return pp
+    ns_parts, vs_parts = zip(*smooth_pieces(x, bound, f.at))
+    # one array at a time, its pieces dropped once joined: the peak stays
+    # near 48 bytes per support point
+    ns = np.concatenate(ns_parts)
+    del ns_parts
+    order = np.argsort(ns)
+    ns = ns[order]
+    vs = np.concatenate(vs_parts)
+    del vs_parts
+    vs = vs[order]
+    if not vs.all():  # a product of nonzero values can underflow to 0
+        keep = np.flatnonzero(vs)
+        ns, vs = ns[keep], vs[keep]
+    return ns, vs
 
 
 def get_support(f: MultFnSpec, table: SieveTable, x: int):
@@ -243,6 +200,7 @@ def get_support(f: MultFnSpec, table: SieveTable, x: int):
     """
     entry = table._support
     if entry is None or entry[0] is not f or entry[1] < x:
+        table._support = None  # free the old support before building the next
         ns, vs = _support_values(f, table, x)
         ns.setflags(write=False)
         vs.setflags(write=False)

@@ -1,23 +1,34 @@
-"""Smooth-number sieve: largest-prime-factor tables and Psi(x,y) counting.
+"""Smooth numbers: Psi(x,y) counts, the y-smooth integers, and P(n) tables.
 
-The central object is a table of P(n), the largest prime factor of each
-n <= x_max; n is y-smooth exactly when P(n) <= y.  All Psi-style counts
-(plain, coprime-restricted, in a progression) are read-only queries on
-that table, so one build serves every experiment at or below its cap.
+The y-smooth n <= x (every prime factor <= y) are generated directly from
+the primes p <= y (`smooth_pieces`), in O(Psi(x,y)) work and memory for
+y <= sqrt(x).  `psi`, `psi_prefix` and the support of a multiplicative
+function (`multfn.get_support`) read that walk and touch no table over
+0..x.
+
+A SieveTable holds P(n), the largest prime factor of each n <= x_max, for
+the queries that need a property of every n <= x: the coprime and
+progression counts, the dense smooth mask of the large-sieve experiments,
+and factorization in `multfn.evaluate`.  It builds the table on first read.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .arith import residues, unit_mask
 from .errors import DomainError, RangeError, SizingError
 
-# One int32 word per integer; 5e7 keeps the table + masks comfortably in RAM.
+# A built table is one int32 word per integer, 200 MB at the cap.  Commands
+# that only count or generate smooth numbers never build it; they still
+# reject x past the cap, because every table query would then fail.
 X_MAX_CAP = 50_000_000
+
+# cofactors per chunk of the batched large-prime step, to bound its temporaries
+_BATCH = 1 << 18
 
 
 def _prime_mask(limit: int) -> np.ndarray:
@@ -30,20 +41,35 @@ def _prime_mask(limit: int) -> np.ndarray:
 
 
 class SieveTable:
-    """Largest-prime-factor table for 1..x_max.
+    """Largest-prime-factor table for 1..x_max, built on first read.
 
-    lpf[n] is the largest prime factor of n, with lpf[1] = 1 and lpf[0] = 0.
-    Immutable after construction; queries never write, so a table may be
-    shared freely across threads.
+    lpf[n] is the largest prime factor of n, with lpf[1] = 1 and lpf[0] = 0;
+    primes holds the primes <= x_max.  Both are read-only.  Queries never
+    write, so a table may be shared across threads; a lazy build is
+    idempotent, but only Python 3.11's cached_property locks (3.12 does not),
+    so two threads reading lpf first at once may both build it.  Callers
+    that fan out therefore read lpf before the fan-out.
     """
 
-    def __init__(self, x_max: int, lpf: np.ndarray, primes: np.ndarray):
+    def __init__(self, x_max: int):
         self.x_max = x_max
-        self.lpf = lpf
-        self.primes = primes
         self._support = None  # (f, x, ns, vs) of the last multfn.get_support build
-        lpf.setflags(write=False)
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        primes = np.flatnonzero(_prime_mask(self.x_max)).astype(np.int64)
         primes.setflags(write=False)
+        return primes
+
+    @cached_property
+    def lpf(self) -> np.ndarray:
+        lpf = np.zeros(self.x_max + 1, dtype=np.int32)
+        lpf[1] = 1
+        # ascending p, so the final value at n is its largest prime factor
+        for p in self.primes:
+            lpf[p::p] = p
+        lpf.setflags(write=False)
+        return lpf
 
     def smooth_mask(self, x: int, y: int) -> np.ndarray:
         """Boolean mask over 0..x, True where n >= 1 is y-smooth."""
@@ -55,30 +81,113 @@ class SieveTable:
 
 
 def build_sieve(x_max: int) -> SieveTable:
-    """Sieve largest prime factors for all n <= x_max.
+    """A largest-prime-factor table for all n <= x_max, built on first read.
 
-    Rejects x_max = 0 and anything past X_MAX_CAP with a sizing error.
+    Rejects x_max = 0 and anything past X_MAX_CAP with a sizing error, before
+    allocating anything.
     """
     if x_max < 1 or x_max > X_MAX_CAP:
         raise SizingError(
             f"x_max must be in [1, {X_MAX_CAP}], got {x_max}"
         )
-    lpf = np.zeros(x_max + 1, dtype=np.int32)
-    lpf[1] = 1
-    if x_max >= 2:
-        primes = np.nonzero(_prime_mask(x_max))[0].astype(np.int64)
-        # ascending p, so the final value at n is its largest prime factor
-        for p in primes:
-            lpf[p::p] = p
-    else:
-        primes = np.zeros(0, dtype=np.int64)
-    return SieveTable(x_max, lpf, primes)
+    return SieveTable(x_max)
+
+
+def smooth_pieces(x: int, y: int, fpk=None):
+    """The n in 1..x with every prime factor <= y, generated from those primes.
+
+    Yields disjoint pieces (ns, vs): int64 positions in no particular order
+    that together hold each such n exactly once.  Without fpk, vs is None.
+    With a prime-power oracle fpk(p, k) = f(p^k), vs holds f(n) for the
+    multiplicative f it defines, and the n with a factor p^k || n where
+    f(p^k) = 0 are left out (every f(p^k) with p <= y, p^k <= x is still
+    asked for).
+
+    The primes p <= sqrt(x) are walked in ascending order.  The walk keeps an
+    active set, the n <= x/p that can still take the factor p; an n above
+    x/p can take no prime >= p and leaves as a piece.  Each step adds p^k * s
+    for the active s <= x/p^k, valued np.multiply(f(p^k), f(s)) with the
+    largest prime's power first (complex multiply is not bitwise commutative
+    under FMA).  The primes above sqrt(x) take every cofactor s <= x/p < p,
+    all of them active, in one batched step.
+    """
+    x = max(x, 0)
+    primes = np.flatnonzero(_prime_mask(max(min(x, y), 0)))
+    walked = primes[: np.searchsorted(primes, math.isqrt(x), side="right")]
+    ns = np.ones(min(x, 1), dtype=np.int64)
+    vs = None if fpk is None else np.ones(ns.size, dtype=np.complex128)
+    for p in walked.tolist():
+        keep = ns <= x // p
+        if not keep.all():
+            done = ~keep
+            yield ns[done], (None if vs is None else vs[done])
+            ns = ns[keep]
+            vs = None if vs is None else vs[keep]
+        grown_n, grown_v = [ns], [vs]
+        s_n, s_v = ns, vs
+        pk, k = p, 1
+        while pk <= x:
+            sel = s_n <= x // pk
+            s_n = s_n[sel]
+            if fpk is None:
+                grown_n.append(s_n * pk)
+            else:
+                s_v = s_v[sel]
+                fv = complex(fpk(p, k))
+                if fv != 0:
+                    grown_n.append(s_n * pk)
+                    grown_v.append(np.multiply(np.full(s_n.size, fv), s_v))
+            pk *= p
+            k += 1
+        ns = np.concatenate(grown_n)
+        vs = None if fpk is None else np.concatenate(grown_v)
+    big = primes[walked.size :]
+    if big.size:
+        yield from _large_prime_pieces(x, big, ns, vs, fpk)
+    yield ns, vs
+
+
+def _large_prime_pieces(x, big, ns, vs, fpk):
+    """p * s for every prime p in `big` (each > sqrt x) and active s <= x/p."""
+    pos = None
+    if fpk is not None:
+        fp = np.array([complex(fpk(p, 1)) for p in big.tolist()], dtype=np.complex128)
+        big, fp = big[fp != 0], fp[fp != 0]
+        # where each s <= x/min(big) sits in the active set, -1 where f(s) = 0
+        m = x // int(big[0]) if big.size else 0
+        low = np.flatnonzero(ns <= m)
+        pos = np.full(m + 1, -1, dtype=np.int64)
+        pos[ns[low]] = low
+    counts = x // big
+    cum = np.cumsum(counts)
+    lo = 0
+    while lo < big.size:
+        hi = int(np.searchsorted(cum, cum[lo] - counts[lo] + _BATCH, side="right"))
+        hi = max(hi, lo + 1)
+        c = counts[lo:hi]
+        s = np.arange(1, int(c.sum()) + 1) - np.repeat(np.cumsum(c) - c, c)
+        ps = np.repeat(big[lo:hi], c)
+        if pos is None:  # no value can vanish: every s <= x/p is active
+            yield ps * s, None
+        else:
+            idx = pos[s]
+            hit = np.flatnonzero(idx >= 0)
+            yield (ps[hit] * s[hit],
+                   np.multiply(np.repeat(fp[lo:hi], c)[hit], vs[idx[hit]]))
+        lo = hi
 
 
 def psi(table: SieveTable, x: int, y: int) -> int:
-    """Psi(x,y) = #{n <= x : P(n) <= y}, counting n = 1."""
+    """Psi(x,y) = #{n <= x : P(n) <= y}, counting n = 1.
+
+    Counts the pieces of the walk over the primes <= min(y, sqrt x) without
+    keeping them; each prime p in (sqrt x, y] adds its floor(x/p) cofactors.
+    """
     _check_query(table, x, y)
-    return int(np.count_nonzero(table.lpf[1 : x + 1] <= y))
+    r = math.isqrt(x)
+    count = sum(ns.size for ns, _ in smooth_pieces(x, min(y, r)))
+    big = np.flatnonzero(_prime_mask(min(x, y)))
+    return count + int(np.sum(x // big[big > r]))
 
 
 def psi_coprime(table: SieveTable, x: int, y: int, q: int) -> int:
@@ -104,8 +213,16 @@ def psi_progression(table: SieveTable, x: int, y: int, a: int, q: int) -> int:
 
 
 def psi_prefix(table: SieveTable, x: int, y: int) -> np.ndarray:
-    """Array P with P[t] = Psi(t,y) for 0 <= t <= x (one pass, for grid scans)."""
-    return np.cumsum(table.smooth_mask(x, y).astype(np.int64))
+    """Array P with P[t] = Psi(t,y) for 0 <= t <= x (int64, for grid scans).
+
+    A cumulative count of the generated y-smooth numbers; reads no table.
+    """
+    if x > table.x_max:
+        raise RangeError(f"x={x} exceeds table x_max={table.x_max}")
+    smooth = np.zeros(x + 1, dtype=bool)
+    for ns, _ in smooth_pieces(x, y):
+        smooth[ns] = True
+    return np.cumsum(smooth, dtype=np.int64)
 
 
 def _check_query(table: SieveTable, x: int, y: int):

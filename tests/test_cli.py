@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import smoothap
-from smoothap import characters, discrepancy
+from smoothap import characters, cli, discrepancy
 from smoothap.characters import family_A
 from smoothap.cli import _kernel_worst, main
 from smoothap.reports import DISCREPANCY_COLUMNS, emit_report, fmt_number
+from smoothap.sieve import SieveTable, build_sieve
 
 
 def run_cli(args, out):
@@ -126,6 +129,61 @@ def test_verify_identities_does_not_import_numpy_ma(tmp_path):
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+SMOOTH_ONLY_COMMANDS = {
+    "decay": ["bv-average", "--xs", "20000,40000", "--y-rule", "cuberoot", "--Q", "20",
+              "--f", "random-unit", "--f-seed", "3", "--xi", "A:6"],
+    "bv": ["bv-average", "--x", "30000", "--y", "200", "--Q", "30", "--f", "moebius-smooth"],
+    "delta": ["delta", "--x", "30000", "--y", "40", "--q", "7", "--a", "3",
+              "--f", "twist:5:1"],
+    # y above sqrt(x): the large primes are counted, not walked
+    "psi": ["psi", "--x", "30000", "--y", "200"],
+    "exceptional": ["exceptional", "--x", "3000", "--y", "20", "--Q", "12"],
+}
+
+
+def test_smooth_commands_read_no_table(tmp_path, monkeypatch):
+    def built_sieve(x_max):
+        table = build_sieve(x_max)
+        table.lpf  # force the lazy build
+        return table
+
+    monkeypatch.setattr(cli, "build_sieve", built_sieve)
+    for name, args in SMOOTH_ONLY_COMMANDS.items():
+        assert run_cli(args, tmp_path / "built" / name) == 0
+
+    def forbidden(self):
+        raise AssertionError("largest-prime-factor table read")
+
+    monkeypatch.setattr(cli, "build_sieve", build_sieve)
+    monkeypatch.setattr(SieveTable, "lpf", property(forbidden))
+    monkeypatch.setattr(SieveTable, "primes", property(forbidden))
+    for name, args in SMOOTH_ONLY_COMMANDS.items():
+        assert run_cli(args, tmp_path / "lazy" / name) == 0
+        built = sorted((tmp_path / "built" / name).iterdir())
+        assert [p.name for p in built] == sorted(p.name for p in (tmp_path / "lazy" / name).iterdir())
+        for p in built:
+            assert (tmp_path / "lazy" / name / p.name).read_bytes() == p.read_bytes()
+
+
+def test_oversize_x_is_a_typed_error_without_allocation(tmp_path, capsys):
+    for args in (["bv-average", "--x", "50000001", "--y", "368", "--Q", "10"],
+                 ["psi", "--x", "50000001", "--y", "2"]):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code = run_cli(args, tmp_path)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "SizingError" and "50000001" in err["error"]
+        # numpy reports its buffers to tracemalloc: no array over 0..x was made
+        assert peak < 1 << 20, peak
+        assert elapsed < 1.0, elapsed
 
 
 def test_usage_error_exit_2(tmp_path):

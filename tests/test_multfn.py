@@ -85,7 +85,13 @@ ORACLE_SPECS = [
     multfn.smooth_indicator(13),
     multfn.moebius_smooth(30),
     multfn.random_unit_circle(5, smooth_bound=60),
+    # a bound above sqrt(x) at x = 2000 and 20000: the batched large-prime step
+    multfn.random_unit_circle(5, smooth_bound=1000),
     multfn.random_unit_circle(5),
+    # ... there with cofactors where f vanishes, and large primes where it does
+    multfn.moebius_smooth(1000),
+    completely_multiplicative("zero-at-3-mod-4", lambda p: 0.0 if p % 4 == 3 else -1j,
+                              smooth_bound=1000),
     from_prime_powers("zeros", {(2, 1): 1j, (2, 2): 0.0, (3, 1): 0.0, (5, 1): -1.0,
                                 (7, 1): 0.5 + 0.5j}, smooth_bound=7),
 ]
@@ -118,6 +124,15 @@ def test_support_bitwise_matches_dense_oracle_large(table_1e6, f):
     assert_support_matches_oracle(f, table_1e6, 250_000)
     # a later, smaller x is answered from the prefix of the cached support
     assert_support_matches_oracle(f, table_1e6, 30_000)
+
+
+@pytest.mark.parametrize("f", [multfn.random_unit_circle(3, smooth_bound=200),
+                               multfn.moebius_smooth(200), multfn.random_unit_circle(3)],
+                         ids=spec_id)
+def test_support_bitwise_at_square_x(table_1e6, f):
+    # x = p^2 for a prime p: p itself is the last prime walked, not a large one
+    for x in (4, 9, 25, 49, 121, 169, 10201, 22201):
+        assert_support_matches_oracle(f, table_1e6, x)
 
 
 def test_support_cache_keys_on_spec_identity(table_1e4):

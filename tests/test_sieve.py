@@ -1,12 +1,15 @@
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 import oracles
 from smoothap.errors import DomainError, RangeError, SizingError
 from smoothap.sieve import (alpha_saddle, build_sieve, dyadic_partition, psi,
                             psi_coprime, psi_prefix, psi_progression,
-                            smooth_short_interval)
+                            smooth_pieces, smooth_short_interval)
 
 
 def test_lpf_small_table():
@@ -40,6 +43,56 @@ def test_build_sieve_rejects_bad_sizes():
         build_sieve(0)
     with pytest.raises(SizingError):
         build_sieve(10**9)
+
+
+def test_build_sieve_is_lazy():
+    t = build_sieve(10**7)
+    assert "lpf" not in vars(t) and "primes" not in vars(t)
+    assert psi(t, 10**7, 2) == 24  # 2^0..2^23, counted without a table
+    assert "lpf" not in vars(t)
+
+
+def test_lazy_table_read_from_many_threads(table_1e4):
+    # every thread must see a complete table, whichever of them builds it
+    table = build_sieve(10**4)
+    seen = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: seen.append(table.lpf.copy()))
+                   for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8
+    for lpf in seen + [table.lpf]:
+        assert np.array_equal(lpf, table_1e4.lpf)
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 15, 16, 10**4, 10**6])
+def test_psi_walk_matches_lpf_count(table_1e6, x):
+    r = math.isqrt(x)
+    for y in (2, 3, 7, 100, r, r + 1, x, 2 * x):
+        if y >= 2:
+            want = int(np.count_nonzero(table_1e6.lpf[1 : x + 1] <= y))
+            assert psi(table_1e6, x, y) == want, (x, y)
+
+
+@pytest.mark.parametrize("x, y", [(0, 2), (1, 2), (16, 3), (16, 4), (16, 5),
+                                  (10**4, 7), (10**4, 100), (10**4, 10**4),
+                                  (10**5, 316), (10**5, 317), (10**6, 10**6)])
+def test_smooth_pieces_and_prefix_match_lpf(table_1e6, x, y):
+    mask = table_1e6.smooth_mask(x, y)
+    pieces = [ns for ns, _ in smooth_pieces(x, y)]
+    got = np.sort(np.concatenate(pieces))
+    assert np.array_equal(got, np.flatnonzero(mask))  # each smooth n exactly once
+    pre = psi_prefix(table_1e6, x, y)
+    assert pre.dtype == np.int64
+    assert np.array_equal(pre, np.cumsum(mask.astype(np.int64)))
 
 
 def test_psi_fixed_points(table_1e4):
