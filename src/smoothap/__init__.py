@@ -1,7 +1,7 @@
 """smoothap: a workbench for multiplicative functions on smooth numbers.
 
 Submodules:
-    sieve        largest-prime-factor tables, Psi(x,y) counting, saddle exponent
+    sieve        the y-smooth integers from the primes <= y, Psi(x,y) counts, saddle exponent
     characters   exact Dirichlet character arithmetic and primitive families
     multfn       prime-power oracles, Lambda_f coefficients, Dirichlet inverses
     discrepancy  progression discrepancies, the truncated kernel, BV averages
@@ -10,8 +10,8 @@ Submodules:
     cli          the `smoothap` command-line entry point
 """
 
-from .sieve import (SieveTable, alpha_saddle, build_sieve, dyadic_partition,
-                    psi, psi_coprime, psi_progression, smooth_short_interval)
+from .sieve import (SieveTable, alpha_saddle, dyadic_partition, psi, psi_coprime,
+                    psi_progression, smooth_short_interval)
 from .characters import (CharacterFamily, DirichletCharacter, decompose,
                          enumerate_characters, family_A, induce,
                          principal_character, trivial_character)

@@ -275,10 +275,6 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
     ]
 
 
-def conductor(chi: DirichletCharacter) -> int:
-    return chi.conductor
-
-
 def principal_character(q: int) -> DirichletCharacter:
     group = UnitGroup.get(q)
     return DirichletCharacter(group, tuple(0 for _ in group.components))

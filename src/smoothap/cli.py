@@ -30,7 +30,7 @@ from .reports import (DECAY_COLUMNS, DISCREPANCY_COLUMNS, EXCEPTIONAL_COLUMNS,
                       IDENTITY_COLUMNS, PSI_COLUMNS, SIEVE_COLUMNS,
                       _write_atomic, discrepancy_row, emit_report,
                       fmt_number)
-from .sieve import build_sieve, psi, psi_coprime, psi_progression
+from .sieve import SieveTable, psi, psi_coprime, psi_progression
 from .util import ordered_map
 
 
@@ -75,7 +75,7 @@ def _emit(args, name: str, columns, rows, config, summary=None):
 
 
 def cmd_psi(args):
-    table = build_sieve(args.x)
+    table = SieveTable(args.x)
     rows = []
     if args.q is None:
         rows.append({"kind": "psi", "x": args.x, "y": args.y, "q": "", "a": "",
@@ -96,7 +96,7 @@ def cmd_psi(args):
 
 
 def cmd_delta(args):
-    table = build_sieve(args.x)
+    table = SieveTable(args.x)
     f = _parse_function(args.f, args.y, args.f_seed)
     rec = delta_record(f, args.x, args.q, args.a, table)
     config = {"command": "delta", "x": args.x, "y": args.y, "q": args.q,
@@ -111,7 +111,7 @@ def cmd_bv_average(args):
     if any(v is None for v in xs):
         raise DomainError("bv-average needs --x or --xs")
     xi = _parse_xi(args.xi)
-    table = build_sieve(max(xs))
+    table = SieveTable(max(xs))
     decay_rows = []
     records_rows = []
     config = {"command": "bv-average", "x": args.x, "xs": args.xs, "y": args.y,
@@ -144,7 +144,7 @@ def cmd_large_sieve(args):
     if args.Q is None:  # pick the range the inequality is stated for
         args.Q = modulus_range_Q(args.x, args.y, args.c,
                                  weighted=args.weight_mode == "sqrt")
-    table = build_sieve(args.x)
+    table = SieveTable(args.x)
     families = family_A(args.Q)
     mask = table.smooth_mask(args.x, args.y)
     smooth_n = np.nonzero(mask)[0]
@@ -177,7 +177,7 @@ def cmd_large_sieve(args):
 
 
 def cmd_exceptional(args):
-    table = build_sieve(args.x)
+    table = SieveTable(args.x)
     families = family_A(args.Q)
     f = _parse_function(args.f, args.y, args.f_seed, families)
     found = detect_exceptional(f, args.x, args.y, args.Q, args.B, args.eps,
@@ -213,7 +213,7 @@ def _kernel_worst(q: int, D: int, fam) -> float:
 
 
 def cmd_verify_identities(args):
-    table = build_sieve(args.xmax)
+    table = SieveTable(args.xmax)
     rng = random.Random(args.seed)
     rows = []
 

@@ -23,7 +23,7 @@ from .characters import CharacterFamily, DirichletCharacter, decompose, enumerat
 from .discrepancy import ExceptionalSet, ExceptionalWitness, residue_sums
 from .errors import DomainError
 from .multfn import MultFnSpec, get_support
-from .sieve import SieveTable, dyadic_partition, psi, psi_prefix
+from .sieve import SieveTable, dyadic_partition, psi, psi_prefix, smooth_pieces
 from .util import ordered_map
 
 
@@ -56,25 +56,22 @@ def modulus_range_Q(x: int, y: int, c: float = 0.2, weighted: bool = False) -> i
     return max(1, int(min(y**c, math.exp(c * math.log(x) / math.log(math.log(x))))))
 
 
-def _check_support(a: np.ndarray, table: SieveTable, x: int, y: int):
-    if a.shape != (x + 1,):
-        raise DomainError(f"coefficients must be indexed 0..x (length {x + 1})")
-    mask = table.smooth_mask(x, y)
-    if np.any(a[~mask] != 0):
-        raise DomainError("coefficients supported outside the y-smooth integers <= x")
-
-
 def ls_primal(x: int, y: int, Q: int, a: np.ndarray, weight_mode: str,
               table: SieveTable, families: CharacterFamily,
               threads: int = 1) -> SieveExperiment:
     """Primal form: lhs = sum_{q<=Q} w(q) sum*_chi |sum_n a_n chi(n)|^2."""
     a = np.asarray(a, dtype=np.complex128)
-    _check_support(a, table, x, y)
+    if a.shape != (x + 1,):
+        raise DomainError(f"coefficients must be indexed 0..x (length {x + 1})")
+    Psi = psi(table, x, y)
+    nz = np.nonzero(a)[0]
+    # every nonzero a_n must sit at a y-smooth n
+    if sum(int(np.count_nonzero(a[ns])) for ns, _ in smooth_pieces(x, y)) != nz.size:
+        raise DomainError("coefficients supported outside the y-smooth integers <= x")
     if families.D < Q:
         raise DomainError(f"family covers conductors <= {families.D}, need {Q}")
     members = families.up_to(Q)
     moduli = sorted({chi.q for chi in members})
-    nz = np.nonzero(a)[0]
     re, im = a.real[nz], a.imag[nz]
 
     def modulus_term(q: int) -> float:
@@ -91,7 +88,7 @@ def ls_primal(x: int, y: int, Q: int, a: np.ndarray, weight_mode: str,
     lhs = 0.0
     for t in terms:
         lhs += t
-    rhs = float(psi(table, x, y)) * float(np.sum(np.abs(a) ** 2))
+    rhs = float(Psi) * float(np.sum(np.abs(a) ** 2))
     return SieveExperiment(x, y, Q, weight_mode, lhs, rhs)
 
 

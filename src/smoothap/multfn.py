@@ -132,33 +132,32 @@ def character_twist(psi, y: int) -> MultFnSpec:
 # evaluation
 
 
-def factor_by_lpf(table: SieveTable, n: int) -> list[tuple[int, int]]:
-    """Factorization of n <= x_max by repeated largest-prime-factor division."""
-    if n > table.x_max:
-        raise RangeError(f"n={n} exceeds table x_max={table.x_max}")
-    out = []
-    while n > 1:
-        p = int(table.lpf[n])
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        out.append((p, k))
-    return out
-
-
 def evaluate(f: MultFnSpec, n: int, table: SieveTable) -> complex:
-    """f(n) as the oracle product over the factorization of n."""
+    """f(n) as the oracle product over the factorization of n.
+
+    n is factored by trial division by the primes <= sqrt(x_max); the
+    factors are multiplied in largest prime first, as in the support walk.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n > table.x_max:
         raise RangeError(f"n={n} exceeds table x_max={table.x_max}")
-    if n == 1:
-        return 1.0 + 0j
-    if f.smooth_bound is not None and int(table.lpf[n]) > f.smooth_bound:
+    factors = []
+    for p in primes_upto(math.isqrt(table.x_max)):
+        if p * p > n:
+            break
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            factors.append((p, k))
+    if n > 1:  # no prime <= sqrt(n) divides it, so n is prime
+        factors.append((n, 1))
+    if factors and f.smooth_bound is not None and factors[-1][0] > f.smooth_bound:
         return 0j
     val = 1.0 + 0j
-    for p, k in factor_by_lpf(table, n):
+    for p, k in reversed(factors):
         val *= f.at(p, k)
     return val
 

@@ -1,30 +1,27 @@
-"""Smooth numbers: Psi(x,y) counts, the y-smooth integers, and P(n) tables.
+"""Smooth numbers: Psi(x,y) counts and the y-smooth integers.
 
 The y-smooth n <= x (every prime factor <= y) are generated directly from
 the primes p <= y (`smooth_pieces`), in O(Psi(x,y)) work and memory for
-y <= sqrt(x).  `psi`, `psi_prefix` and the support of a multiplicative
-function (`multfn.get_support`) read that walk and touch no table over
-0..x.
-
-A SieveTable holds P(n), the largest prime factor of each n <= x_max, for
-the queries that need a property of every n <= x: the coprime and
-progression counts, the dense smooth mask of the large-sieve experiments,
-and factorization in `multfn.evaluate`.  It builds the table on first read.
+y <= sqrt(x).  Every query here reads that walk: `psi`, the coprime and
+progression counts (a gcd or a residue per walked number), the dense smooth
+mask of the large-sieve experiments and its cumulative count `psi_prefix`.
+The support of a multiplicative function (`multfn.get_support`) is the same
+walk with values.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .arith import residues, unit_mask
+from .arith import residues
 from .errors import DomainError, RangeError, SizingError
 
-# A built table is one int32 word per integer, 200 MB at the cap.  Commands
-# that only count or generate smooth numbers never build it; they still
-# reject x past the cap, because every table query would then fail.
+# The cap bounds the dense arrays over 0..x that some queries still build:
+# smooth_mask (1 byte per integer), psi_prefix (8), multfn.values_array and
+# the large-sieve coefficient vector (16 each, 800 MB at the cap).
 X_MAX_CAP = 50_000_000
 
 # cofactors per chunk of the batched large-prime step, to bound its temporaries
@@ -41,56 +38,30 @@ def _prime_mask(limit: int) -> np.ndarray:
 
 
 class SieveTable:
-    """Largest-prime-factor table for 1..x_max, built on first read.
+    """The range 1..x_max that smooth-number queries may ask about.
 
-    lpf[n] is the largest prime factor of n, with lpf[1] = 1 and lpf[0] = 0;
-    primes holds the primes <= x_max.  Both are read-only.  Queries never
-    write, so a table may be shared across threads; a lazy build is
-    idempotent, but only Python 3.11's cached_property locks (3.12 does not),
-    so two threads reading lpf first at once may both build it.  Callers
-    that fan out therefore read lpf before the fan-out.
+    Rejects x_max = 0 and anything past X_MAX_CAP with a sizing error, before
+    allocating anything.  Holds no table over the range: the only state is
+    the support of the last multiplicative function asked for, cached by
+    `multfn.get_support`.
     """
 
     def __init__(self, x_max: int):
+        if x_max < 1 or x_max > X_MAX_CAP:
+            raise SizingError(
+                f"x_max must be in [1, {X_MAX_CAP}], got {x_max}"
+            )
         self.x_max = x_max
         self._support = None  # (f, x, ns, vs) of the last multfn.get_support build
-
-    @cached_property
-    def primes(self) -> np.ndarray:
-        primes = np.flatnonzero(_prime_mask(self.x_max)).astype(np.int64)
-        primes.setflags(write=False)
-        return primes
-
-    @cached_property
-    def lpf(self) -> np.ndarray:
-        lpf = np.zeros(self.x_max + 1, dtype=np.int32)
-        lpf[1] = 1
-        # ascending p, so the final value at n is its largest prime factor
-        for p in self.primes:
-            lpf[p::p] = p
-        lpf.setflags(write=False)
-        return lpf
 
     def smooth_mask(self, x: int, y: int) -> np.ndarray:
         """Boolean mask over 0..x, True where n >= 1 is y-smooth."""
         if x > self.x_max:
             raise RangeError(f"x={x} exceeds table x_max={self.x_max}")
-        mask = self.lpf[: x + 1] <= y
-        mask[0] = False
+        mask = np.zeros(x + 1, dtype=bool)
+        for ns, _ in smooth_pieces(x, y):
+            mask[ns] = True
         return mask
-
-
-def build_sieve(x_max: int) -> SieveTable:
-    """A largest-prime-factor table for all n <= x_max, built on first read.
-
-    Rejects x_max = 0 and anything past X_MAX_CAP with a sizing error, before
-    allocating anything.
-    """
-    if x_max < 1 or x_max > X_MAX_CAP:
-        raise SizingError(
-            f"x_max must be in [1, {X_MAX_CAP}], got {x_max}"
-        )
-    return SieveTable(x_max)
 
 
 def smooth_pieces(x: int, y: int, fpk=None):
@@ -197,8 +168,8 @@ def psi_coprime(table: SieveTable, x: int, y: int, q: int) -> int:
         raise DomainError(f"modulus must be >= 1, got {q}")
     if q == 1:
         return psi(table, x, y)
-    mask = table.smooth_mask(x, y) & unit_mask(q)[residues(np.arange(x + 1), q)]
-    return int(np.count_nonzero(mask))
+    return sum(int(np.count_nonzero(np.gcd(ns, q) == 1))
+               for ns, _ in smooth_pieces(x, y))
 
 
 def psi_progression(table: SieveTable, x: int, y: int, a: int, q: int) -> int:
@@ -206,23 +177,13 @@ def psi_progression(table: SieveTable, x: int, y: int, a: int, q: int) -> int:
     _check_query(table, x, y)
     if q < 1 or not 0 <= a < q:
         raise DomainError(f"need q >= 1 and 0 <= a < q, got a={a}, q={q}")
-    start = a if a >= 1 else q
-    if start > x:
-        return 0
-    return int(np.count_nonzero(table.lpf[start : x + 1 : q] <= y))
+    return sum(int(np.count_nonzero(residues(ns, q) == a))
+               for ns, _ in smooth_pieces(x, y))
 
 
 def psi_prefix(table: SieveTable, x: int, y: int) -> np.ndarray:
-    """Array P with P[t] = Psi(t,y) for 0 <= t <= x (int64, for grid scans).
-
-    A cumulative count of the generated y-smooth numbers; reads no table.
-    """
-    if x > table.x_max:
-        raise RangeError(f"x={x} exceeds table x_max={table.x_max}")
-    smooth = np.zeros(x + 1, dtype=bool)
-    for ns, _ in smooth_pieces(x, y):
-        smooth[ns] = True
-    return np.cumsum(smooth, dtype=np.int64)
+    """Array P with P[t] = Psi(t,y) for 0 <= t <= x (int64, for grid scans)."""
+    return np.cumsum(table.smooth_mask(x, y), dtype=np.int64)
 
 
 def _check_query(table: SieveTable, x: int, y: int):

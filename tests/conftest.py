@@ -5,19 +5,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
 
-from smoothap.sieve import build_sieve
+from smoothap.sieve import SieveTable
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="session")
 def table_1e4():
-    return build_sieve(10**4)
+    return SieveTable(10**4)
 
 
 @pytest.fixture(scope="session")
 def table_1e6():
-    return build_sieve(10**6)
+    return SieveTable(10**6)
 
 
 @pytest.fixture(scope="session")

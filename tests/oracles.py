@@ -1,15 +1,18 @@
 """Independent brute-force oracles for the test suite.
 
 Nothing here touches the package's sieves, character tables, or kernel
-routines: factorizations come from raw trial division, characters from
-exhaustive homomorphism search, conductors from the definitional divisor
-scan, and root-of-unity sums from exact cyclotomic polynomial division.
+routines: factorizations come from raw trial division or a dense
+largest-prime-factor sieve, characters from exhaustive homomorphism search,
+conductors from the definitional divisor scan, and root-of-unity sums from
+exact cyclotomic polynomial division.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +45,28 @@ def is_prime(n):
     if n < 2:
         return False
     return trial_division_factor(n) == [(n, 1)]
+
+
+@lru_cache(maxsize=4)
+def lpf_sieve(x_max):
+    """Read-only lpf over 0..x_max: lpf[n] = P(n), lpf[1] = 1, lpf[0] = 0.
+
+    A dense sieve: each prime p, in ascending order, overwrites lpf at its
+    multiples, so the last write at n is its largest prime factor.
+    """
+    lpf = np.zeros(x_max + 1, dtype=np.int64)
+    lpf[1:2] = 1
+    for p in range(2, x_max + 1):
+        if lpf[p] == 0:  # no smaller prime divides p
+            lpf[p::p] = p
+    lpf.setflags(write=False)
+    return lpf
+
+
+def dense_primes(x):
+    """The primes <= x, ascending, read off the dense sieve."""
+    lpf = lpf_sieve(max(x, 1))
+    return np.flatnonzero(lpf == np.arange(lpf.size))[2:].tolist()  # lpf[n] = n at 0, 1 too
 
 
 def smooth_flags(x, y):

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ def test_criterion_4_smooth_count_oracle_suite(table_1e4):
                     assert psi_progression(table_1e4, x, y, a, q) == \
                         oracles.psi_count(flags, x, q=q, a=a)
                 checked += 5
+    # y at and above sqrt(x) (the batched large-prime step), every class a
+    for x in (2000, 10**4):
+        P = [0] + [oracles.largest_prime_factor(n) for n in range(1, x + 1)]
+        for y in (math.isqrt(x), math.isqrt(x) + 1, x):
+            smooth = [n for n in range(1, x + 1) if P[n] <= y]
+            assert psi(table_1e4, x, y) == len(smooth)
+            for q in (1, 2, 7, 30, 210):
+                by_class = Counter(n % q for n in smooth)
+                for a in range(q):
+                    assert psi_progression(table_1e4, x, y, a, q) == by_class[a]
+                assert psi_coprime(table_1e4, x, y, q) == sum(
+                    1 for n in smooth if math.gcd(n, q) == 1)
+                checked += q + 1
     assert psi(table_1e4, 100, 5) == 34
     assert psi_coprime(table_1e4, 100, 5, 3) == 15
     assert psi_progression(table_1e4, 100, 5, 1, 3) == 8

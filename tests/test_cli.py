@@ -11,7 +11,7 @@ from smoothap import characters, cli, discrepancy
 from smoothap.characters import family_A
 from smoothap.cli import _kernel_worst, main
 from smoothap.reports import DISCREPANCY_COLUMNS, emit_report, fmt_number
-from smoothap.sieve import SieveTable, build_sieve
+from smoothap.sieve import SieveTable
 
 
 def run_cli(args, out):
@@ -131,7 +131,7 @@ def test_verify_identities_does_not_import_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-SMOOTH_ONLY_COMMANDS = {
+EVERY_COMMAND = {
     "decay": ["bv-average", "--xs", "20000,40000", "--y-rule", "cuberoot", "--Q", "20",
               "--f", "random-unit", "--f-seed", "3", "--xi", "A:6"],
     "bv": ["bv-average", "--x", "30000", "--y", "200", "--Q", "30", "--f", "moebius-smooth"],
@@ -139,32 +139,31 @@ SMOOTH_ONLY_COMMANDS = {
               "--f", "twist:5:1"],
     # y above sqrt(x): the large primes are counted, not walked
     "psi": ["psi", "--x", "30000", "--y", "200"],
+    "psi-coprime": ["psi", "--x", "30000", "--y", "200", "--q", "30"],
+    "psi-progression": ["psi", "--x", "30000", "--y", "200", "--q", "30", "--a", "7"],
+    "large-sieve": ["large-sieve", "--x", "3000", "--y", "20", "--Q", "5",
+                    "--trials", "2", "--coeffs", "pm1"],
     "exceptional": ["exceptional", "--x", "3000", "--y", "20", "--Q", "12"],
+    "verify-identities": ["verify-identities", "--qmax", "20", "--tuples", "3",
+                          "--xmax", "300"],
 }
 
 
-def test_smooth_commands_read_no_table(tmp_path, monkeypatch):
-    def built_sieve(x_max):
-        table = build_sieve(x_max)
-        table.lpf  # force the lazy build
-        return table
+def test_no_command_builds_a_table(tmp_path, monkeypatch):
+    tables = []
+    init = SieveTable.__init__
 
-    monkeypatch.setattr(cli, "build_sieve", built_sieve)
-    for name, args in SMOOTH_ONLY_COMMANDS.items():
-        assert run_cli(args, tmp_path / "built" / name) == 0
+    def recorded_init(self, x_max):
+        init(self, x_max)
+        tables.append(self)
 
-    def forbidden(self):
-        raise AssertionError("largest-prime-factor table read")
-
-    monkeypatch.setattr(cli, "build_sieve", build_sieve)
-    monkeypatch.setattr(SieveTable, "lpf", property(forbidden))
-    monkeypatch.setattr(SieveTable, "primes", property(forbidden))
-    for name, args in SMOOTH_ONLY_COMMANDS.items():
-        assert run_cli(args, tmp_path / "lazy" / name) == 0
-        built = sorted((tmp_path / "built" / name).iterdir())
-        assert [p.name for p in built] == sorted(p.name for p in (tmp_path / "lazy" / name).iterdir())
-        for p in built:
-            assert (tmp_path / "lazy" / name / p.name).read_bytes() == p.read_bytes()
+    monkeypatch.setattr(SieveTable, "__init__", recorded_init)
+    for name, args in EVERY_COMMAND.items():
+        tables.clear()
+        assert run_cli(args, tmp_path / name) == 0, name
+        assert len(tables) == 1, name
+        # only the range and the cached support: no array over 0..x_max
+        assert set(vars(tables[0])) == {"x_max", "_support"}, name
 
 
 def test_oversize_x_is_a_typed_error_without_allocation(tmp_path, capsys):

@@ -38,7 +38,7 @@ def test_evaluate_errors(table_1e4):
         evaluate(multfn.one(), 10**5, table_1e4)
 
 
-def dense_values_oracle(f, table, x):
+def dense_values_oracle(f, x):
     """f(n) for n = 0..x by O(x) dense waves over the whole range.
 
     Every pass rewrites vals[n] = f(P-power part of n) * vals[cofactor] for
@@ -49,8 +49,8 @@ def dense_values_oracle(f, table, x):
     fpp = np.zeros(x + 1, dtype=np.complex128)
     fpp[1] = 1.0
     bound = x if f.smooth_bound is None else min(x, f.smooth_bound)
-    for p in table.primes:
-        p = int(p)
+    primes = oracles.dense_primes(x)
+    for p in primes:
         if p > bound:
             break
         pe, k = p, 1
@@ -59,13 +59,11 @@ def dense_values_oracle(f, table, x):
             pe *= p
             k += 1
     ppart = np.ones(x + 1, dtype=np.int64)  # p^v with p = P(n), p^v || n
-    for p in table.primes:
-        pe = int(p)
-        if pe > x:
-            break
+    for p in primes:
+        pe = p
         while pe <= x:
             ppart[pe::pe] = pe
-            pe *= int(p)
+            pe *= p
     n = np.arange(x + 1)
     cof = n // ppart
     passes, prod = 1, 6
@@ -98,7 +96,7 @@ ORACLE_SPECS = [
 
 
 def assert_support_matches_oracle(f, table, x):
-    dense = dense_values_oracle(f, table, x)
+    dense = dense_values_oracle(f, x)
     want_ns = np.flatnonzero(dense)
     ns, vs = get_support(f, table, x)
     assert np.array_equal(ns, want_ns)
@@ -133,6 +131,25 @@ def test_support_bitwise_at_square_x(table_1e6, f):
     # x = p^2 for a prime p: p itself is the last prime walked, not a large one
     for x in (4, 9, 25, 49, 121, 169, 10201, 22201):
         assert_support_matches_oracle(f, table_1e6, x)
+
+
+def largest_prime_first_product(f, n):
+    """f(n) by trial division, multiplied in from the largest prime down."""
+    factors = oracles.trial_division_factor(n)
+    if factors and f.smooth_bound is not None and factors[-1][0] > f.smooth_bound:
+        return 0j
+    val = 1.0 + 0j
+    for p, k in reversed(factors):
+        val *= f.at(p, k)
+    return val
+
+
+@pytest.mark.parametrize("f", ORACLE_SPECS, ids=spec_id)
+def test_evaluate_bitwise_matches_largest_prime_first_oracle(table_1e4, f):
+    got = np.array([evaluate(f, n, table_1e4) for n in range(1, 10**4 + 1)])
+    want = np.array([largest_prime_first_product(f, n) for n in range(1, 10**4 + 1)])
+    assert got.dtype == want.dtype == np.complex128
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 def test_support_cache_keys_on_spec_identity(table_1e4):
@@ -265,7 +282,7 @@ def test_restrict_smooth(table_1e4):
     assert evaluate(f, 7, table_1e4) == 0
     full = multfn.one()
     for n in range(1, 200):
-        if int(table_1e4.lpf[n]) <= 5:
+        if oracles.largest_prime_factor(n) <= 5:
             assert evaluate(f, n, table_1e4) == evaluate(full, n, table_1e4)
     fv = values_array(f, table_1e4, 2500)
     assert int(fv.real.sum()) == psi(table_1e4, 2500, 5)
@@ -275,5 +292,5 @@ def test_character_twist_self_correlation(table_1e4):
     psi7 = [c for c in enumerate_characters(7) if c.primitive][0]
     f = multfn.character_twist(psi7, 50)
     for n in (3, 10, 48):
-        expect = psi7.cvalue(n) if int(table_1e4.lpf[n]) <= 50 else 0
+        expect = psi7.cvalue(n) if oracles.largest_prime_factor(n) <= 50 else 0
         assert evaluate(f, n, table_1e4) == pytest.approx(expect)

@@ -1,84 +1,38 @@
 import math
-import sys
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from smoothap.errors import DomainError, RangeError, SizingError
-from smoothap.sieve import (alpha_saddle, build_sieve, dyadic_partition, psi,
-                            psi_coprime, psi_prefix, psi_progression,
+from smoothap.sieve import (X_MAX_CAP, SieveTable, alpha_saddle, dyadic_partition,
+                            psi, psi_coprime, psi_prefix, psi_progression,
                             smooth_pieces, smooth_short_interval)
 
 
-def test_lpf_small_table():
-    t = build_sieve(10)
-    assert list(t.lpf[1:11]) == [1, 2, 3, 2, 5, 3, 7, 2, 3, 5]
-
-
-def test_lpf_x_max_one():
-    t = build_sieve(1)
-    assert list(t.lpf) == [0, 1]
-    assert t.primes.size == 0
-
-
-def test_lpf_matches_trial_division(table_1e4):
-    for n in range(1, 10**4 + 1):
-        assert int(table_1e4.lpf[n]) == oracles.largest_prime_factor(n)
-
-
-def test_lpf_prime_entry_at_1e6(table_1e6):
-    assert oracles.is_prime(999983)
-    assert int(table_1e6.lpf[999983]) == 999983
-
-
-def test_primes_list_matches_trial_division(table_1e4):
-    head = [int(p) for p in table_1e4.primes[:200]]
-    assert head == [n for n in range(2, 10**4) if oracles.is_prime(n)][:200]
-
-
-def test_build_sieve_rejects_bad_sizes():
-    with pytest.raises(SizingError):
-        build_sieve(0)
-    with pytest.raises(SizingError):
-        build_sieve(10**9)
-
-
-def test_build_sieve_is_lazy():
-    t = build_sieve(10**7)
-    assert "lpf" not in vars(t) and "primes" not in vars(t)
-    assert psi(t, 10**7, 2) == 24  # 2^0..2^23, counted without a table
-    assert "lpf" not in vars(t)
-
-
-def test_lazy_table_read_from_many_threads(table_1e4):
-    # every thread must see a complete table, whichever of them builds it
-    table = build_sieve(10**4)
-    seen = []
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=lambda: seen.append(table.lpf.copy()))
-                   for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert len(seen) == 8
-    for lpf in seen + [table.lpf]:
-        assert np.array_equal(lpf, table_1e4.lpf)
+def test_sieve_table_rejects_bad_sizes():
+    for x_max in (0, X_MAX_CAP + 1, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizingError):
+                SieveTable(x_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, peak  # raised before anything was allocated
+    t = SieveTable(X_MAX_CAP)
+    assert vars(t) == {"x_max": X_MAX_CAP, "_support": None}
+    assert psi(SieveTable(10**7), 10**7, 2) == 24  # 2^0..2^23
 
 
 @pytest.mark.parametrize("x", [0, 1, 2, 15, 16, 10**4, 10**6])
 def test_psi_walk_matches_lpf_count(table_1e6, x):
+    lpf = oracles.lpf_sieve(10**6)
     r = math.isqrt(x)
     for y in (2, 3, 7, 100, r, r + 1, x, 2 * x):
         if y >= 2:
-            want = int(np.count_nonzero(table_1e6.lpf[1 : x + 1] <= y))
+            want = int(np.count_nonzero(lpf[1 : x + 1] <= y))
             assert psi(table_1e6, x, y) == want, (x, y)
 
 
@@ -86,10 +40,12 @@ def test_psi_walk_matches_lpf_count(table_1e6, x):
                                   (10**4, 7), (10**4, 100), (10**4, 10**4),
                                   (10**5, 316), (10**5, 317), (10**6, 10**6)])
 def test_smooth_pieces_and_prefix_match_lpf(table_1e6, x, y):
-    mask = table_1e6.smooth_mask(x, y)
+    mask = oracles.lpf_sieve(10**6)[: x + 1] <= y
+    mask[0] = False
     pieces = [ns for ns, _ in smooth_pieces(x, y)]
     got = np.sort(np.concatenate(pieces))
     assert np.array_equal(got, np.flatnonzero(mask))  # each smooth n exactly once
+    assert np.array_equal(table_1e6.smooth_mask(x, y), mask)
     pre = psi_prefix(table_1e6, x, y)
     assert pre.dtype == np.int64
     assert np.array_equal(pre, np.cumsum(mask.astype(np.int64)))
@@ -130,15 +86,19 @@ def test_psi_progression(table_1e4):
 
 
 def test_partition_and_coprime_decomposition(table_1e4):
-    for q in range(1, 31):
-        for x, y in ((100, 5), (999, 7), (10**4, 20)):
-            total = sum(psi_progression(table_1e4, x, y, a, q) for a in range(q))
-            assert total == psi(table_1e4, x, y)
-            coprime = sum(
-                psi_progression(table_1e4, x, y, a, q)
-                for a in range(q) if math.gcd(a, q) == 1
-            )
-            assert coprime == psi_coprime(table_1e4, x, y, q)
+    # y at and above sqrt(x) runs the batched large-prime step
+    above_root = [(x, y) for x in (2000, 10**4)
+                  for y in (math.isqrt(x), math.isqrt(x) + 1, x)]
+    cases = [(q, x, y) for q in range(1, 31) for x, y in ((100, 5), (999, 7), (10**4, 20))]
+    cases += [(q, x, y) for q in (1, 2, 7, 30, 210) for x, y in above_root]
+    for q, x, y in cases:
+        total = sum(psi_progression(table_1e4, x, y, a, q) for a in range(q))
+        assert total == psi(table_1e4, x, y)
+        coprime = sum(
+            psi_progression(table_1e4, x, y, a, q)
+            for a in range(q) if math.gcd(a, q) == 1
+        )
+        assert coprime == psi_coprime(table_1e4, x, y, q)
 
 
 def test_psi_prefix_consistent(table_1e4):
