@@ -4,9 +4,13 @@ A character mod q is stored as an exponent vector on a fixed set of
 standard generators of (Z/qZ)*: each odd prime-power factor p^e
 contributes its cyclic group with the least primitive root as generator,
 and a factor 2^e contributes nothing (e = 1), the order-2 group <-1>
-(e = 2), or the pair <-1> x <5> (e >= 3).  Every character value is an
-exact root of unity e^{2 pi i k/m} kept as the reduced fraction k/m;
-complex floats appear only at the summation layer.
+(e = 2), or the pair <-1> x <5> (e >= 3).  Every value is the exact root
+of unity e^{2 pi i k/M}, read as the integer exponent k mod M (M = the
+exponent of the group) from the discrete logs of n, one component at a
+time.  Induction and decomposition rescale generator exponents, so they
+never read a value.  Exact fractions k/m appear only where a caller asks
+for them, in `value()` and `exact_unit_sum`; complex floats only in
+`cvalue()` and the cached `complex_table()`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import euler_phi, factorize, residues, unit_mask
+from .arith import euler_phi, factorize, unit_mask
 from .errors import DomainError
 
 MODULUS_CAP = 1_000_000  # dlog tables are O(q); raise deliberately if needed
@@ -31,14 +35,20 @@ class RootSumStructureError(ArithmeticError):
 
 @dataclass
 class _Component:
-    """One cyclic factor of (Z/qZ)*: generator, order, discrete logs."""
+    """One cyclic factor of (Z/qZ)*: generator, order, discrete logs.
+
+    (p, slot) names the factor whatever the power of p: slot 0 is the cyclic
+    group of an odd p or <-1> on the 2-part, slot 1 is <5>.  The generator
+    of a slot mod p^e reduces mod p^f (f <= e) to the generator of the same
+    slot mod p^f, which is what `_carry` relies on.
+    """
 
     p: int
     pe: int
     order: int
     gen: int  # generator residue mod pe
-    gen_q: int  # CRT lift: = gen mod pe, = 1 mod q/pe
     dlog: np.ndarray  # residue mod pe -> exponent of gen, -1 off units
+    slot: int = 0
 
 
 def _least_primitive_root(p: int, e: int) -> int:
@@ -54,15 +64,6 @@ def _least_primitive_root(p: int, e: int) -> int:
     return g
 
 
-def _crt_lift(residue: int, pe: int, q: int) -> int:
-    """The residue mod q that is `residue` mod pe and 1 mod q/pe."""
-    m = q // pe
-    if m == 1:
-        return residue % q
-    t = ((residue - 1) * pow(m, -1, pe)) % pe
-    return (1 + m * t) % q
-
-
 class UnitGroup:
     """Cached structure of (Z/qZ)*: components, discrete logs, unit mask."""
 
@@ -72,15 +73,14 @@ class UnitGroup:
         self.q = q
         self.components: list[_Component] = []
         for p, e in factorize(q):
-            self.components.extend(self._local(p, e, q))
+            self.components.extend(self._local(p, e))
         self.M = math.lcm(*(c.order for c in self.components)) if self.components else 1
         self.phi = euler_phi(q)
         self.unit_mask = unit_mask(q)
         self.unit_mask.setflags(write=False)
-        self._dlog_rows = None
 
     @staticmethod
-    def _local(p: int, e: int, q: int) -> list[_Component]:
+    def _local(p: int, e: int) -> list[_Component]:
         pe = p**e
         if p == 2:
             if e == 1:
@@ -88,7 +88,7 @@ class UnitGroup:
             if e == 2:
                 dlog = np.full(4, -1, dtype=np.int64)
                 dlog[1], dlog[3] = 0, 1
-                return [_Component(2, 4, 2, 3, _crt_lift(3, 4, q), dlog)]
+                return [_Component(2, 4, 2, 3, dlog)]
             half = 2 ** (e - 2)
             d_sign = np.full(pe, -1, dtype=np.int64)
             d_five = np.full(pe, -1, dtype=np.int64)
@@ -98,8 +98,8 @@ class UnitGroup:
                 d_sign[pe - v], d_five[pe - v] = 1, b
                 v = (v * 5) % pe
             return [
-                _Component(2, pe, 2, pe - 1, _crt_lift(pe - 1, pe, q), d_sign),
-                _Component(2, pe, half, 5, _crt_lift(5, pe, q), d_five),
+                _Component(2, pe, 2, pe - 1, d_sign),
+                _Component(2, pe, half, 5, d_five, slot=1),
             ]
         s = pe - pe // p
         g = _least_primitive_root(p, e)
@@ -108,7 +108,7 @@ class UnitGroup:
         for k in range(s):
             dlog[v] = k
             v = (v * g) % pe
-        return [_Component(p, pe, s, g, _crt_lift(g, pe, q), dlog)]
+        return [_Component(p, pe, s, g, dlog)]
 
     @classmethod
     def get(cls, q: int) -> "UnitGroup":
@@ -120,13 +120,6 @@ class UnitGroup:
         if grp is None:
             grp = cls._cache[q] = UnitGroup(q)
         return grp
-
-    def dlog_rows(self) -> list[np.ndarray]:
-        """Per component, dlog of every residue 0..q-1 (garbage off units)."""
-        if self._dlog_rows is None:
-            n = np.arange(self.q)
-            self._dlog_rows = [c.dlog[residues(n, c.pe)] for c in self.components]
-        return self._dlog_rows
 
 
 class DirichletCharacter:
@@ -171,33 +164,34 @@ class DirichletCharacter:
             r = r * comp.order + c
         return r
 
-    def value(self, n: int) -> Fraction | None:
-        """chi(n) as the reduced fraction k/m meaning e^{2 pi i k/m}; None when chi(n)=0."""
+    def _exponent(self, n):
+        """k with chi(n) = e^{2 pi i k/M} (M = group.M, 0 <= k < M), -1 off the units.
+
+        n is one residue mod q or an int array of them.  The sum runs over
+        the components, so a read at one point allocates nothing of length q.
+        """
         g = self.group
-        n %= g.q
-        if not g.unit_mask[n]:
-            return None
         k = 0
         for c, comp in zip(self.exps, g.components):
-            k += c * int(comp.dlog[n % comp.pe]) * (g.M // comp.order)
-        return Fraction(k % g.M, g.M)
+            if c:
+                k = k + c * (g.M // comp.order) * comp.dlog[n % comp.pe]
+        return (k % g.M + 1) * g.unit_mask[n] - 1  # -1 off the units
+
+    def value(self, n: int) -> Fraction | None:
+        """chi(n) as the reduced fraction k/m meaning e^{2 pi i k/m}; None when chi(n)=0."""
+        k = int(self._exponent(n % self.q))
+        return None if k < 0 else Fraction(k, self.group.M)
 
     def cvalue(self, n: int) -> complex:
-        v = self.value(n)
-        if v is None:
-            return 0j
-        return complex(np.exp(2j * np.pi * float(v)))
+        k = int(self._exponent(n % self.q))
+        return 0j if k < 0 else complex(np.exp(2j * np.pi * (k / self.group.M)))
 
     def complex_table(self) -> np.ndarray:
         """Length-q complex array of chi over residues (0 off units); cached."""
         if self._table is None:
-            g = self.group
-            k = np.zeros(g.q, dtype=np.int64)
-            for c, comp, row in zip(self.exps, g.components, g.dlog_rows()):
-                k += c * (g.M // comp.order) * row
-            phases = np.mod(k, g.M).astype(np.float64) / g.M
-            tab = np.exp(2j * np.pi * phases)
-            tab[~g.unit_mask] = 0
+            k = self._exponent(np.arange(self.q))
+            tab = np.exp(2j * np.pi * (k / self.group.M))
+            tab[k < 0] = 0
             tab.setflags(write=False)
             self._table = tab
         return self._table
@@ -258,11 +252,12 @@ class DirichletCharacter:
 
     def to_record(self) -> dict:
         """Serializable form: modulus, conductor, and the k/m value list."""
-        vals = []
-        for n in range(self.q):
-            v = self.value(n)
-            vals.append("0" if v is None else f"{v.numerator}/{v.denominator}")
-        return {"q": self.q, "conductor": self.conductor, "values": vals}
+        o = self.order  # every exponent is a multiple of M/o, and -1 reads the "0"
+        names = np.array([f"{j // math.gcd(j, o)}/{o // math.gcd(j, o)}"
+                          for j in range(o)] + ["0"], dtype=object)
+        steps = self._exponent(np.arange(self.q)) // (self.group.M // o)
+        return {"q": self.q, "conductor": self.conductor,
+                "values": names[steps].tolist()}
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
@@ -285,42 +280,35 @@ def trivial_character() -> DirichletCharacter:
     return principal_character(1)
 
 
+def _carry(chi: DirichletCharacter, q: int) -> DirichletCharacter:
+    """chi's exponents carried to the generators mod q, where q | chi.q or chi.q | q.
+
+    Generators reduce to generators (see `_Component`), so an exponent
+    scales by the ratio of the two orders, and a factor with no partner
+    carries exponent 0.  Going down, the ratio divides the exponent
+    exactly when chi factors through q, which is what `decompose` asks.
+    """
+    src = {(comp.p, comp.slot): (c, comp.order)
+           for c, comp in zip(chi.exps, chi.group.components)}
+    group = UnitGroup.get(q)
+    exps = []
+    for comp in group.components:
+        c, order = src.get((comp.p, comp.slot), (0, 1))
+        exps.append(c * comp.order // order)
+    return DirichletCharacter(group, tuple(exps))
+
+
 def induce(psi: DirichletCharacter, q: int) -> DirichletCharacter:
     """The character mod q equal to psi on units of q, zero elsewhere."""
     r = psi.conductor
     if q % r:
         raise DomainError(f"conductor {r} does not divide target modulus {q}")
-    psi0 = psi if psi.primitive else decompose(psi)
-    group = UnitGroup.get(q)
-    exps = []
-    for comp in group.components:
-        val = psi0.value(comp.gen_q)
-        c = val * comp.order
-        if c.denominator != 1:  # value order must divide the generator order
-            raise ArithmeticError("inconsistent induction exponent")
-        exps.append(int(c) % comp.order)
-    return DirichletCharacter(group, tuple(exps))
+    return _carry(decompose(psi), q)
 
 
 def decompose(chi: DirichletCharacter) -> DirichletCharacter:
     """The unique primitive character inducing chi."""
-    r = chi.conductor
-    if r == chi.q:
-        return chi
-    group_r = UnitGroup.get(r)
-    exps = []
-    for comp in group_r.components:
-        t = comp.gen_q
-        while math.gcd(t, chi.q) != 1:
-            t += r
-            if t > chi.q + r:
-                raise ArithmeticError("no coprime lift found")  # unreachable
-        val = chi.value(t)
-        c = val * comp.order
-        if c.denominator != 1:
-            raise ArithmeticError("inconsistent decomposition exponent")
-        exps.append(int(c) % comp.order)
-    return DirichletCharacter(group_r, tuple(exps))
+    return chi if chi.primitive else _carry(chi, chi.conductor)
 
 
 def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:

@@ -34,6 +34,13 @@ from .sieve import SieveTable, psi, psi_coprime, psi_progression
 from .util import ordered_map
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _parse_function(name: str, y: int, f_seed: int, families=None):
     if name == "smooth-indicator":
         return multfn.smooth_indicator(y)
@@ -42,10 +49,14 @@ def _parse_function(name: str, y: int, f_seed: int, families=None):
     if name == "random-unit":
         return multfn.random_unit_circle(f_seed, smooth_bound=y)
     if name.startswith("twist:"):
-        _, r, rank = name.split(":")
-        fam = families if families is not None else family_A(int(r))
+        fields = name.split(":")
+        if len(fields) != 3:
+            raise DomainError(f"expected twist:<conductor>:<rank>, got {name!r}")
+        r = _int(fields[1], "twist conductor")
+        rank = _int(fields[2], "twist rank")
+        fam = families if families is not None else family_A(r)
         for chi in fam.members:
-            if chi.q == int(r) and chi.rank == int(rank):
+            if chi.q == r and chi.rank == rank:
                 return multfn.character_twist(chi, y)
         raise DomainError(f"no primitive character mod {r} with rank {rank}")
     raise DomainError(f"unknown function spec {name!r}")
@@ -57,7 +68,7 @@ def _parse_xi(spec: str):
     if spec == "trivial":
         return ExceptionalSet.from_characters([trivial_character()])
     if spec.startswith("A:"):
-        return ExceptionalSet.from_characters(family_A(int(spec[2:])).members)
+        return ExceptionalSet.from_characters(family_A(_int(spec[2:], "Xi bound D")).members)
     raise DomainError(f"unknown Xi spec {spec!r}")
 
 
@@ -107,7 +118,7 @@ def cmd_delta(args):
 
 
 def cmd_bv_average(args):
-    xs = [int(v) for v in args.xs.split(",")] if args.xs else [args.x]
+    xs = [_int(v, "--xs entry") for v in args.xs.split(",")] if args.xs else [args.x]
     if any(v is None for v in xs):
         raise DomainError("bv-average needs --x or --xs")
     xi = _parse_xi(args.xi)

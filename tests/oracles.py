@@ -1,10 +1,13 @@
 """Independent brute-force oracles for the test suite.
 
-Nothing here touches the package's sieves, character tables, or kernel
+Nothing here touches the package's sieves, character values, or kernel
 routines: factorizations come from raw trial division or a dense
 largest-prime-factor sieve, characters from exhaustive homomorphism search,
 conductors from the definitional divisor scan, and root-of-unity sums from
-exact cyclotomic polynomial division.
+exact cyclotomic polynomial division.  The lifted-generator character route
+reads only a unit group's generators and discrete-log tables: it values a
+character as a sum of per-component fractions, and it induces and
+decomposes by reading those values at CRT-lifted generators.
 """
 
 import itertools
@@ -13,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from smoothap.characters import DirichletCharacter, UnitGroup
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +142,77 @@ def conductor_by_scan(chi):
         if good:
             return r
     return q
+
+
+# ---------------------------------------------------------------------------
+# characters by lifted generators: per-component fractions, CRT lifts
+
+
+def fraction_value(chi, n):
+    """chi(n) as a fraction k/m of a turn, one Fraction per component; None off the units."""
+    n %= chi.q
+    if math.gcd(n, chi.q) != 1:
+        return None
+    v = Fraction(0)
+    for c, comp in zip(chi.exps, chi.group.components):
+        v += Fraction(c * int(comp.dlog[n % comp.pe]), comp.order)
+    return v % 1
+
+
+def fraction_row(chi):
+    """[fraction_value(chi, n) for n in range(q)], from per-component fraction lists."""
+    q = chi.q
+    parts = [([Fraction(c * d % comp.order, comp.order) for d in comp.dlog.tolist()], comp.pe)
+             for c, comp in zip(chi.exps, chi.group.components) if c]
+    row = []
+    for n in range(q):
+        if math.gcd(n, q) != 1:
+            row.append(None)
+        elif not parts:
+            row.append(Fraction(0))
+        else:
+            terms = [part[n % pe] for part, pe in parts]
+            row.append(sum(terms[1:], terms[0]) % 1 if len(terms) > 1 else terms[0])
+    return row
+
+
+def crt_lift(residue, pe, q):
+    """The residue mod q that is `residue` mod pe and 1 mod q/pe."""
+    m = q // pe
+    if m == 1:
+        return residue % q
+    t = ((residue - 1) * pow(m, -1, pe)) % pe
+    return (1 + m * t) % q
+
+
+def _exponent_at(chi, n, order):
+    """The exponent c with chi(n) = e^{2 pi i c/order}."""
+    c = fraction_value(chi, n) * order
+    assert c.denominator == 1, "value order must divide the generator order"
+    return int(c)
+
+
+def lift_induce(psi, q):
+    """induce(psi, q) by reading psi's primitive core at each generator's CRT lift to q."""
+    assert q % psi.conductor == 0
+    psi0 = psi if psi.primitive else lift_decompose(psi)
+    group = UnitGroup.get(q)
+    return DirichletCharacter(group, tuple(
+        _exponent_at(psi0, crt_lift(comp.gen, comp.pe, q), comp.order)
+        for comp in group.components))
+
+
+def lift_decompose(chi):
+    """decompose(chi) by reading chi at a unit lift of each generator mod its conductor."""
+    r = chi.conductor
+    group = UnitGroup.get(r)
+    exps = []
+    for comp in group.components:
+        t = crt_lift(comp.gen, comp.pe, r)
+        while math.gcd(t, chi.q) != 1:
+            t += r
+        exps.append(_exponent_at(chi, t, comp.order))
+    return DirichletCharacter(group, tuple(exps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -185,10 +186,34 @@ def test_oversize_x_is_a_typed_error_without_allocation(tmp_path, capsys):
         assert elapsed < 1.0, elapsed
 
 
-def test_usage_error_exit_2(tmp_path):
-    # gcd(a, q) > 1 is a domain error -> exit 2 with a machine-readable record
-    assert run_cli(["delta", "--x", "100", "--y", "5", "--q", "6", "--a", "3"],
-                   tmp_path) == 2
+def test_usage_error_exit_2(tmp_path, capsys):
+    # gcd(a, q) > 1 is a domain error -> exit 2 with a machine-readable record;
+    # so is a malformed function, Xi or x-list spec
+    delta = ["delta", "--x", "100", "--y", "5", "--q", "7", "--a", "3", "--f"]
+    cases = [["delta", "--x", "100", "--y", "5", "--q", "6", "--a", "3"],
+             delta + ["twist:5"], delta + ["twist:abc"], delta + ["twist:7:1:2"],
+             delta + ["twist:7:x"],
+             ["bv-average", "--x", "100", "--y", "5", "--Q", "3", "--xi", "A:x"],
+             ["bv-average", "--xs", "1000,zz", "--y", "5", "--Q", "3"]]
+    for args in cases:
+        assert run_cli(args, tmp_path) == 2, args
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "DomainError" and err["error"], args
+
+
+def test_seed0_reports_match_pinned_digests(tmp_path):
+    # the nine report digests the benchmark pins, exceptional-characters.json
+    # (the to_record output) among them; the manifest is only read here
+    manifest = json.loads((Path(__file__).parents[1] / "perfbench" / "manifest.json")
+                          .read_text(encoding="utf-8"))
+    seed = str(manifest["pin_seed"])
+    for name, spec in manifest["workloads"].items():
+        out = tmp_path / name
+        argv = [a.replace("{seed}", seed) for a in spec["argv"]]
+        assert main(["--out", str(out), "--threads", "1", *manifest["global_argv"],
+                     *argv]) == 0, name
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == spec["reports"], name
 
 
 def test_cli_determinism_across_runs_and_threads(tmp_path):
