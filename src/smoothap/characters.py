@@ -168,14 +168,23 @@ class DirichletCharacter:
         """k with chi(n) = e^{2 pi i k/M} (M = group.M, 0 <= k < M), -1 off the units.
 
         n is one residue mod q or an int array of them.  The sum runs over
-        the components, so a read at one point allocates nothing of length q.
+        the components, so a read at one point allocates nothing of length q,
+        and an array read accumulates in place: besides k it holds at most
+        two int arrays of n's length, n mod p^e and its dlog gather.
         """
         g = self.group
         k = 0
         for c, comp in zip(self.exps, g.components):
             if c:
-                k = k + c * (g.M // comp.order) * comp.dlog[n % comp.pe]
-        return (k % g.M + 1) * g.unit_mask[n] - 1  # -1 off the units
+                t = comp.dlog[n % comp.pe]  # a fresh array when n is one
+                t *= c * (g.M // comp.order)
+                k += t
+                del t
+        k %= g.M
+        k += 1
+        k *= g.unit_mask[n]
+        k -= 1  # -1 off the units
+        return k
 
     def value(self, n: int) -> Fraction | None:
         """chi(n) as the reduced fraction k/m meaning e^{2 pi i k/m}; None when chi(n)=0."""
@@ -255,7 +264,8 @@ class DirichletCharacter:
         o = self.order  # every exponent is a multiple of M/o, and -1 reads the "0"
         names = np.array([f"{j // math.gcd(j, o)}/{o // math.gcd(j, o)}"
                           for j in range(o)] + ["0"], dtype=object)
-        steps = self._exponent(np.arange(self.q)) // (self.group.M // o)
+        steps = self._exponent(np.arange(self.q))
+        steps //= self.group.M // o  # in place: -1 stays -1
         return {"q": self.q, "conductor": self.conductor,
                 "values": names[steps].tolist()}
 

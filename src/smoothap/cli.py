@@ -223,6 +223,31 @@ def _kernel_worst(q: int, D: int, fam) -> float:
     return float(np.max(np.hypot(d.real, d.imag)))  # rounds as Python's abs(complex)
 
 
+_CONV_BLOCK = 2048  # (d, m) pairs per np.add.at call
+
+
+def _dirichlet_convolution(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """(f*g)(n) for n = 0..N from the dense values fv = f(0..N), gv = g(0..N).
+
+    Adds f(d)*g(m) at n = d*m over the pairs (d, m) in d-major order, about
+    _CONV_BLOCK pairs per np.add.at call, so each (f*g)(n) is the sequential
+    sum in ascending d that a loop of strided adds conv[d::d] would form.
+    """
+    N = len(fv) - 1
+    conv = np.zeros(N + 1, dtype=np.complex128)
+    ds = np.arange(1, N + 1)
+    counts = N // ds  # the m <= N/d paired with d
+    starts = np.cumsum(counts) - counts  # pairs before d
+    lo = 0
+    while lo < N:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + _CONV_BLOCK)))
+        d = np.repeat(ds[lo:hi], counts[lo:hi])
+        m = np.arange(d.size) - np.repeat(starts[lo:hi] - starts[lo], counts[lo:hi]) + 1
+        np.add.at(conv, d * m, fv[d] * gv[m])
+        lo = hi
+    return conv
+
+
 def cmd_verify_identities(args):
     table = SieveTable(args.xmax)
     rng = random.Random(args.seed)
@@ -259,9 +284,7 @@ def cmd_verify_identities(args):
         g = dirichlet_inverse(f, args.xmax)
         fv = values_array(f, table, args.xmax)
         gv = values_array(g, table, args.xmax)
-        conv = np.zeros(args.xmax + 1, dtype=np.complex128)
-        for d in range(1, args.xmax + 1):
-            conv[d::d] += fv[d] * gv[1 : args.xmax // d + 1]
+        conv = _dirichlet_convolution(fv, gv)
         worst = max(worst, float(np.max(np.abs(conv[2:]))))
     add("dirichlet-inverse", f"n<={args.xmax}", worst, 1e-10)
 

@@ -198,7 +198,11 @@ def delta_xi_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
 
 def _xi_record(rs: np.ndarray, q: int, a1: int, a2: int,
                xi: ExceptionalSet) -> DiscrepancyRecord:
-    """The Delta_Xi record at q from the residue sums rs of f mod q."""
+    """The Delta_Xi record at q from the residue sums rs of f mod q.
+
+    Reads rs only at the units mod q (b is one), so bv_average may leave
+    the non-unit bins incomplete.
+    """
     b = (a1 % q) * modinv(a2, q) % q if q > 1 else 0
     prog = complex(rs[b])
     units = _unit_residues(q)
@@ -365,18 +369,28 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
     """
     if Q > x:
         raise DomainError(f"need Q <= x, got Q={Q}, x={x}")
-    # the support once, before the fan-out, with int32 positions (x <=
-    # X_MAX_CAP < 2^31).  The values stay the support's own strided real and
-    # imaginary views: contiguous copies held across the loop saved about a
-    # quarter of the per-q time but, once freed, left heap holes that raised
-    # the peak RSS of a later, larger get_support by 1.3 MB in some checkouts.
-    ns, vs = get_support(f, table, x)
-    ns = ns.astype(np.int32)
     qs = [q for q in range(1, Q + 1) if math.gcd(q, a1 * a2) == 1]
-    records = ordered_map(
-        lambda q: _xi_record(residue_sums(ns, vs.real, vs.imag, q), q, a1, a2, xi),
-        qs, threads
-    )
+    # _xi_record reads the residue sums only at the units mod q, and an n
+    # with gcd(n, q) > 1 lands only in a non-unit bin.  So q passes only over
+    # the part of the support prime to g = gcd(q, 6), about 0.55 Psi points
+    # on average over q.  A part keeps ascending n, so every unit bin is the
+    # same sequential bincount sum as over the whole support; it holds int32
+    # positions (x <= X_MAX_CAP < 2^31) and contiguous weights, which
+    # bincount would otherwise copy on every call.  Each part is built once
+    # and serves all its q before the next one is built, so at most one part
+    # is alive at a time.
+    ns, vs = get_support(f, table, x)
+    by_q = {}
+    for g in sorted({math.gcd(q, 6) for q in qs}):
+        keep = unit_mask(g)[residues(ns, g)]
+        part = (ns[keep].astype(np.int32), vs.real[keep], vs.imag[keep])
+        del keep
+        qg = [q for q in qs if math.gcd(q, 6) == g]
+        by_q.update(zip(qg, ordered_map(
+            lambda q, part=part: _xi_record(residue_sums(*part, q), q, a1, a2, xi),
+            qg, threads)))
+        del part
+    records = [by_q[q] for q in qs]
     total = 0.0
     for rec in records:
         total += abs(rec.delta_xi)

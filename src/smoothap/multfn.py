@@ -10,6 +10,7 @@ plain |c| <= 1 comparison.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -113,9 +114,11 @@ def random_unit_circle(seed: int, smooth_bound: int | None = None) -> MultFnSpec
     """Completely multiplicative with f(p) uniform on the unit circle.
 
     Values are a deterministic hash of (seed, p), so they do not depend on
-    evaluation order or on which primes get queried first.
+    evaluation order or on which primes get queried first.  The last 4096
+    values f(p) are kept, so the powers f(p^k) of one p hash it once.
     """
 
+    @functools.lru_cache(maxsize=4096)
     def fp(p):
         return complex(np.exp(2j * np.pi * _unit_angle(seed, p)))
 
@@ -297,10 +300,10 @@ def dirichlet_inverse(f: MultFnSpec, N: int) -> MultFnSpec:
     Inverts the evaluated function: a smoothness bound on f zeroes the
     prime values above it before inversion, and g carries the same bound.
     """
+    y = f.smooth_bound
     gvals = {}
-    for p in primes_upto(N):
-        if f.smooth_bound is not None and p > f.smooth_bound:
-            continue  # f(p^k) = 0 there, hence g(p^k) = 0; oracle falls through
+    # f(p^k) = 0 for p > y, hence g(p^k) = 0 there: the oracle answers it
+    for p in primes_upto(N if y is None else min(N, y)):
         kmax = 0
         pe = p
         while pe <= N:
@@ -311,8 +314,6 @@ def dirichlet_inverse(f: MultFnSpec, N: int) -> MultFnSpec:
         for k in range(1, kmax + 1):
             gv.append(-sum(fv[j] * gv[k - j] for j in range(1, k + 1)))
             gvals[(p, k)] = gv[k]
-
-    y = f.smooth_bound
 
     def oracle(p, k):
         if y is not None and p > y:

@@ -8,9 +8,11 @@ import tracemalloc
 from pathlib import Path
 
 import smoothap
-from smoothap import characters, cli, discrepancy
+import numpy as np
+
+from smoothap import characters, cli, discrepancy, multfn
 from smoothap.characters import family_A
-from smoothap.cli import _kernel_worst, main
+from smoothap.cli import _dirichlet_convolution, _kernel_worst, main
 from smoothap.reports import DISCREPANCY_COLUMNS, emit_report, fmt_number
 from smoothap.sieve import SieveTable
 
@@ -99,6 +101,20 @@ def test_kernel_worst_equals_cell_loop():
             d = (discrepancy.u_kernel_chardef_row(q, D, fam)
                  - discrepancy.u_kernel_moebius_row(q, D))
             assert _kernel_worst(q, D, fam) == max(abs(complex(v)) for v in d), (q, D)
+
+
+def test_dirichlet_convolution_equals_strided_loop():
+    # the blocked np.add.at route against the loop of strided adds it
+    # replaced: each (f*g)(n) is the same sum in ascending d, so bitwise
+    for N in (1, 2, 3, 10, cli._CONV_BLOCK, 3 * cli._CONV_BLOCK + 7):
+        table = SieveTable(max(N, 2))
+        f = multfn.random_unit_circle(seed=N)
+        fv = multfn.values_array(f, table, N)
+        gv = multfn.values_array(multfn.dirichlet_inverse(f, N), table, N)
+        want = np.zeros(N + 1, dtype=np.complex128)
+        for d in range(1, N + 1):
+            want[d::d] += fv[d] * gv[1 : N // d + 1]
+        assert _dirichlet_convolution(fv, gv).tobytes() == want.tobytes(), N
 
 
 def test_verify_identities_calls_no_scalar_kernel(tmp_path, monkeypatch):

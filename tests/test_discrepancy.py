@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from smoothap import multfn
-from smoothap.arith import euler_phi, factorize, residues
+from smoothap.arith import euler_phi, factorize, residues, unit_mask
 from smoothap.characters import (enumerate_characters, family_A, induce,
                                  trivial_character)
-from smoothap.discrepancy import (ExceptionalSet, beta_stats, bv_average,
+from smoothap.discrepancy import (ExceptionalSet, _xi_record, beta_stats, bv_average,
                                   character_sum, delta, delta_A, delta_record,
                                   delta_xi, delta_xi_record, residue_sums,
                                   u_kernel_chardef, u_kernel_chardef_row,
@@ -313,8 +313,27 @@ def test_member_value_equals_induced_value_at_units():
                     assert _bits(psi0.cvalue(b)) == _bits(chi.cvalue(b))
 
 
+def test_xi_record_reads_only_unit_bins(table_1e4):
+    # bv_average sums each q over the support prime to gcd(q, 6) only, so
+    # the non-unit bins it passes are incomplete: _xi_record must not read them
+    ns, vs = multfn.get_support(multfn.random_unit_circle(5, smooth_bound=50),
+                                table_1e4, 10**4)
+    xis = (XI_EMPTY, XI_TRIVIAL, ExceptionalSet.from_characters(family_A(12).members))
+    for q in range(1, 61):
+        rs = residue_sums(ns, vs.real, vs.imag, q)
+        poisoned = rs.copy()
+        poisoned[~unit_mask(q)] = complex(np.nan, np.nan)
+        for xi in xis:
+            for a1, a2 in ((1, 1), (5, 7)):
+                if math.gcd(q, a1 * a2) == 1:
+                    assert _same_records([_xi_record(poisoned, q, a1, a2, xi)],
+                                         [_xi_record(rs, q, a1, a2, xi)])
+
+
 def test_bv_average_records_equal_delta_xi_record(table_1e6):
-    # the hoisted per-modulus path of bv_average against the public one
+    # the per-modulus path of bv_average, over the support prime to
+    # gcd(q, 6), against the public one over the whole support; (5, 7) puts
+    # q with gcd(q, 6) in {2, 3, 6} at a unit b != 1
     x, Q = 10**5, 60
     xis = (XI_EMPTY, XI_TRIVIAL, ExceptionalSet.from_characters(family_A(12).members))
     twist = family_A(12).members[7]
@@ -322,7 +341,7 @@ def test_bv_average_records_equal_delta_xi_record(table_1e6):
           multfn.character_twist(twist, 50))
     for f in fs:
         for xi in xis:
-            for a1, a2 in ((1, 1), (2, 3)):
+            for a1, a2 in ((1, 1), (2, 3), (5, 7)):
                 want = [delta_xi_record(f, x, q, a1, a2, xi, table_1e6)
                         for q in range(1, Q + 1) if math.gcd(q, a1 * a2) == 1]
                 want_total = 0.0
