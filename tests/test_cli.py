@@ -232,6 +232,29 @@ def test_seed0_reports_match_pinned_digests(tmp_path):
         assert got == spec["reports"], name
 
 
+# sha256 of large-sieve --x 20000 --y 30 --Q 6 --trials 3 with each coefficient
+# family, pinned before the coefficients moved from 0..x to the smooth positions
+LARGE_SIEVE_DIGESTS = {
+    ("--coeffs", "ones"): {
+        "large-sieve.csv": "da2cc94498d0469cce9c27ae1f2f3fb7fd4749cde95a258c3a4243705f3ce567",
+        "large-sieve.json": "f9cc825ec6eaed3b2d693704a6a20d96caf5b769a8c7b071759ea38cf8a70d21",
+    },
+    ("--coeffs", "pm1", "--seed", "0"): {
+        "large-sieve.csv": "963c0c0686d50c498ce3650271998dbe4a38c7b372d4e79ae0c9a2d60fbcff7c",
+        "large-sieve.json": "b00fe222b5e2b231b146f5994604f38e23da88e17ad5afd5a8bf870a8810709b",
+    },
+}
+
+
+def test_large_sieve_reports_match_pinned_digests(tmp_path):
+    for i, (coeffs, want) in enumerate(LARGE_SIEVE_DIGESTS.items()):
+        out = tmp_path / str(i)
+        assert run_cli(["large-sieve", "--x", "20000", "--y", "30", "--Q", "6",
+                        "--trials", "3", *coeffs], out) == 0, coeffs
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == want, coeffs
+
+
 def test_cli_determinism_across_runs_and_threads(tmp_path):
     outs = []
     for i, threads in enumerate(("1", "4", "8")):
