@@ -19,8 +19,8 @@ from .multfn import (ClassCCertificate, MultFnSpec, check_class_c,
                      dirichlet_inverse, evaluate, lambda_f, restrict_smooth)
 from .discrepancy import (DiscrepancyRecord, ExceptionalSet, beta_stats,
                           bv_average, character_sum, delta, delta_A, delta_xi,
-                          u_kernel_chardef, u_kernel_chardef_row,
-                          u_kernel_moebius, u_kernel_moebius_row,
+                          u_kernel_chardef_row, u_kernel_moebius,
+                          u_kernel_moebius_row,
                           verify_transfer_identity)
 from .large_sieve import (EtaClass, SieveExperiment, classify_eta,
                           detect_exceptional, exceptional_counts, ls_dual,

@@ -157,18 +157,17 @@ def cmd_large_sieve(args):
                                  weighted=args.weight_mode == "sqrt")
     table = SieveTable(args.x)
     families = family_A(args.Q)
-    mask = table.smooth_mask(args.x, args.y)
-    smooth_n = np.nonzero(mask)[0]
+    Psi = psi(table, args.x, args.y)
     rows = []
     best = 0.0
     for trial in range(args.trials):
-        a = np.zeros(args.x + 1, dtype=np.complex128)
+        # a[i] is the coefficient at the i-th smooth n, as ls_primal reads it
         if args.coeffs == "ones":
-            a[smooth_n] = 1.0
+            a = np.ones(Psi, dtype=np.complex128)
         elif args.coeffs == "pm1":
             rng = random.Random(args.seed * 100003 + trial)
-            signs = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(smooth_n.size)]
-            a[smooth_n] = signs
+            a = np.array([1.0 if rng.random() < 0.5 else -1.0 for _ in range(Psi)],
+                         dtype=np.complex128)
         else:
             raise DomainError(f"unknown coefficient family {args.coeffs!r}")
         exp = ls_primal(args.x, args.y, args.Q, a, args.weight_mode, table,

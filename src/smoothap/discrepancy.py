@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import (divisors, euler_phi, factorize, moebius, modinv, radical_multiples,
                     residues, unit_mask)
-from .characters import CharacterFamily, DirichletCharacter, induce
+from .characters import CharacterFamily, DirichletCharacter
 from .errors import DomainError
 from .multfn import MultFnSpec, dirichlet_inverse, evaluate, get_support
 from .sieve import SieveTable
@@ -137,13 +136,6 @@ def _f_residue_sums(f: MultFnSpec, table: SieveTable, x: int, q: int) -> np.ndar
     return residue_sums(ns, vs.real, vs.imag, q)
 
 
-@lru_cache(maxsize=None)
-def _unit_residues(q: int) -> np.ndarray:
-    out = np.flatnonzero(unit_mask(q))
-    out.setflags(write=False)
-    return out
-
-
 def character_sum(f: MultFnSpec, X: int, chi: DirichletCharacter,
                   table: SieveTable) -> complex:
     """S_f(X, chi) = sum_{n<=X} f(n) * conj(chi(n))."""
@@ -174,7 +166,7 @@ def delta_record(f: MultFnSpec, x: int, q: int, a: int,
         raise DomainError(f"need gcd(a, q) = 1, got a={a}, q={q}")
     rs = _f_residue_sums(f, table, x, q)
     prog = complex(rs[a % q])
-    units = _unit_residues(q)
+    units = np.flatnonzero(unit_mask(q))
     coprime = complex(rs[units].sum())
     phi = euler_phi(q)
     d = prog - coprime / phi
@@ -205,7 +197,7 @@ def _xi_record(rs: np.ndarray, q: int, a1: int, a2: int,
     """
     b = (a1 % q) * modinv(a2, q) % q if q > 1 else 0
     prog = complex(rs[b])
-    units = _unit_residues(q)
+    units = np.flatnonzero(unit_mask(q))
     rs_units = rs[units]
     coprime = complex(rs_units.sum())
     phi = euler_phi(q)
@@ -288,31 +280,14 @@ def u_kernel_moebius_row(q: int, D: int) -> np.ndarray:
     return row
 
 
-def u_kernel_chardef(n: int, q: int, D: int, family: CharacterFamily) -> complex:
+def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
     """Definition form: [n=1 mod q] - (1/phi(q)) sum_{chi mod q, cond<=D} chi(n).
 
-    One induction per member per call: the oracle that the row form is
-    tested against.
-    """
-    if family.D < min(D, q):
-        raise DomainError(f"family only covers conductors <= {family.D}, need {min(D, q)}")
-    n %= q
-    ind = 1.0 if n % q == 1 % q else 0.0
-    if math.gcd(n, q) != 1:
-        return complex(ind)  # every chi(n) = 0; n=1 unreachable unless q=1
-    s = 0j
-    for psi in family.members:
-        if psi.q <= D and q % psi.q == 0:
-            s += induce(psi, q).cvalue(n)
-    return ind - s / euler_phi(q)
-
-
-def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
-    """u_kernel_chardef at every residue mod q at once, bitwise equal to it.
-
-    One table gather per member and no induction.  The real and imaginary
-    parts are divided by phi(q) separately, as Python's complex / int does:
-    numpy's complex / float can differ in the last bit.
+    At every residue n mod q at once: one table gather per member and no
+    induction, bitwise equal to the sum of the induced characters' values
+    cell by cell.  The real and imaginary parts are divided by phi(q)
+    separately, as Python's complex / int does: numpy's complex / float can
+    differ in the last bit.
     """
     if family.D < min(D, q):
         raise DomainError(f"family only covers conductors <= {family.D}, need {min(D, q)}")
@@ -339,7 +314,7 @@ def delta_a_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int,
     rs = _f_residue_sums(f, table, x, q)
     row = u_kernel_moebius_row(q, D)[residues(np.arange(q) * c, q)]
     da = complex((row * rs).sum())
-    units = _unit_residues(q)
+    units = np.flatnonzero(unit_mask(q))
     coprime = complex(rs[units].sum())
     phi = euler_phi(q)
     b = (a1 % q) * modinv(a2, q) % q if q > 1 else 0

@@ -23,7 +23,7 @@ from .characters import CharacterFamily, DirichletCharacter, decompose, enumerat
 from .discrepancy import ExceptionalSet, ExceptionalWitness, residue_sums
 from .errors import DomainError
 from .multfn import MultFnSpec, get_support
-from .sieve import SieveTable, dyadic_partition, psi, psi_prefix, smooth_pieces
+from .sieve import SieveTable, dyadic_partition, smooth_numbers
 from .util import ordered_map
 
 
@@ -59,23 +59,23 @@ def modulus_range_Q(x: int, y: int, c: float = 0.2, weighted: bool = False) -> i
 def ls_primal(x: int, y: int, Q: int, a: np.ndarray, weight_mode: str,
               table: SieveTable, families: CharacterFamily,
               threads: int = 1) -> SieveExperiment:
-    """Primal form: lhs = sum_{q<=Q} w(q) sum*_chi |sum_n a_n chi(n)|^2."""
+    """Primal form: lhs = sum_{q<=Q} w(q) sum*_chi |sum_n a_n chi(n)|^2.
+
+    a[i] is the coefficient at the i-th y-smooth n <= x in ascending order
+    (`smooth_numbers`), so a has length Psi(x,y) and no other support.
+    """
+    ns = smooth_numbers(table, x, y)
     a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (x + 1,):
-        raise DomainError(f"coefficients must be indexed 0..x (length {x + 1})")
-    Psi = psi(table, x, y)
-    nz = np.nonzero(a)[0]
-    # every nonzero a_n must sit at a y-smooth n
-    if sum(int(np.count_nonzero(a[ns])) for ns, _ in smooth_pieces(x, y)) != nz.size:
-        raise DomainError("coefficients supported outside the y-smooth integers <= x")
+    if a.shape != ns.shape:
+        raise DomainError(f"need one coefficient per y-smooth n <= x ({ns.size}), "
+                          f"got shape {a.shape}")
     if families.D < Q:
         raise DomainError(f"family covers conductors <= {families.D}, need {Q}")
     members = families.up_to(Q)
     moduli = sorted({chi.q for chi in members})
-    re, im = a.real[nz], a.imag[nz]
 
     def modulus_term(q: int) -> float:
-        rs = residue_sums(nz, re, im, q)
+        rs = residue_sums(ns, a.real, a.imag, q)
         w = 1.0 if weight_mode == "unweighted" else 1.0 / math.sqrt(q)
         sub = 0.0
         for chi in members:
@@ -88,7 +88,7 @@ def ls_primal(x: int, y: int, Q: int, a: np.ndarray, weight_mode: str,
     lhs = 0.0
     for t in terms:
         lhs += t
-    rhs = float(Psi) * float(np.sum(np.abs(a) ** 2))
+    rhs = float(ns.size) * float(np.sum(np.abs(a) ** 2))
     return SieveExperiment(x, y, Q, weight_mode, lhs, rhs)
 
 
@@ -102,14 +102,13 @@ def ls_dual(x: int, y: int, Q: int, b: np.ndarray, table: SieveTable,
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (len(members),):
         raise DomainError(f"need one coefficient per primitive character ({len(members)})")
-    n = np.arange(x + 1)
-    G = np.zeros(x + 1, dtype=np.complex128)
+    ns = smooth_numbers(table, x, y)
+    G = np.zeros(ns.size, dtype=np.complex128)
     for coef, chi in zip(b, members):
         if coef != 0:
-            G += coef * chi.complex_table()[residues(n, chi.q)]
-    mask = table.smooth_mask(x, y)
-    lhs = float(np.sum(np.abs(G[mask]) ** 2))
-    rhs = float(psi(table, x, y)) * float(np.sum(np.abs(b) ** 2))
+            G += coef * chi.complex_table()[residues(ns, chi.q)]
+    lhs = float(np.sum(np.abs(G) ** 2))
+    rhs = float(ns.size) * float(np.sum(np.abs(b) ** 2))
     return SieveExperiment(x, y, Q, "unweighted", lhs, rhs)
 
 
@@ -123,8 +122,7 @@ def max_ratio_power_iteration(x: int, y: int, Q: int, table: SieveTable,
     tautology.
     """
     members = families.up_to(Q)
-    mask = table.smooth_mask(x, y)
-    smooth_n = np.nonzero(mask)[0]
+    smooth_n = smooth_numbers(table, x, y)
     tables = [chi.complex_table()[residues(smooth_n, chi.q)] for chi in members]
     Psi = float(smooth_n.size)
     rng = np.random.RandomState(seed)
@@ -192,11 +190,11 @@ def classify_eta(x: int, y: int, Q: int, table: SieveTable,
     canonical = {}
     if families is not None:
         canonical = {chi: chi for chi in families.members}
-    mask = table.smooth_mask(x, y)
-    Psi = float(np.count_nonzero(mask))
+    ns = smooth_numbers(table, x, y)
+    Psi = float(ns.size)
 
     def class_rows(q: int):
-        counts = np.bincount(residues(np.arange(x + 1)[mask], q), minlength=q).astype(float)
+        counts = np.bincount(residues(ns, q), minlength=q).astype(float)
         rows = []
         for chi in enumerate_characters(q):
             if chi.is_principal:
@@ -238,20 +236,25 @@ def detection_scale(x: int, y: int, B: float) -> float:
     return max(u * math.log(u), 1.0) ** 4 * math.log(x) ** B if u > 1 else math.log(x) ** B
 
 
-def refine_grid(grid: list[int], prefix: np.ndarray, T: float) -> list[int]:
+def refine_grid(grid: list[int], smooth: np.ndarray, T: float) -> list[int]:
     """Split grid steps until each holds few enough smooth numbers.
 
-    Guarantees, for every step of length >= 2, that the smooth count inside
-    it is at most Psi(X_j, y)/(2T); unit steps need no condition since every
-    integer there is itself a grid point.  This realizes the 'eps small
-    enough' requirement of the scan argument constructively.
+    smooth is the ascending y-smooth numbers (`smooth_numbers`), so
+    Psi(t, y) is the count of them <= t.  Guarantees, for every step of
+    length >= 2, that the smooth count inside it is at most Psi(X_j, y)/(2T);
+    unit steps need no condition since every integer there is itself a grid
+    point.  This realizes the 'eps small enough' requirement of the scan
+    argument constructively.
     """
     out = list(grid)
+    counts = np.searchsorted(smooth, out, side="right").tolist()
     i = 0
     while i + 1 < len(out):
         a, b = out[i], out[i + 1]
-        if b - a >= 2 and prefix[b] - prefix[a] > prefix[a] / (2.0 * T):
-            out.insert(i + 1, (a + b) // 2)
+        if b - a >= 2 and counts[i + 1] - counts[i] > counts[i] / (2.0 * T):
+            mid = (a + b) // 2
+            out.insert(i + 1, mid)
+            counts.insert(i + 1, int(np.searchsorted(smooth, mid, side="right")))
         else:
             i += 1
     return out
@@ -280,10 +283,10 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
         raise DomainError("f must be 1-bounded")
 
     T = detection_scale(x, y, B)
-    prefix = psi_prefix(table, x, y)
-    grid = refine_grid(dyadic_partition(x, T, eps), prefix, T)
+    smooth = smooth_numbers(table, x, y)
+    grid = refine_grid(dyadic_partition(x, T, eps), smooth, T)
     gx = np.array(grid, dtype=np.int64)
-    thresholds = prefix[gx] / (2.0 * T)
+    thresholds = np.searchsorted(smooth, gx, side="right") / (2.0 * T)  # Psi(X_j, y)/(2T)
     at = np.searchsorted(ns, gx, side="right")  # csum[at[j]] sums n <= X_j
     members = families.up_to(Q)
 

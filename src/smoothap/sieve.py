@@ -3,10 +3,11 @@
 The y-smooth n <= x (every prime factor <= y) are generated directly from
 the primes p <= y (`smooth_pieces`), in O(Psi(x,y)) work and memory for
 y <= sqrt(x).  Every query here reads that walk: `psi`, the coprime and
-progression counts (a gcd or a residue per walked number), the dense smooth
-mask of the large-sieve experiments and its cumulative count `psi_prefix`.
-The support of a multiplicative function (`multfn.get_support`) is the same
-walk with values.
+progression counts (a gcd or a residue per walked number), and
+`smooth_numbers`, the walk as one ascending array, which is the y-smooth
+set of the large-sieve experiments (a count Psi(t,y) is a searchsorted on
+it).  The support of a multiplicative function (`multfn.get_support`) is
+the same walk with values.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 from .arith import residues
 from .errors import DomainError, RangeError, SizingError
 
-# The cap bounds the dense arrays over 0..x that some queries still build:
-# smooth_mask (1 byte per integer), psi_prefix (8), multfn.values_array and
-# the large-sieve coefficient vector (16 each, 800 MB at the cap).
+# The cap bounds the one dense array over 0..x left, multfn.values_array
+# (16 bytes per integer, 800 MB at the cap), which verify-identities builds
+# for its Dirichlet-inverse check; every other query is sized by Psi(x,y).
 X_MAX_CAP = 50_000_000
 
 # cofactors per chunk of the batched large-prime step, to bound its temporaries
@@ -53,15 +54,6 @@ class SieveTable:
             )
         self.x_max = x_max
         self._support = None  # (f, x, ns, vs) of the last multfn.get_support build
-
-    def smooth_mask(self, x: int, y: int) -> np.ndarray:
-        """Boolean mask over 0..x, True where n >= 1 is y-smooth."""
-        if x > self.x_max:
-            raise RangeError(f"x={x} exceeds table x_max={self.x_max}")
-        mask = np.zeros(x + 1, dtype=bool)
-        for ns, _ in smooth_pieces(x, y):
-            mask[ns] = True
-        return mask
 
 
 def smooth_pieces(x: int, y: int, fpk=None):
@@ -181,9 +173,12 @@ def psi_progression(table: SieveTable, x: int, y: int, a: int, q: int) -> int:
                for ns, _ in smooth_pieces(x, y))
 
 
-def psi_prefix(table: SieveTable, x: int, y: int) -> np.ndarray:
-    """Array P with P[t] = Psi(t,y) for 0 <= t <= x (int64, for grid scans)."""
-    return np.cumsum(table.smooth_mask(x, y), dtype=np.int64)
+def smooth_numbers(table: SieveTable, x: int, y: int) -> np.ndarray:
+    """The n <= x with P(n) <= y, ascending int64, from one walk (n = 1 included)."""
+    _check_query(table, x, y)
+    ns = np.concatenate([ns for ns, _ in smooth_pieces(x, y)])
+    ns.sort()
+    return ns
 
 
 def _check_query(table: SieveTable, x: int, y: int):

@@ -7,7 +7,9 @@ conductors from the definitional divisor scan, and root-of-unity sums from
 exact cyclotomic polynomial division.  The lifted-generator character route
 reads only a unit group's generators and discrete-log tables: it values a
 character as a sum of per-component fractions, and it induces and
-decomposes by reading those values at CRT-lifted generators.
+decomposes by reading those values at CRT-lifted generators.  The kernel
+u_D(n; q) is also summed cell by cell from its definition, one induction
+per character.
 """
 
 import itertools
@@ -17,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from smoothap.characters import DirichletCharacter, UnitGroup
+from smoothap.characters import DirichletCharacter, UnitGroup, induce
+from smoothap.errors import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +216,26 @@ def lift_decompose(chi):
             t += r
         exps.append(_exponent_at(chi, t, comp.order))
     return DirichletCharacter(group, tuple(exps))
+
+
+# ---------------------------------------------------------------------------
+# the conductor-truncated kernel from its definition, one cell at a time
+
+
+def u_kernel_chardef(n, q, D, family):
+    """[n=1 mod q] - (1/phi(q)) sum_{chi mod q, cond<=D} chi(n), one induction per member."""
+    if family.D < min(D, q):
+        raise DomainError(f"family only covers conductors <= {family.D}, need {min(D, q)}")
+    n %= q
+    ind = 1.0 if n % q == 1 % q else 0.0
+    if math.gcd(n, q) != 1:
+        return complex(ind)  # every chi(n) = 0; n=1 unreachable unless q=1
+    s = 0j
+    for psi in family.members:
+        if psi.q <= D and q % psi.q == 0:
+            s += induce(psi, q).cvalue(n)
+    phi = sum(1 for m in range(q) if math.gcd(m, q) == 1)
+    return ind - s / phi
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from smoothap.large_sieve import (context_bound, detect_exceptional,
                                   detection_scale, exceptional_counts, ls_dual,
                                   ls_primal, max_ratio_power_iteration)
 from smoothap.multfn import check_class_c, dirichlet_inverse, values_array
-from smoothap.sieve import alpha_saddle, psi, psi_prefix
+from smoothap.sieve import alpha_saddle, psi, smooth_numbers
 from smoothap.cli import main as cli_main
 
 GOLDEN_FILE = "acceptance.json"
@@ -154,9 +154,9 @@ def test_criterion_4_smooth_count_oracle_suite(table_1e4):
     checked = 0
     for y in (2, 3, 5, 7, 20, 50):
         flags = oracles.smooth_flags(10**4, y)
-        table_mask = table_1e4.smooth_mask(10**4, y)
-        # the masks agree at every n, so every count derived from them does too
-        assert list(table_mask[1:]) == flags[1:]
+        # the smooth sets agree at every n, so every count derived from them does too
+        assert smooth_numbers(table_1e4, 10**4, y).tolist() == [
+            n for n in range(1, 10**4 + 1) if flags[n]]
         for x in x_samples:
             assert psi(table_1e4, x, y) == oracles.psi_count(flags, x)
             checked += 1
@@ -184,7 +184,7 @@ def test_criterion_4_smooth_count_oracle_suite(table_1e4):
     assert psi_coprime(table_1e4, 100, 5, 3) == 15
     assert psi_progression(table_1e4, 100, 5, 1, 3) == 8
     report(4, True, f"psi/psi_coprime/psi_progression match trial-division "
-                    f"enumeration exactly ({checked} parameter points; masks "
+                    f"enumeration exactly ({checked} parameter points; smooth sets "
                     f"agree at every n <= 1e4 for all six y); fixed points 34/15/8 hold")
 
 
@@ -195,8 +195,7 @@ def test_criterion_5_sharpness_duality_goldens(table_1e4, table_1e6, golden_dir)
             (10**6, 10**3, 20, table_1e6))
     fam = family_A(20)
     for x, y, Q, table in grid:
-        a = np.zeros(x + 1, dtype=np.complex128)
-        a[table.smooth_mask(x, y)] = 1.0
+        a = np.ones(psi(table, x, y), dtype=np.complex128)
         exp = ls_primal(x, y, Q, a, "unweighted", table, fam)
         assert exp.ratio >= 1.0
 
@@ -211,13 +210,11 @@ def test_criterion_5_sharpness_duality_goldens(table_1e4, table_1e6, golden_dir)
     # golden maximal ratios over 100 random +-1 coefficient vectors
     details = []
     for x, y, Q, table in grid:
-        mask = table.smooth_mask(x, y)
-        ns = np.nonzero(mask)[0]
+        P = psi(table, x, y)
         best = 0.0
         for trial in range(100):
             rng = np.random.RandomState(90_000 + trial)
-            a = np.zeros(x + 1, dtype=np.complex128)
-            a[ns] = rng.randint(0, 2, size=ns.size) * 2.0 - 1.0
+            a = (rng.randint(0, 2, size=P) * 2.0 - 1.0).astype(np.complex128)
             exp = ls_primal(x, y, Q, a, "unweighted", table, fam)
             best = max(best, exp.ratio)
         pinned, fresh = pin_golden(golden_dir, f"ls_primal_max_{x}_{y}_{Q}",
@@ -277,7 +274,7 @@ def test_criterion_7_exceptional_detection_suite(table_1e4, golden_dir):
     found = detect_exceptional(f, x, y, Q, B, eps, table_1e4, fams)
     got = {(w.character.q, w.character.rank) for w in found.members}
     T = detection_scale(x, y, B)
-    prefix = psi_prefix(table_1e4, x, y)
+    prefix = np.cumsum(oracles.smooth_flags(x, y), dtype=np.int64)  # Psi(t, y) at 0..x
     fv = values_array(f, table_1e4, x)
     x0 = math.ceil(x**0.25)
     oracle_hits = 0

@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from smoothap import multfn
 from smoothap.arith import euler_phi, factorize, residues, unit_mask
 from smoothap.characters import (enumerate_characters, family_A, induce,
@@ -12,12 +14,12 @@ from smoothap.characters import (enumerate_characters, family_A, induce,
 from smoothap.discrepancy import (ExceptionalSet, _xi_record, beta_stats, bv_average,
                                   character_sum, delta, delta_A, delta_record,
                                   delta_xi, delta_xi_record, residue_sums,
-                                  u_kernel_chardef, u_kernel_chardef_row,
-                                  u_kernel_moebius, u_kernel_moebius_row,
+                                  u_kernel_chardef_row, u_kernel_moebius,
+                                  u_kernel_moebius_row,
                                   verify_transfer_identity)
 from smoothap.errors import DomainError
 from smoothap.multfn import dirichlet_inverse, evaluate
-from smoothap.sieve import X_MAX_CAP, psi_coprime, psi_progression
+from smoothap.sieve import X_MAX_CAP, SieveTable, psi_coprime, psi_progression
 
 XI_TRIVIAL = ExceptionalSet.from_characters([trivial_character()])
 XI_EMPTY = ExceptionalSet(members=[])
@@ -155,7 +157,7 @@ def test_kernel_scalar_matches_row():
         q = rng.randrange(1, 40)
         D = rng.choice([1, 2, 3, 5, 10])
         n = rng.randrange(q)
-        assert u_kernel_chardef(n, q, D, fam) == u_kernel_chardef_row(q, D, fam)[n]
+        assert oracles.u_kernel_chardef(n, q, D, fam) == u_kernel_chardef_row(q, D, fam)[n]
 
 
 # Exact == on the real and imaginary parts: bitwise, except that signed
@@ -169,7 +171,7 @@ def test_kernel_chardef_row_bitwise_equals_cells():
         row = u_kernel_chardef_row(q, D, fam)
         assert row.shape == (q,)
         for n in range(q):
-            cell = u_kernel_chardef(n, q, D, fam)
+            cell = oracles.u_kernel_chardef(n, q, D, fam)
             assert row[n].real == cell.real and row[n].imag == cell.imag, (q, D, n)
 
 
@@ -246,6 +248,22 @@ def test_bv_average_filters_moduli(table_1e4):
     f = multfn.smooth_indicator(20)
     total, records = bv_average(f, 1000, 20, 2, 3, XI_TRIVIAL, table_1e4)
     assert [r.q for r in records] == [q for q in range(1, 21) if math.gcd(q, 6) == 1]
+
+
+def test_bv_average_keeps_no_per_modulus_arrays():
+    # the units of each q are built per call: a Q = 1000 pass keeps nothing
+    # of size sum phi(q) (about 2.4 MB of int64) once it returns
+    table = SieveTable(5000)
+    f = multfn.smooth_indicator(20)
+    bv_average(f, 5000, 10, 1, 1, XI_TRIVIAL, table)  # support and first caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bv_average(f, 5000, 1000, 1, 1, XI_TRIVIAL, table)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 512 * 1024, retained
 
 
 RECORD_FIELDS = ("delta", "delta_xi", "progression_sum", "coprime_main", "xi_main")

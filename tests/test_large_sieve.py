@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from smoothap import multfn
 from smoothap.characters import decompose, enumerate_characters, family_A
 from smoothap.discrepancy import character_sum
@@ -12,13 +13,18 @@ from smoothap.large_sieve import (classify_eta, context_bound, detect_exceptiona
                                   ls_primal, max_ratio_power_iteration, refine_grid,
                                   modulus_range_Q)
 from smoothap.multfn import values_array
-from smoothap.sieve import dyadic_partition, psi, psi_prefix
+from smoothap.sieve import dyadic_partition, psi, smooth_numbers
 
 
 def ones_vector(table, x, y):
-    a = np.zeros(x + 1, dtype=np.complex128)
-    a[table.smooth_mask(x, y)] = 1.0
-    return a
+    return np.ones(psi(table, x, y), dtype=np.complex128)
+
+
+def dense_prefix(x, y):
+    """P[t] = Psi(t, y) for 0 <= t <= x, from the dense largest-prime-factor sieve."""
+    smooth = oracles.lpf_sieve(x) <= y
+    smooth[0] = False
+    return np.cumsum(smooth, dtype=np.int64)
 
 
 def test_primal_trivial_character_only(table_1e4):
@@ -40,19 +46,23 @@ def test_primal_sharpness_all_ones(table_1e4):
 
 
 def test_primal_rejects_non_smooth_support(table_1e4):
-    a = np.zeros(10**4 + 1, dtype=np.complex128)
-    a[14] = 1.0  # 14 is not 5-smooth
-    with pytest.raises(DomainError):
-        ls_primal(10**4, 5, 3, a, "unweighted", table_1e4, family_A(3))
+    # a is indexed by the smooth numbers, so a non-smooth n has no slot: a
+    # vector over 0..x (here nonzero at 14, not 5-smooth) is the wrong length
+    x, y = 10**4, 5
+    P = psi(table_1e4, x, y)
+    a = np.zeros(x + 1, dtype=np.complex128)
+    a[14] = 1.0
+    for bad in (a, np.ones(P - 1), np.ones(P + 1), np.ones((P, 1))):
+        with pytest.raises(DomainError):
+            ls_primal(x, y, 3, bad, "unweighted", table_1e4, family_A(3))
+    assert ls_primal(x, y, 3, np.ones(P), "unweighted", table_1e4, family_A(3)).ratio >= 1
 
 
 def test_weighted_dominated_by_unweighted(table_1e4):
     fam = family_A(12)
     rng = np.random.RandomState(0)
     x, y = 4000, 20
-    a = np.zeros(x + 1, dtype=np.complex128)
-    mask = table_1e4.smooth_mask(x, y)
-    a[mask] = rng.choice([-1.0, 1.0], size=int(mask.sum()))
+    a = rng.choice([-1.0, 1.0], size=psi(table_1e4, x, y)).astype(np.complex128)
     for Q in (1, 5, 12):
         unw = ls_primal(x, y, Q, a, "unweighted", table_1e4, fam)
         wgt = ls_primal(x, y, Q, a, "sqrt", table_1e4, fam)
@@ -90,8 +100,7 @@ def test_classify_eta_brute_force(table_1e4):
     x, y, Q = 10**4, 20, 5
     classes = classify_eta(x, y, Q, table_1e4, levels=12)
     P = psi(table_1e4, x, y)
-    mask = table_1e4.smooth_mask(x, y)
-    ns = np.nonzero(mask)[0]
+    ns = np.flatnonzero(np.array(oracles.smooth_flags(x, y)))
     # brute-force scan of every non-principal character mod q <= Q^2
     assigned = {}
     for q in range(1, Q * Q + 1):
@@ -128,8 +137,9 @@ def test_classify_eta_partition_and_xi_star(table_1e4):
 def test_refine_grid_controls_smooth_increments(table_1e4):
     x, y, B = 10**4, 50, 1.0
     T = detection_scale(x, y, B)
-    prefix = psi_prefix(table_1e4, x, y)
-    grid = refine_grid(dyadic_partition(x, T, 0.5), prefix, T)
+    prefix = dense_prefix(x, y)
+    grid = refine_grid(dyadic_partition(x, T, 0.5), smooth_numbers(table_1e4, x, y), T)
+    assert type(grid) is list
     for a, b in zip(grid, grid[1:]):
         if b - a >= 2:
             assert prefix[b] - prefix[a] <= prefix[a] / (2 * T)
@@ -164,7 +174,7 @@ def test_detect_exceptional_superset_of_full_scan(table_1e4):
     fams = family_A(20)
     x, y, Q, B = 10**4, 50, 20, 1.0
     T = detection_scale(x, y, B)
-    prefix = psi_prefix(table_1e4, x, y)
+    prefix = dense_prefix(x, y)
     x0 = math.ceil(x**0.25)
     for f in (multfn.smooth_indicator(y), multfn.random_unit_circle(5, smooth_bound=y),
               multfn.moebius_smooth(y)):
@@ -183,8 +193,9 @@ def test_detect_exceptional_superset_of_full_scan(table_1e4):
 def dense_scan_oracle(f, x, y, Q, B, eps, table, fams):
     """(members, near_misses) from one dense cumulative sum over 0..x per character."""
     T = detection_scale(x, y, B)
-    prefix = psi_prefix(table, x, y)
-    gx = np.array(refine_grid(dyadic_partition(x, T, eps), prefix, T), dtype=np.int64)
+    prefix = dense_prefix(x, y)
+    gx = np.array(refine_grid(dyadic_partition(x, T, eps), smooth_numbers(table, x, y), T),
+                  dtype=np.int64)
     thresholds = prefix[gx] / (2.0 * T)
     fv = values_array(f, table, x)
     members, near = [], []

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from smoothap.errors import DomainError, RangeError, SizingError
 from smoothap.sieve import (X_MAX_CAP, SieveTable, alpha_saddle, dyadic_partition,
-                            psi, psi_coprime, psi_prefix, psi_progression,
+                            psi, psi_coprime, psi_progression, smooth_numbers,
                             smooth_pieces, smooth_short_interval)
 
 
@@ -42,13 +42,16 @@ def test_psi_walk_matches_lpf_count(table_1e6, x):
 def test_smooth_pieces_and_prefix_match_lpf(table_1e6, x, y):
     mask = oracles.lpf_sieve(10**6)[: x + 1] <= y
     mask[0] = False
+    want = np.flatnonzero(mask)
     pieces = [ns for ns, _ in smooth_pieces(x, y)]
     got = np.sort(np.concatenate(pieces))
-    assert np.array_equal(got, np.flatnonzero(mask))  # each smooth n exactly once
-    assert np.array_equal(table_1e6.smooth_mask(x, y), mask)
-    pre = psi_prefix(table_1e6, x, y)
-    assert pre.dtype == np.int64
-    assert np.array_equal(pre, np.cumsum(mask.astype(np.int64)))
+    assert np.array_equal(got, want)  # each smooth n exactly once
+    smooth = smooth_numbers(table_1e6, x, y)
+    assert smooth.dtype == np.int64
+    assert np.array_equal(smooth, want)  # ascending
+    # Psi(t, y) as a count of smooth numbers <= t, at every t in 0..x
+    pre = np.cumsum(mask.astype(np.int64))
+    assert np.array_equal(np.searchsorted(smooth, np.arange(x + 1), side="right"), pre)
 
 
 def test_psi_fixed_points(table_1e4):
@@ -102,9 +105,16 @@ def test_partition_and_coprime_decomposition(table_1e4):
 
 
 def test_psi_prefix_consistent(table_1e4):
-    pre = psi_prefix(table_1e4, 1000, 7)
-    for x in (1, 10, 500, 1000):
-        assert int(pre[x]) == psi(table_1e4, x, 7)
+    # Psi(t, y) read off the smooth numbers <= 1000 at t <= 1000, as the
+    # exceptional scan reads it, equals the walked count
+    smooth = smooth_numbers(table_1e4, 1000, 7)
+    for x in (0, 1, 10, 500, 1000):
+        assert int(np.searchsorted(smooth, x, side="right")) == psi(table_1e4, x, 7)
+    with pytest.raises(RangeError):
+        smooth_numbers(table_1e4, 10**4 + 1, 7)
+    for x, y in ((-1, 7), (100, 1)):
+        with pytest.raises(DomainError):
+            smooth_numbers(table_1e4, x, y)
 
 
 def test_alpha_saddle_residual():
