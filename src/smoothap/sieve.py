@@ -176,7 +176,7 @@ def psi_progression(table: SieveTable, x: int, y: int, a: int, q: int) -> int:
 def smooth_numbers(table: SieveTable, x: int, y: int) -> np.ndarray:
     """The n <= x with P(n) <= y, ascending int64, from one walk (n = 1 included)."""
     _check_query(table, x, y)
-    ns = np.concatenate([ns for ns, _ in smooth_pieces(x, y)])
+    ns = np.concatenate([piece for piece, _ in smooth_pieces(x, y)])
     ns.sort()
     return ns
 

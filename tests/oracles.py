@@ -7,9 +7,10 @@ conductors from the definitional divisor scan, and root-of-unity sums from
 exact cyclotomic polynomial division.  The lifted-generator character route
 reads only a unit group's generators and discrete-log tables: it values a
 character as a sum of per-component fractions, and it induces and
-decomposes by reading those values at CRT-lifted generators.  The kernel
-u_D(n; q) is also summed cell by cell from its definition, one induction
-per character.
+decomposes by reading those values at CRT-lifted generators.  The one
+exception is the kernel u_D(n; q) summed cell by cell from its definition:
+it induces each character with the package's `induce` and reads `cvalue`,
+the per-cell route that the one-gather row form must equal bit for bit.
 """
 
 import itertools
