@@ -167,16 +167,26 @@ class DirichletCharacter:
     def _exponent(self, n):
         """k with chi(n) = e^{2 pi i k/M} (M = group.M, 0 <= k < M), -1 off the units.
 
-        n is one residue mod q or an int array of them.  The sum runs over
-        the components, so a read at one point allocates nothing of length q,
-        and an array read accumulates in place: besides k it holds at most
-        two int arrays of n's length, n mod p^e and its dlog gather.
+        n is one residue mod q (a Python int) or an int array of them.  The
+        sum runs over the components, so a read allocates nothing of length
+        q.  One residue is summed in Python ints, which costs less than
+        numpy scalars; an array read accumulates in place: besides k it
+        holds at most two int arrays of n's length, n mod p^e and its dlog
+        gather.
         """
         g = self.group
+        if isinstance(n, int):
+            if not g.unit_mask.item(n):
+                return -1
+            k = 0
+            for c, comp in zip(self.exps, g.components):
+                if c:
+                    k += comp.dlog.item(n % comp.pe) * c * (g.M // comp.order)
+            return k % g.M
         k = 0
         for c, comp in zip(self.exps, g.components):
             if c:
-                t = comp.dlog[n % comp.pe]  # a fresh array when n is one
+                t = comp.dlog[n % comp.pe]
                 t *= c * (g.M // comp.order)
                 k += t
                 del t
@@ -188,11 +198,11 @@ class DirichletCharacter:
 
     def value(self, n: int) -> Fraction | None:
         """chi(n) as the reduced fraction k/m meaning e^{2 pi i k/m}; None when chi(n)=0."""
-        k = int(self._exponent(n % self.q))
+        k = self._exponent(int(n) % self.q)
         return None if k < 0 else Fraction(k, self.group.M)
 
     def cvalue(self, n: int) -> complex:
-        k = int(self._exponent(n % self.q))
+        k = self._exponent(int(n) % self.q)
         return 0j if k < 0 else complex(np.exp(2j * np.pi * (k / self.group.M)))
 
     def complex_table(self) -> np.ndarray:

@@ -15,7 +15,7 @@ through the kernel
 which also has an exact rational divisor-sum form (Moebius route).  Both
 routes are implemented and cross-checked.
 
-All complex sums reduce residue-wise first (bincount in ascending n, a
+All complex sums reduce residue-wise first (np.add.at in ascending n, a
 fixed order), then combine over at most q terms with numpy's pairwise
 sum, so serial and threaded runs agree byte for byte.
 """
@@ -115,16 +115,16 @@ def beta_stats(xi: ExceptionalSet) -> tuple[Fraction, float]:
 # residue-wise summation helpers
 
 
-def residue_sums(ns: np.ndarray, re: np.ndarray, im: np.ndarray, q: int) -> np.ndarray:
-    """sum of re[i] + 1j*im[i] over the i with ns[i] = r (mod q), length-q complex.
+def residue_sums(ns: np.ndarray, vs: np.ndarray, q: int) -> np.ndarray:
+    """sum of vs[i] over the i with ns[i] = r (mod q), as a length-q complex vector.
 
-    One floor divide and two bincounts in the given (ascending) order, so
-    each bin is the same sequential float sum whatever the dtype of ns and
-    whether re/im are strided views or contiguous copies.
+    One floor divide and one unbuffered np.add.at in the given (ascending)
+    order, so each bin is the same sequential sum, real and imaginary parts
+    apart, whatever the dtype of ns and whether vs is a strided view.
     """
-    res = residues(ns, q).astype(np.intp, copy=False)
-    return (np.bincount(res, weights=re, minlength=q)
-            + 1j * np.bincount(res, weights=im, minlength=q))
+    out = np.zeros(q, dtype=np.complex128)
+    np.add.at(out, residues(ns, q), vs)
+    return out
 
 
 def _f_residue_sums(f: MultFnSpec, table: SieveTable, x: int, q: int) -> np.ndarray:
@@ -133,7 +133,7 @@ def _f_residue_sums(f: MultFnSpec, table: SieveTable, x: int, q: int) -> np.ndar
     Reads only the support of f, in ascending n.
     """
     ns, vs = get_support(f, table, x)
-    return residue_sums(ns, vs.real, vs.imag, q)
+    return residue_sums(ns, vs, q)
 
 
 def character_sum(f: MultFnSpec, X: int, chi: DirichletCharacter,
@@ -269,14 +269,17 @@ def u_kernel_moebius_row(q: int, D: int) -> np.ndarray:
     if q < 1 or D < 1:
         raise DomainError(f"need q >= 1 and D >= 1, got q={q}, D={D}")
     phi = euler_phi(q)
+    units = np.flatnonzero(unit_mask(q))
+    gs = np.gcd(units - 1, q)
+    # a table over 0..q keyed by g: np.unique would sort, and numpy's first
+    # sort of a process pages in about 0.4 MB of its sorting code
+    by_gcd = np.zeros(q + 1)
+    seen = np.zeros(q + 1, dtype=bool)
+    seen[gs] = True
+    for g in np.flatnonzero(seen).tolist():
+        by_gcd[g] = float(Fraction((g == q) * phi - _kernel_divisor_sum(g, q, D), phi))
     row = np.zeros(q)
-    by_gcd: dict[int, float] = {}
-    for n in np.flatnonzero(unit_mask(q)).tolist():
-        g = math.gcd(q, n - 1)
-        if g not in by_gcd:
-            ind = 1 if g == q else 0
-            by_gcd[g] = float(Fraction(ind * phi - _kernel_divisor_sum(g, q, D), phi))
-        row[n] = by_gcd[g]
+    row[units] = by_gcd[gs]
     return row
 
 
@@ -349,17 +352,18 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
     # with gcd(n, q) > 1 lands only in a non-unit bin.  So q passes only over
     # the part of the support prime to g = gcd(q, 6), about 0.55 Psi points
     # on average over q.  A part keeps ascending n, so every unit bin is the
-    # same sequential bincount sum as over the whole support; it holds int32
-    # positions (x <= X_MAX_CAP < 2^31) and contiguous weights, which
-    # bincount would otherwise copy on every call.  Each part is built once
-    # and serves all its q before the next one is built, so at most one part
-    # is alive at a time.
+    # same sequential sum as over the whole support.  The support itself is
+    # the part for g = 1; each other part is built once and serves all its q
+    # before the next one is built, so at most one copy is alive at a time.
     ns, vs = get_support(f, table, x)
     by_q = {}
     for g in sorted({math.gcd(q, 6) for q in qs}):
-        keep = unit_mask(g)[residues(ns, g)]
-        part = (ns[keep].astype(np.int32), vs.real[keep], vs.imag[keep])
-        del keep
+        if g == 1:
+            part = (ns, vs)
+        else:
+            keep = unit_mask(g)[residues(ns, g)]
+            part = (ns[keep], vs[keep])
+            del keep
         qg = [q for q in qs if math.gcd(q, 6) == g]
         by_q.update(zip(qg, ordered_map(
             lambda q, part=part: _xi_record(residue_sums(*part, q), q, a1, a2, xi),

@@ -75,7 +75,7 @@ def ls_primal(x: int, y: int, Q: int, a: np.ndarray, weight_mode: str,
     moduli = sorted({chi.q for chi in members})
 
     def modulus_term(q: int) -> float:
-        rs = residue_sums(ns, a.real, a.imag, q)
+        rs = residue_sums(ns, a, q)
         w = 1.0 if weight_mode == "unweighted" else 1.0 / math.sqrt(q)
         sub = 0.0
         for chi in members:
@@ -247,14 +247,16 @@ def refine_grid(grid: list[int], smooth: np.ndarray, T: float) -> list[int]:
     argument constructively.
     """
     out = list(grid)
-    counts = np.searchsorted(smooth, out, side="right").tolist()
+    # needles of smooth's dtype: any other makes numpy copy smooth to it
+    needle = smooth.dtype.type
+    counts = np.searchsorted(smooth, np.array(out, dtype=smooth.dtype), side="right").tolist()
     i = 0
     while i + 1 < len(out):
         a, b = out[i], out[i + 1]
         if b - a >= 2 and counts[i + 1] - counts[i] > counts[i] / (2.0 * T):
             mid = (a + b) // 2
             out.insert(i + 1, mid)
-            counts.insert(i + 1, int(np.searchsorted(smooth, mid, side="right")))
+            counts.insert(i + 1, int(np.searchsorted(smooth, needle(mid), side="right")))
         else:
             i += 1
     return out
@@ -285,7 +287,7 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
     T = detection_scale(x, y, B)
     smooth = smooth_numbers(table, x, y)
     grid = refine_grid(dyadic_partition(x, T, eps), smooth, T)
-    gx = np.array(grid, dtype=np.int64)
+    gx = np.array(grid, dtype=ns.dtype)  # as in refine_grid: no copy of ns or smooth
     thresholds = np.searchsorted(smooth, gx, side="right") / (2.0 * T)  # Psi(X_j, y)/(2T)
     at = np.searchsorted(ns, gx, side="right")  # csum[at[j]] sums n <= X_j
     members = families.up_to(Q)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OracleError, RangeError
-from .sieve import SieveTable, primes_upto, smooth_pieces
+from .sieve import SieveTable, bitmap_positions, primes_upto, smooth_bitmap, smooth_pieces
 
 CLASS_C_SLACK = 1e-12
 
@@ -165,30 +165,77 @@ def evaluate(f: MultFnSpec, n: int, table: SieveTable) -> complex:
     return val
 
 
+# support points whose ranks are looked up at once: at least this many, so
+# a build of a few thousand points (verify-identities makes dozens) does it
+# once, and at least 1/32 of the support, so a large build does it at most
+# about 32 times; the lookup's temporaries take about 30 bytes a point
+_PLACE_BATCH = 1 << 10
+
+
 def _support_values(f: MultFnSpec, table: SieveTable, x: int):
-    """(ns, vs): the n in 1..x with f(n) != 0, ascending, and f there.
+    """(ns, vs): the n in 1..x with f(n) != 0, ascending int32, and f there.
 
     Only n with P(n) <= y can be nonzero (y = x for unbounded f), so the
     support is generated from the primes <= y (sieve.smooth_pieces) in
-    O(Psi(x,y)) work and memory, and sorted once.
+    O(Psi(x,y)) work and memory.  The walk runs twice.  The first pass
+    carries no values: it sets a bitmap over 0..x, which gives the
+    ascending positions and, with an int32 rank per 64-bit word, indexes
+    them (x/8 + x/16 bytes).  The second pass writes each batch of values
+    at the ranks of its positions in one preallocated complex array, so no
+    stage holds a second copy of the values.  A product of nonzero values
+    can underflow to 0, and such zeros are then masked out.
     """
     if x > table.x_max:
         raise RangeError(f"x={x} exceeds table x_max={table.x_max}")
     bound = x if f.smooth_bound is None else min(x, f.smooth_bound)
-    ns_parts, vs_parts = zip(*smooth_pieces(x, bound, f.at))
-    # one array at a time, its pieces dropped once joined: the peak stays
-    # near 48 bytes per support point
-    ns = np.concatenate(ns_parts)
-    del ns_parts
-    order = np.argsort(ns)
-    ns = ns[order]
-    vs = np.concatenate(vs_parts)
-    del vs_parts
-    vs = vs[order]
-    if not vs.all():  # a product of nonzero values can underflow to 0
-        keep = np.flatnonzero(vs)
-        ns, vs = ns[keep], vs[keep]
+    words = smooth_bitmap(x, bound, f.at)
+    ns = bitmap_positions(words)
+    # rank[w] counts the set bits in the words before w
+    rank = np.zeros(words.size, dtype=np.int32)
+    np.cumsum(np.bitwise_count(words[:-1]), dtype=np.int32, out=rank[1:])
+    batch = max(_PLACE_BATCH, ns.size >> 5)
+    vs = np.zeros(ns.size, dtype=np.complex128)
+    walked = 0
+    pending, held = [], 0
+    for piece in smooth_pieces(x, bound, f.at):
+        walked += piece[0].size
+        pending.append(piece)
+        held += piece[0].size
+        if held >= batch:
+            _place(vs, words, rank, pending, batch)
+            pending, held = [], 0
+    _place(vs, words, rank, pending, batch)
+    if walked != ns.size:
+        raise OracleError(f"{f.label}: the oracle gave another support on a second walk")
+    del words, rank
+    if not vs.all():
+        keep = vs != 0
+        ns = ns[keep]
+        vs = vs[keep]
     return ns, vs
+
+
+def _place(vs: np.ndarray, words: np.ndarray, rank: np.ndarray, pieces, batch: int):
+    """vs[i] = f(n) for each n of the (positions, values) pieces, i the rank of n.
+
+    The rank of n is rank[n >> 6] + popcount(words[n >> 6] & ((1 << (n & 63)) - 1)),
+    looked up for the positions of all the pieces together.
+    """
+    if not pieces:
+        return
+    ns = np.concatenate([n for n, _ in pieces]) if len(pieces) > 1 else pieces[0][0]
+    at = np.empty(ns.size, dtype=np.int32)
+    for lo in range(0, ns.size, batch):
+        n = ns[lo:lo + batch]
+        w = n >> 6
+        below = np.left_shift(np.uint64(1), (n & 63).astype(np.uint64))
+        below -= np.uint64(1)
+        below &= words[w]
+        np.add(rank[w], np.bitwise_count(below), out=at[lo:lo + batch])
+    lo = 0
+    for _, v in pieces:
+        vs[at[lo:lo + v.size]] = v
+        lo += v.size
 
 
 def get_support(f: MultFnSpec, table: SieveTable, x: int):
@@ -209,7 +256,8 @@ def get_support(f: MultFnSpec, table: SieveTable, x: int):
         entry = (f, x, ns, vs)
         table._support = entry
     _, _, ns, vs = entry
-    hi = int(np.searchsorted(ns, x, side="right"))
+    # a needle of the positions' dtype: any other makes numpy copy ns to it
+    hi = int(np.searchsorted(ns, ns.dtype.type(x), side="right"))
     return ns[:hi], vs[:hi]
 
 

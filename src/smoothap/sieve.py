@@ -4,10 +4,12 @@ The y-smooth n <= x (every prime factor <= y) are generated directly from
 the primes p <= y (`smooth_pieces`), in O(Psi(x,y)) work and memory for
 y <= sqrt(x).  Every query here reads that walk: `psi`, the coprime and
 progression counts (a gcd or a residue per walked number), and
-`smooth_numbers`, the walk as one ascending array, which is the y-smooth
-set of the large-sieve experiments (a count Psi(t,y) is a searchsorted on
-it).  The support of a multiplicative function (`multfn.get_support`) is
-the same walk with values.
+`smooth_numbers`, the walk as one ascending int32 array, which is the
+y-smooth set of the large-sieve experiments (a count Psi(t,y) is a
+searchsorted on it).  The ascending order comes from a bitmap over 0..x
+(`smooth_bitmap`, `bitmap_positions`), not from a sort.  The support of a
+multiplicative function (`multfn.get_support`) is the same walk with
+values, placed by rank in that bitmap.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ X_MAX_CAP = 50_000_000
 
 # cofactors per chunk of the batched large-prime step, to bound its temporaries
 _BATCH = 1 << 18
+
+# bitmap words unpacked at a time when the set bits are read out in order
+_UNPACK_WORDS = 1 << 10
 
 
 def _prime_mask(limit: int) -> np.ndarray:
@@ -56,15 +61,16 @@ class SieveTable:
         self._support = None  # (f, x, ns, vs) of the last multfn.get_support build
 
 
-def smooth_pieces(x: int, y: int, fpk=None):
+def smooth_pieces(x: int, y: int, fpk=None, values: bool = True):
     """The n in 1..x with every prime factor <= y, generated from those primes.
 
-    Yields disjoint pieces (ns, vs): int64 positions in no particular order
-    that together hold each such n exactly once.  Without fpk, vs is None.
-    With a prime-power oracle fpk(p, k) = f(p^k), vs holds f(n) for the
-    multiplicative f it defines, and the n with a factor p^k || n where
-    f(p^k) = 0 are left out (every f(p^k) with p <= y, p^k <= x is still
-    asked for).
+    Yields disjoint pieces (ns, vs): int32 positions (x <= X_MAX_CAP < 2^31)
+    in no particular order that together hold each such n exactly once.
+    Without fpk, vs is None.  With a prime-power oracle fpk(p, k) = f(p^k),
+    the n with a factor p^k || n where f(p^k) = 0 are left out (every
+    f(p^k) with p <= y, p^k <= x is still asked for), and vs holds f(n) for
+    the multiplicative f it defines; with values=False it is None, and the
+    walk carries no values.
 
     The primes p <= sqrt(x) are walked in ascending order.  The walk keeps an
     active set, the n <= x/p that can still take the factor p; an n above
@@ -77,33 +83,37 @@ def smooth_pieces(x: int, y: int, fpk=None):
     x = max(x, 0)
     primes = np.flatnonzero(_prime_mask(max(min(x, y), 0)))
     walked = primes[: np.searchsorted(primes, math.isqrt(x), side="right")]
-    ns = np.ones(min(x, 1), dtype=np.int64)
-    vs = None if fpk is None else np.ones(ns.size, dtype=np.complex128)
+    ns = np.ones(min(x, 1), dtype=np.int32)
+    vs = np.ones(ns.size, dtype=np.complex128) if fpk is not None and values else None
+    # a generator keeps its locals alive across each yield, so every
+    # temporary is dropped before the next piece leaves
     for p in walked.tolist():
         keep = ns <= x // p
         if not keep.all():
             done = ~keep
-            yield ns[done], (None if vs is None else vs[done])
+            piece = ns[done], (None if vs is None else vs[done])
             ns = ns[keep]
             vs = None if vs is None else vs[keep]
+            del keep, done
+            yield piece
+            del piece
         grown_n, grown_v = [ns], [vs]
         s_n, s_v = ns, vs
         pk, k = p, 1
         while pk <= x:
             sel = s_n <= x // pk
             s_n = s_n[sel]
-            if fpk is None:
+            s_v = None if vs is None else s_v[sel]
+            fv = 1.0 if fpk is None else complex(fpk(p, k))
+            if fv != 0:
                 grown_n.append(s_n * pk)
-            else:
-                s_v = s_v[sel]
-                fv = complex(fpk(p, k))
-                if fv != 0:
-                    grown_n.append(s_n * pk)
+                if vs is not None:
                     grown_v.append(np.multiply(np.full(s_n.size, fv), s_v))
             pk *= p
             k += 1
         ns = np.concatenate(grown_n)
-        vs = None if fpk is None else np.concatenate(grown_v)
+        vs = None if vs is None else np.concatenate(grown_v)
+        del grown_n, grown_v, s_n, s_v, sel
     big = primes[walked.size :]
     if big.size:
         yield from _large_prime_pieces(x, big, ns, vs, fpk)
@@ -111,7 +121,11 @@ def smooth_pieces(x: int, y: int, fpk=None):
 
 
 def _large_prime_pieces(x, big, ns, vs, fpk):
-    """p * s for every prime p in `big` (each > sqrt x) and active s <= x/p."""
+    """p * s for every prime p in `big` (each > sqrt x) and active s <= x/p.
+
+    With fpk, only the p and s where f does not vanish, valued f(p) f(s)
+    unless vs is None.
+    """
     pos = None
     if fpk is not None:
         fp = np.array([complex(fpk(p, 1)) for p in big.tolist()], dtype=np.complex128)
@@ -128,14 +142,16 @@ def _large_prime_pieces(x, big, ns, vs, fpk):
         hi = int(np.searchsorted(cum, cum[lo] - counts[lo] + _BATCH, side="right"))
         hi = max(hi, lo + 1)
         c = counts[lo:hi]
-        s = np.arange(1, int(c.sum()) + 1) - np.repeat(np.cumsum(c) - c, c)
-        ps = np.repeat(big[lo:hi], c)
+        s = np.arange(1, int(c.sum()) + 1, dtype=np.int32)
+        s -= np.repeat(np.cumsum(c) - c, c)
+        # int32 per batch: a copy of all of big would sit next to primes
+        ps = np.repeat(big[lo:hi].astype(np.int32), c)
         if pos is None:  # no value can vanish: every s <= x/p is active
             yield ps * s, None
         else:
             idx = pos[s]
             hit = np.flatnonzero(idx >= 0)
-            yield (ps[hit] * s[hit],
+            yield (ps[hit] * s[hit], None if vs is None else
                    np.multiply(np.repeat(fp[lo:hi], c)[hit], vs[idx[hit]]))
         lo = hi
 
@@ -174,11 +190,37 @@ def psi_progression(table: SieveTable, x: int, y: int, a: int, q: int) -> int:
 
 
 def smooth_numbers(table: SieveTable, x: int, y: int) -> np.ndarray:
-    """The n <= x with P(n) <= y, ascending int64, from one walk (n = 1 included)."""
+    """The n <= x with P(n) <= y, ascending int32, from one walk (n = 1 included)."""
     _check_query(table, x, y)
-    ns = np.concatenate([piece for piece, _ in smooth_pieces(x, y)])
-    ns.sort()
-    return ns
+    return bitmap_positions(smooth_bitmap(x, y))
+
+
+def smooth_bitmap(x: int, y: int, fpk=None) -> np.ndarray:
+    """The walk of smooth_pieces(x, y, fpk, values=False) as a bitmap over 0..x.
+
+    Bit n & 63 of word n >> 6 is set for each walked n: x/8 bytes, whatever
+    the order of the pieces, so the walked set is never sorted.
+    """
+    words = np.zeros(max(x, 0) // 64 + 1, dtype=np.uint64)
+    # the walk yields each n once, so adding its bit sets it (np.add.at is
+    # several times faster than np.bitwise_or.at)
+    for ns, _ in smooth_pieces(x, y, fpk, values=False):
+        np.add.at(words, ns >> 6, np.left_shift(np.uint64(1), (ns & 63).astype(np.uint64)))
+    return words
+
+
+def bitmap_positions(words: np.ndarray) -> np.ndarray:
+    """The set bits of a bitmap over 0..64*len(words)-1, ascending int32."""
+    out = np.empty(int(np.bitwise_count(words).sum(dtype=np.int64)), dtype=np.int32)
+    at = 0
+    for lo in range(0, words.size, _UNPACK_WORDS):
+        # byte j of a little-endian word holds its bits 8j..8j+7
+        chunk = words[lo:lo + _UNPACK_WORDS].astype("<u8", copy=False).view(np.uint8)
+        hit = np.flatnonzero(np.unpackbits(chunk, bitorder="little"))
+        hit += 64 * lo
+        out[at:at + hit.size] = hit
+        at += hit.size
+    return out
 
 
 def _check_query(table: SieveTable, x: int, y: int):

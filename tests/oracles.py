@@ -7,10 +7,12 @@ conductors from the definitional divisor scan, and root-of-unity sums from
 exact cyclotomic polynomial division.  The lifted-generator character route
 reads only a unit group's generators and discrete-log tables: it values a
 character as a sum of per-component fractions, and it induces and
-decomposes by reading those values at CRT-lifted generators.  The one
-exception is the kernel u_D(n; q) summed cell by cell from its definition:
-it induces each character with the package's `induce` and reads `cvalue`,
-the per-cell route that the one-gather row form must equal bit for bit.
+decomposes by reading those values at CRT-lifted generators.  The
+exceptions are the kernel u_D(n; q) summed cell by cell from its definition
+(it induces each character with the package's `induce` and reads `cvalue`,
+the per-cell route that the one-gather row form must equal bit for bit),
+and the support joined from the package's `smooth_pieces` by one argsort,
+the route that the rank placement of `multfn.get_support` must equal.
 """
 
 import itertools
@@ -22,6 +24,7 @@ import numpy as np
 
 from smoothap.characters import DirichletCharacter, UnitGroup, induce
 from smoothap.errors import DomainError
+from smoothap.sieve import smooth_pieces
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +100,33 @@ def psi_count(flags, x, q=None, a=None, coprime_to=None):
             continue
         total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# the support of f and its residue sums, by joins and bincounts
+
+
+def joined_support(f, x):
+    """(ns, vs): the support of f up to x, every walked piece joined and argsorted.
+
+    The pieces of `smooth_pieces` are concatenated, ordered by one argsort
+    of the positions, the values permuted by it, and the zeros (f(p^k) = 0
+    or an underflowed product) dropped.
+    """
+    bound = x if f.smooth_bound is None else min(x, f.smooth_bound)
+    ns_parts, vs_parts = zip(*smooth_pieces(x, bound, f.at))
+    ns = np.concatenate(ns_parts)
+    order = np.argsort(ns)
+    ns, vs = ns[order], np.concatenate(vs_parts)[order]
+    keep = np.flatnonzero(vs)
+    return ns[keep], vs[keep]
+
+
+def bincount_residue_sums(ns, vs, q):
+    """sum of vs[i] over ns[i] = r (mod q): one bincount for each of re and im."""
+    res = (ns % q).astype(np.intp)
+    return (np.bincount(res, weights=vs.real, minlength=q)
+            + 1j * np.bincount(res, weights=vs.imag, minlength=q))
 
 
 # ---------------------------------------------------------------------------

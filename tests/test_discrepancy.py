@@ -226,7 +226,7 @@ def test_delta_A_equals_scalar_kernel_cells(table_1e4):
     for q, a1, a2, D in ((1, 1, 1, 2), (7, 3, 1, 5), (12, 5, 7, 3), (30, 7, 11, 10)):
         c = pow(a1, -1, q) * a2 % q if q > 1 else 0
         cells = np.array([float(u_kernel_moebius(r * c % q, q, D)) for r in range(q)])
-        expected = complex((cells * residue_sums(ns, vs.real, vs.imag, q)).sum())
+        expected = complex((cells * residue_sums(ns, vs, q)).sum())
         assert delta_A(f, 3000, q, a1, a2, D, table_1e4) == expected
 
 
@@ -264,6 +264,27 @@ def test_bv_average_keeps_no_per_modulus_arrays():
     finally:
         tracemalloc.stop()
     assert retained < 512 * 1024, retained
+
+
+def test_support_and_bv_average_peak_bytes_per_point():
+    # at x = 250,000 and y = x^(1/3), as on the decay curve: the build holds
+    # an int32 position and a complex value per point, the walk, and the
+    # bitmap and ranks over 0..x (x/8 + x/16 bytes); bv_average adds the
+    # part of the support prime to gcd(q, 6) and the per-q residues
+    x, y = 250_000, 63
+    peaks = []
+    for run in (lambda f, t: multfn.get_support(f, t, x),
+                lambda f, t: bv_average(f, x, 100, 1, 1, XI_EMPTY, t)):
+        table, f = SieveTable(x), multfn.random_unit_circle(0, smooth_bound=y)
+        tracemalloc.start()
+        try:
+            run(f, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    n = multfn.get_support(f, table, x)[0].size
+    assert peaks[0] <= 32 * n, peaks[0] / n
+    assert peaks[1] <= 40 * n, peaks[1] / n
 
 
 RECORD_FIELDS = ("delta", "delta_xi", "progression_sum", "coprime_main", "xi_main")
@@ -306,18 +327,28 @@ def test_residues_equal_remainder():
 
 
 def test_residue_sums_bitwise_across_layouts(table_1e4):
-    # int32 positions with contiguous parts give the same bins as int64
-    # positions with the strided views of the complex support
+    # the one np.add.at equals the two-bincount form bit for bit, for int32
+    # and int64 positions, contiguous and strided values, signed zeros and
+    # an empty support
     ns, vs = multfn.get_support(multfn.random_unit_circle(3, smooth_bound=50),
                                 table_1e4, 10**4)
-    re, im = np.ascontiguousarray(vs.real), np.ascontiguousarray(vs.imag)
+    assert ns.dtype == np.int32
+    zeros = vs.copy()
+    zeros[::3] = complex(-0.0, -0.0)
+    zeros[1::3] = complex(0.0, -0.0)
+    zeros[2::7] = complex(-0.0, 0.0)
+    cases = [(ns, vs), (ns[:0], vs[:0]), (ns, zeros), (ns[::5], zeros[::5])]
     for q in (1, 2, 7, 60, 97, 600, 9999):
-        res = ns % q
-        want = (np.bincount(res, weights=vs.real, minlength=q)
-                + 1j * np.bincount(res, weights=vs.imag, minlength=q))
-        for got in (residue_sums(ns, vs.real, vs.imag, q),
-                    residue_sums(ns.astype(np.int32), re, im, q)):
-            assert got.tobytes() == want.tobytes()
+        for pos, val in cases:
+            want = oracles.bincount_residue_sums(pos, val, q)
+            wide = pos.astype(np.int64)
+            padded = np.empty((val.size, 2), dtype=np.complex128)
+            padded[:, 0] = val
+            for got in (residue_sums(pos, val, q), residue_sums(wide, val, q),
+                        residue_sums(pos, padded[:, 0], q),
+                        residue_sums(wide, padded[:, 0], q)):
+                assert got.dtype == np.complex128 and got.shape == (q,)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_member_value_equals_induced_value_at_units():
@@ -338,7 +369,7 @@ def test_xi_record_reads_only_unit_bins(table_1e4):
                                 table_1e4, 10**4)
     xis = (XI_EMPTY, XI_TRIVIAL, ExceptionalSet.from_characters(family_A(12).members))
     for q in range(1, 61):
-        rs = residue_sums(ns, vs.real, vs.imag, q)
+        rs = residue_sums(ns, vs, q)
         poisoned = rs.copy()
         poisoned[~unit_mask(q)] = complex(np.nan, np.nan)
         for xi in xis:

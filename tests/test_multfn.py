@@ -133,6 +133,40 @@ def test_support_bitwise_at_square_x(table_1e6, f):
         assert_support_matches_oracle(f, table_1e6, x)
 
 
+JOIN_SPECS = [
+    multfn.random_unit_circle(11, smooth_bound=1000),
+    multfn.smooth_indicator(50),
+    multfn.moebius_smooth(1000),
+    multfn.character_twist(enumerate_characters(7)[2], 300),
+    multfn.random_unit_circle(11),
+    # every product of two primes underflows to 0
+    multfn.MultFnSpec("underflow", lambda p, k: 1e-200 if k == 1 else 1.0, smooth_bound=60),
+]
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 63, 64, 65, 2000, 250_000])
+@pytest.mark.parametrize("f", JOIN_SPECS, ids=spec_id)
+def test_support_values_bitwise_equals_join_oracle(table_1e6, f, x):
+    # placing the values by rank gives the sorted join of the pieces
+    ns, vs = multfn._support_values(f, table_1e6, x)
+    want_ns, want_vs = oracles.joined_support(f, x)
+    assert ns.dtype == np.int32 and vs.dtype == np.complex128
+    assert np.array_equal(ns, want_ns)
+    assert vs.tobytes() == want_vs.tobytes()
+
+
+def test_support_values_rejects_an_oracle_that_changes_between_walks(table_1e4):
+    # the values are placed by the ranks of the first walk's positions
+    calls = {}
+
+    def fickle(p, k):
+        calls[p, k] = calls.get((p, k), 0) + 1
+        return 1.0 if (p, k) != (3, 1) or calls[p, k] == 1 else 0.0
+
+    with pytest.raises(OracleError):
+        multfn._support_values(multfn.MultFnSpec("fickle", fickle, 50), table_1e4, 1000)
+
+
 def largest_prime_first_product(f, n):
     """f(n) by trial division, multiplied in from the largest prime down."""
     factors = oracles.trial_division_factor(n)

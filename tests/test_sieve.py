@@ -47,7 +47,7 @@ def test_smooth_pieces_and_prefix_match_lpf(table_1e6, x, y):
     got = np.sort(np.concatenate(pieces))
     assert np.array_equal(got, want)  # each smooth n exactly once
     smooth = smooth_numbers(table_1e6, x, y)
-    assert smooth.dtype == np.int64
+    assert smooth.dtype == np.int32
     assert np.array_equal(smooth, want)  # ascending
     # Psi(t, y) as a count of smooth numbers <= t, at every t in 0..x
     pre = np.cumsum(mask.astype(np.int64))
