@@ -33,6 +33,9 @@ _BATCH = 1 << 18
 # bitmap words unpacked at a time when the set bits are read out in order
 _UNPACK_WORDS = 1 << 10
 
+# positions whose bits are set at a time (about 20 bytes of temporaries each)
+_BITS_BATCH = 1 << 14
+
 
 def _prime_mask(limit: int) -> np.ndarray:
     is_p = np.ones(limit + 1, dtype=bool)
@@ -202,11 +205,20 @@ def smooth_bitmap(x: int, y: int, fpk=None) -> np.ndarray:
     the order of the pieces, so the walked set is never sorted.
     """
     words = np.zeros(max(x, 0) // 64 + 1, dtype=np.uint64)
-    # the walk yields each n once, so adding its bit sets it (np.add.at is
-    # several times faster than np.bitwise_or.at)
     for ns, _ in smooth_pieces(x, y, fpk, values=False):
-        np.add.at(words, ns >> 6, np.left_shift(np.uint64(1), (ns & 63).astype(np.uint64)))
+        set_bits(words, ns)
     return words
+
+
+def set_bits(words: np.ndarray, ns: np.ndarray):
+    """Set bit n & 63 of words[n >> 6] for each n of ns, which are distinct.
+
+    Distinct n set distinct bits, so adding each bit sets it: np.add.at is
+    several times faster than np.bitwise_or.at.
+    """
+    for lo in range(0, ns.size, _BITS_BATCH):
+        n = ns[lo:lo + _BITS_BATCH]
+        np.add.at(words, n >> 6, np.left_shift(np.uint64(1), (n & 63).astype(np.uint64)))
 
 
 def bitmap_positions(words: np.ndarray) -> np.ndarray:
