@@ -184,7 +184,7 @@ def _support_values(f: MultFnSpec, table: SieveTable, x: int):
     Only n with P(n) <= y can be nonzero (y = x for unbounded f), so the
     support is generated from the primes <= y (sieve.smooth_pieces) in
     O(Psi(x,y)) work and memory.  Past _ONE_WALK_X the walk runs twice,
-    on the same values f(p^k), so both passes walk the same n.  The first
+    and a deterministic oracle makes both walk the same n.  The first
     pass carries no values: it sets a bitmap over 0..x, which gives the
     ascending positions and, with an int32 rank per 64-bit word, indexes
     them (x/8 + x/16 bytes).  The second pass writes each batch of values
@@ -200,24 +200,18 @@ def _support_values(f: MultFnSpec, table: SieveTable, x: int):
         words = np.zeros(x // 64 + 1, dtype=np.uint64)
         set_bits(words, pieces[0][0])
     else:
-        memo = {}
-
-        def fpk(p, k):  # f(p^k), asked of the oracle once for both walks
-            v = memo.get((p, k))
-            if v is None:
-                v = memo[p, k] = f.at(p, k)
-            return v
-
-        words = smooth_bitmap(x, bound, fpk)
-        pieces = smooth_pieces(x, bound, fpk)
+        words = smooth_bitmap(x, bound, f.at)
+        pieces = smooth_pieces(x, bound, f.at)
     ns = bitmap_positions(words)
     # rank[w] counts the set bits in the words before w
     rank = np.zeros(words.size, dtype=np.int32)
     np.cumsum(np.bitwise_count(words[:-1]), dtype=np.int32, out=rank[1:])
     batch = max(_PLACE_BATCH, ns.size >> 5)
     vs = np.zeros(ns.size, dtype=np.complex128)
+    walked = 0
     pending, held = [], 0  # small pieces, joined so that a batch is placed at once
     for piece in pieces:
+        walked += piece[0].size
         if piece[0].size >= batch:
             _place(vs, words, rank, *piece, batch)
             continue
@@ -228,6 +222,8 @@ def _support_values(f: MultFnSpec, table: SieveTable, x: int):
             pending, held = [], 0
     if pending:
         _place(vs, words, rank, *map(np.concatenate, zip(*pending)), batch)
+    if walked != ns.size:  # the positions of the first walk ranked those of the second
+        raise OracleError(f"{f.label}: the oracle gave another support on a second walk")
     del words, rank, pieces
     if not vs.all():
         keep = vs != 0

@@ -155,6 +155,18 @@ def test_support_values_bitwise_equals_join_oracle(table_1e6, f, x):
     assert vs.tobytes() == want_vs.tobytes()
 
 
+def test_support_values_rejects_an_oracle_that_changes_between_walks(table_1e6):
+    # past x = 2^16 the values are placed by the ranks of the first walk
+    calls = {}
+
+    def fickle(p, k):
+        calls[p, k] = calls.get((p, k), 0) + 1
+        return 1.0 if (p, k) != (3, 1) or calls[p, k] == 1 else 0.0
+
+    with pytest.raises(OracleError):
+        multfn._support_values(multfn.MultFnSpec("fickle", fickle, 50), table_1e6, 100_000)
+
+
 def largest_prime_first_product(f, n):
     """f(n) by trial division, multiplied in from the largest prime down."""
     factors = oracles.trial_division_factor(n)
