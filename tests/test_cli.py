@@ -257,6 +257,29 @@ def test_large_sieve_reports_match_pinned_digests(tmp_path):
         assert got == want, coeffs
 
 
+# sha256 of two delta reports, pinned before Delta, Delta_Xi and Delta_A
+# came from one record builder; at --q 12 --a 17 the report's a1 is 17 mod 12
+DELTA_DIGESTS = {
+    ("--x", "5000", "--y", "50", "--q", "12", "--a", "17", "--f", "random-unit",
+     "--f-seed", "3"): {
+        "delta.csv": "b4278abf2527a26e7179d36eae65eb533f855d5391865425d77618f8a6acfdaa",
+        "delta.json": "d449da9913e1b47b274ebad4fd0f33fa40221428a97617ad9dce3f4fa78301e9",
+    },
+    ("--x", "100", "--y", "5", "--q", "3", "--a", "1"): {
+        "delta.csv": "147ca1f4d7bc77f49798d99155b61205feb368c6118083b93aa3949735ffc3a5",
+        "delta.json": "f25df2b44c21fe61c35151b01f0844510f4577eb01aa46d26c8cd87be1c60380",
+    },
+}
+
+
+def test_delta_reports_match_pinned_digests(tmp_path):
+    for i, (args, want) in enumerate(DELTA_DIGESTS.items()):
+        out = tmp_path / str(i)
+        assert run_cli(["delta", *args], out) == 0, args
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == want, args
+
+
 def test_cli_determinism_across_runs_and_threads(tmp_path):
     outs = []
     for i, threads in enumerate(("1", "4", "8")):
