@@ -19,7 +19,7 @@ import numpy as np
 
 from . import multfn
 from .characters import family_A, trivial_character
-from .discrepancy import (ExceptionalSet, bv_average, delta_record,
+from .discrepancy import (ExceptionalSet, bv_average, discrepancy_record,
                           u_kernel_chardef_row, u_kernel_moebius_row,
                           verify_transfer_identity)
 from .errors import DomainError, OracleError, RangeError, SizingError
@@ -109,7 +109,8 @@ def cmd_psi(args):
 def cmd_delta(args):
     table = SieveTable(args.x)
     f = _parse_function(args.f, args.y, args.f_seed)
-    rec = delta_record(f, args.x, args.q, args.a, table)
+    rec = discrepancy_record(f, args.x, args.q, args.a, 1, table)
+    rec.a1 %= rec.q  # the report names the residue class of a
     config = {"command": "delta", "x": args.x, "y": args.y, "q": args.q,
               "a": args.a, "f": args.f, "f_seed": args.f_seed}
     print(f"delta = {fmt_number(rec.delta.real)} + {fmt_number(rec.delta.imag)}i")

@@ -93,22 +93,20 @@ class ExceptionalSet:
     @property
     def beta(self) -> Fraction:
         """sum of 1/conductor over members, exact."""
-        return beta_stats(self)[0]
+        return sum((Fraction(1, chi.q) for chi in self.characters), Fraction(0))
 
     @property
     def weighted_count(self) -> float:
-        """sum of conductor^{-1/2} over members."""
-        return beta_stats(self)[1]
+        """sum of conductor^{-1/2} over members, added in member order."""
+        weighted = 0.0
+        for chi in self.characters:
+            weighted += 1.0 / math.sqrt(chi.q)
+        return weighted
 
 
 def beta_stats(xi: ExceptionalSet) -> tuple[Fraction, float]:
     """(beta, weighted) = (sum 1/r_psi exactly, sum 1/sqrt(r_psi)) over members."""
-    beta = Fraction(0)
-    weighted = 0.0
-    for chi in xi.characters:
-        beta += Fraction(1, chi.q)
-        weighted += 1.0 / math.sqrt(chi.q)
-    return beta, weighted
+    return xi.beta, xi.weighted_count
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +125,10 @@ def residue_sums(ns: np.ndarray, vs: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _f_residue_sums(f: MultFnSpec, table: SieveTable, x: int, q: int) -> np.ndarray:
-    """sum of f(n) over n <= x with n = r (mod q), as a length-q complex vector.
-
-    Reads only the support of f, in ascending n.
-    """
-    ns, vs = get_support(f, table, x)
-    return residue_sums(ns, vs, q)
-
-
 def character_sum(f: MultFnSpec, X: int, chi: DirichletCharacter,
                   table: SieveTable) -> complex:
     """S_f(X, chi) = sum_{n<=X} f(n) * conj(chi(n))."""
-    rs = _f_residue_sums(f, table, X, chi.q)
+    rs = residue_sums(*get_support(f, table, X), chi.q)
     return complex((np.conj(chi.complex_table()) * rs).sum())
 
 
@@ -157,43 +146,23 @@ def _sum_induced(rs_units: np.ndarray, units: np.ndarray, psi: DirichletCharacte
 # the discrepancies
 
 
-def delta_record(f: MultFnSpec, x: int, q: int, a: int,
-                 table: SieveTable) -> DiscrepancyRecord:
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
-    a %= q
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"need gcd(a, q) = 1, got a={a}, q={q}")
-    rs = _f_residue_sums(f, table, x, q)
-    prog = complex(rs[a % q])
-    units = np.flatnonzero(unit_mask(q))
-    coprime = complex(rs[units].sum())
-    phi = euler_phi(q)
-    d = prog - coprime / phi
-    return DiscrepancyRecord(q=q, a1=a, a2=1, delta=d,
-                             progression_sum=prog, coprime_main=coprime / phi)
-
-
-def delta(f: MultFnSpec, x: int, q: int, a: int, table: SieveTable) -> complex:
-    """Delta(f,x;q,a): progression sum minus the coprime average."""
-    return delta_record(f, x, q, a, table).delta
-
-
-def delta_xi_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
-                    xi: ExceptionalSet, table: SieveTable) -> DiscrepancyRecord:
+def discrepancy_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
+                       table: SieveTable, xi: ExceptionalSet | None = None,
+                       D: int | None = None) -> DiscrepancyRecord:
+    """Delta(f,x;q,a1*conj(a2)), plus Delta_Xi when xi is given and Delta_A when D is."""
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     if math.gcd(a1 * a2, q) != 1:
         raise DomainError(f"need gcd(a1*a2, q) = 1, got a1={a1}, a2={a2}, q={q}")
-    return _xi_record(_f_residue_sums(f, table, x, q), q, a1, a2, xi)
+    return _record(residue_sums(*get_support(f, table, x), q), q, a1, a2, xi, D)
 
 
-def _xi_record(rs: np.ndarray, q: int, a1: int, a2: int,
-               xi: ExceptionalSet) -> DiscrepancyRecord:
-    """The Delta_Xi record at q from the residue sums rs of f mod q.
+def _record(rs: np.ndarray, q: int, a1: int, a2: int, xi: ExceptionalSet | None,
+            D: int | None = None) -> DiscrepancyRecord:
+    """The record at q from the residue sums rs of f mod q.
 
-    Reads rs only at the units mod q (b is one), so bv_average may leave
-    the non-unit bins incomplete.
+    Without D it reads rs only at the units mod q (b is one), so bv_average
+    may leave the non-unit bins incomplete; Delta_A reads all q bins.
     """
     b = (a1 % q) * modinv(a2, q) % q if q > 1 else 0
     prog = complex(rs[b])
@@ -201,26 +170,37 @@ def _xi_record(rs: np.ndarray, q: int, a1: int, a2: int,
     rs_units = rs[units]
     coprime = complex(rs_units.sum())
     phi = euler_phi(q)
-    xi_main = 0j
-    for psi in xi.members_dividing(q):
-        # b is a unit mod q, where the character induced by psi equals psi
-        xi_main += psi.cvalue(b) * _sum_induced(rs_units, units, psi)
-    dxi = prog - xi_main / phi
-    return DiscrepancyRecord(q=q, a1=a1, a2=a2, delta=prog - coprime / phi,
-                             delta_xi=dxi, progression_sum=prog,
-                             coprime_main=coprime / phi, xi_main=xi_main / phi)
+    rec = DiscrepancyRecord(q=q, a1=a1, a2=a2, delta=prog - coprime / phi,
+                            progression_sum=prog, coprime_main=coprime / phi)
+    if xi is not None:
+        xi_main = 0j
+        for psi in xi.members_dividing(q):
+            # b is a unit mod q, where the character induced by psi equals psi
+            xi_main += psi.cvalue(b) * _sum_induced(rs_units, units, psi)
+        rec.delta_xi = prog - xi_main / phi
+        rec.xi_main = xi_main / phi
+    if D is not None:
+        c = modinv(a1, q) * (a2 % q) % q if q > 1 else 0  # kernel argument scale
+        row = u_kernel_moebius_row(q, D)[residues(np.arange(q) * c, q)]
+        rec.delta_a = complex((row * rs).sum())
+    return rec
+
+
+def delta(f: MultFnSpec, x: int, q: int, a: int, table: SieveTable) -> complex:
+    """Delta(f,x;q,a): progression sum minus the coprime average."""
+    return discrepancy_record(f, x, q, a, 1, table).delta
 
 
 def delta_xi(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
              xi: ExceptionalSet, table: SieveTable) -> complex:
     """Delta_Xi(f,x;q,a1*conj(a2)): main terms only from characters induced by Xi."""
-    return delta_xi_record(f, x, q, a1, a2, xi, table).delta_xi
+    return discrepancy_record(f, x, q, a1, a2, table, xi=xi).delta_xi
 
 
-def delta_xi_residue(f: MultFnSpec, x: int, q: int, a: int,
-                     xi: ExceptionalSet, table: SieveTable) -> complex:
-    """Convenience (a)-form of delta_xi: residue given directly, a2 = 1."""
-    return delta_xi_record(f, x, q, a, 1, xi, table).delta_xi
+def delta_A(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int,
+            table: SieveTable) -> complex:
+    """Delta_A(f,x;q,a1*conj(a2)) = sum_{n<=x} f(n) u_D(n*conj(a1)*a2; q)."""
+    return discrepancy_record(f, x, q, a1, a2, table, D=D).delta_a
 
 
 # ---------------------------------------------------------------------------
@@ -309,30 +289,6 @@ def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
     return out
 
 
-def delta_a_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int,
-                   table: SieveTable) -> DiscrepancyRecord:
-    if math.gcd(a1 * a2, q) != 1:
-        raise DomainError(f"need gcd(a1*a2, q) = 1, got a1={a1}, a2={a2}, q={q}")
-    c = modinv(a1, q) * (a2 % q) % q if q > 1 else 0  # kernel argument scale
-    rs = _f_residue_sums(f, table, x, q)
-    row = u_kernel_moebius_row(q, D)[residues(np.arange(q) * c, q)]
-    da = complex((row * rs).sum())
-    units = np.flatnonzero(unit_mask(q))
-    coprime = complex(rs[units].sum())
-    phi = euler_phi(q)
-    b = (a1 % q) * modinv(a2, q) % q if q > 1 else 0
-    prog = complex(rs[b])
-    return DiscrepancyRecord(q=q, a1=a1, a2=a2, delta=prog - coprime / phi,
-                             delta_a=da, progression_sum=prog,
-                             coprime_main=coprime / phi)
-
-
-def delta_A(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int,
-            table: SieveTable) -> complex:
-    """Delta_A(f,x;q,a1*conj(a2)) = sum_{n<=x} f(n) u_D(n*conj(a1)*a2; q)."""
-    return delta_a_record(f, x, q, a1, a2, D, table).delta_a
-
-
 # ---------------------------------------------------------------------------
 # averages over moduli
 
@@ -348,7 +304,7 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
     if Q > x:
         raise DomainError(f"need Q <= x, got Q={Q}, x={x}")
     qs = [q for q in range(1, Q + 1) if math.gcd(q, a1 * a2) == 1]
-    # _xi_record reads the residue sums only at the units mod q, and an n
+    # _record reads the residue sums only at the units mod q, and an n
     # with gcd(n, q) > 1 lands only in a non-unit bin.  So q passes only over
     # the part of the support prime to g = gcd(q, 6), about 0.55 Psi points
     # on average over q.  A part keeps ascending n, so every unit bin is the
@@ -366,7 +322,7 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
             del keep
         qg = [q for q in qs if math.gcd(q, 6) == g]
         by_q.update(zip(qg, ordered_map(
-            lambda q, part=part: _xi_record(residue_sums(*part, q), q, a1, a2, xi),
+            lambda q, part=part: _record(residue_sums(*part, q), q, a1, a2, xi),
             qg, threads)))
         del part
     records = [by_q[q] for q in qs]
@@ -407,11 +363,8 @@ def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
             raise DomainError(
                 f"Xi member of conductor {chi.q} lies outside A({D}); identity needs Xi in A(D)"
             )
-    if math.gcd(a1 * a2, q) != 1:
-        raise DomainError(f"need gcd(a1*a2, q) = 1, got a1={a1}, a2={a2}, q={q}")
-
-    lhs = (delta_xi(f, x, q, a1, a2, xi, table)
-           - delta_A(f, x, q, a1, a2, D, table))
+    rec = discrepancy_record(f, x, q, a1, a2, table, xi=xi, D=D)
+    lhs = rec.delta_xi - rec.delta_a
 
     g = dirichlet_inverse(f, x)
     b = (a1 % q) * modinv(a2, q) % q if q > 1 else 0
@@ -431,7 +384,7 @@ def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
             if math.gcd(d, ell) != 1 or mu_sums[d] == 0:
                 continue
             a = (b % d) * modinv(ell, d) % d if d > 1 else 0
-            dx = delta_xi_residue(f, xl, d, a, xi, table)
+            dx = discrepancy_record(f, xl, d, a, 1, table, xi=xi).delta_xi
             rhs += gl * euler_phi(d) * dx * mu_sums[d]
     rhs /= euler_phi(q)
     return TransferCheck(lhs, rhs)

@@ -313,11 +313,7 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
 
 def exceptional_counts(set_b: ExceptionalSet) -> tuple[int, float]:
     """(|Xi(B)|, sum over members of conductor^{-1/2})."""
-    count = len(set_b.members)
-    weighted = 0.0
-    for w in set_b.members:
-        weighted += 1.0 / math.sqrt(w.character.q)
-    return count, weighted
+    return len(set_b.members), set_b.weighted_count
 
 
 def context_bound(x: int, B: float) -> float:

@@ -11,9 +11,9 @@ from smoothap import multfn
 from smoothap.arith import euler_phi, factorize, residues, unit_mask
 from smoothap.characters import (enumerate_characters, family_A, induce,
                                  trivial_character)
-from smoothap.discrepancy import (ExceptionalSet, _xi_record, beta_stats, bv_average,
-                                  character_sum, delta, delta_A, delta_record,
-                                  delta_xi, delta_xi_record, residue_sums,
+from smoothap.discrepancy import (ExceptionalSet, _record, beta_stats, bv_average,
+                                  character_sum, delta, delta_A, delta_xi,
+                                  discrepancy_record, residue_sums,
                                   u_kernel_chardef_row, u_kernel_moebius,
                                   u_kernel_moebius_row,
                                   verify_transfer_identity)
@@ -61,7 +61,7 @@ def test_character_sum_hand_example(table_1e4):
 def test_delta_fixed_point(table_1e4):
     f = multfn.smooth_indicator(5)
     assert delta(f, 100, 3, 1, table_1e4) == pytest.approx(0.5)
-    rec = delta_record(f, 100, 3, 1, table_1e4)
+    rec = discrepancy_record(f, 100, 3, 1, 1, table_1e4)
     assert rec.delta == rec.progression_sum - rec.coprime_main
 
 
@@ -71,8 +71,15 @@ def test_delta_q_one_exact(table_1e4):
 
 
 def test_delta_gcd_precondition(table_1e4):
+    f = multfn.smooth_indicator(5)
     with pytest.raises(DomainError):
-        delta(multfn.smooth_indicator(5), 100, 6, 3, table_1e4)
+        delta(f, 100, 6, 3, table_1e4)
+    for q in (0, -3):
+        for call in (lambda: delta(f, 100, q, 1, table_1e4),
+                     lambda: delta_xi(f, 100, q, 1, 1, XI_TRIVIAL, table_1e4),
+                     lambda: delta_A(f, 100, q, 1, 1, 3, table_1e4)):
+            with pytest.raises(DomainError):
+                call()
 
 
 def test_delta_telescoping(table_1e4):
@@ -364,7 +371,7 @@ def test_member_value_equals_induced_value_at_units():
 
 def test_xi_record_reads_only_unit_bins(table_1e4):
     # bv_average sums each q over the support prime to gcd(q, 6) only, so
-    # the non-unit bins it passes are incomplete: _xi_record must not read them
+    # the non-unit bins it passes are incomplete: _record must not read them
     ns, vs = multfn.get_support(multfn.random_unit_circle(5, smooth_bound=50),
                                 table_1e4, 10**4)
     xis = (XI_EMPTY, XI_TRIVIAL, ExceptionalSet.from_characters(family_A(12).members))
@@ -375,8 +382,8 @@ def test_xi_record_reads_only_unit_bins(table_1e4):
         for xi in xis:
             for a1, a2 in ((1, 1), (5, 7)):
                 if math.gcd(q, a1 * a2) == 1:
-                    assert _same_records([_xi_record(poisoned, q, a1, a2, xi)],
-                                         [_xi_record(rs, q, a1, a2, xi)])
+                    assert _same_records([_record(poisoned, q, a1, a2, xi)],
+                                         [_record(rs, q, a1, a2, xi)])
 
 
 def test_bv_average_records_equal_delta_xi_record(table_1e6):
@@ -391,7 +398,7 @@ def test_bv_average_records_equal_delta_xi_record(table_1e6):
     for f in fs:
         for xi in xis:
             for a1, a2 in ((1, 1), (2, 3), (5, 7)):
-                want = [delta_xi_record(f, x, q, a1, a2, xi, table_1e6)
+                want = [discrepancy_record(f, x, q, a1, a2, table_1e6, xi=xi)
                         for q in range(1, Q + 1) if math.gcd(q, a1 * a2) == 1]
                 want_total = 0.0
                 for rec in want:
