@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OracleError, RangeError
-from .sieve import (SieveTable, bitmap_positions, primes_upto, set_bits, smooth_bitmap,
-                    smooth_pieces)
+from .sieve import SieveTable, primes_upto, smooth_ascending
 
 CLASS_C_SLACK = 1e-12
 
@@ -166,87 +165,28 @@ def evaluate(f: MultFnSpec, n: int, table: SieveTable) -> complex:
     return val
 
 
-# support points whose ranks are looked up at once: at least this many, and
-# at least 1/32 of the support, so a large build does it about 32 times.
-# The batch's joined pieces and the lookup's temporaries take about 50 bytes
-# a point, about 2 bytes per support point at x = 250,000, y = 63.
-_PLACE_BATCH = 1 << 9
-
-# up to this x the pieces of one walk are kept (at most 20 bytes a point,
-# 1.3 MB) instead of walking twice: verify-identities builds dozens of
-# supports at x <= 5000, where the second walk would cost more than the build
-_ONE_WALK_X = 1 << 16
-
-
 def _support_values(f: MultFnSpec, table: SieveTable, x: int):
     """(ns, vs): the n in 1..x with f(n) != 0, ascending int32, and f there.
 
     Only n with P(n) <= y can be nonzero (y = x for unbounded f), so the
-    support is generated from the primes <= y (sieve.smooth_pieces) in
-    O(Psi(x,y)) work and memory.  Past _ONE_WALK_X the walk runs twice,
-    and a deterministic oracle makes both walk the same n.  The first
-    pass carries no values: it sets a bitmap over 0..x, which gives the
-    ascending positions and, with an int32 rank per 64-bit word, indexes
-    them (x/8 + x/16 bytes).  The second pass writes each batch of values
-    at the ranks of its positions in one preallocated complex array, so no
-    stage holds a second copy of the values.  A product of nonzero values
-    can underflow to 0, and such zeros are then masked out.
+    support is the walk over the primes <= y, in ascending order
+    (sieve.smooth_ascending), in O(Psi(x,y)) work and memory.  A product
+    of nonzero values can underflow to 0, and such zeros are masked out.
     """
     if x > table.x_max:
         raise RangeError(f"x={x} exceeds table x_max={table.x_max}")
     bound = x if f.smooth_bound is None else min(x, f.smooth_bound)
-    if x <= _ONE_WALK_X:  # the walk's pieces joined into one
-        pieces = [tuple(map(np.concatenate, zip(*smooth_pieces(x, bound, f.at))))]
-        words = np.zeros(x // 64 + 1, dtype=np.uint64)
-        set_bits(words, pieces[0][0])
-    else:
-        words = smooth_bitmap(x, bound, f.at)
-        pieces = smooth_pieces(x, bound, f.at)
-    ns = bitmap_positions(words)
-    # rank[w] counts the set bits in the words before w
-    rank = np.zeros(words.size, dtype=np.int32)
-    np.cumsum(np.bitwise_count(words[:-1]), dtype=np.int32, out=rank[1:])
-    batch = max(_PLACE_BATCH, ns.size >> 5)
-    vs = np.zeros(ns.size, dtype=np.complex128)
-    walked = 0
-    pending, held = [], 0  # small pieces, joined so that a batch is placed at once
-    for piece in pieces:
-        walked += piece[0].size
-        if piece[0].size >= batch:
-            _place(vs, words, rank, *piece, batch)
-            continue
-        pending.append(piece)
-        held += piece[0].size
-        if held >= batch:
-            _place(vs, words, rank, *map(np.concatenate, zip(*pending)), batch)
-            pending, held = [], 0
-    if pending:
-        _place(vs, words, rank, *map(np.concatenate, zip(*pending)), batch)
-    if walked != ns.size:  # the positions of the first walk ranked those of the second
-        raise OracleError(f"{f.label}: the oracle gave another support on a second walk")
-    del words, rank, pieces
+    try:
+        ns, vs = smooth_ascending(x, bound, f.at)
+    except OracleError as exc:
+        if f.label in str(exc):  # the oracle's own error names f already
+            raise
+        raise OracleError(f"{f.label}: {exc}") from exc
     if not vs.all():
         keep = vs != 0
         ns = ns[keep]
         vs = vs[keep]
     return ns, vs
-
-
-def _place(vs: np.ndarray, words: np.ndarray, rank: np.ndarray, ns: np.ndarray,
-           vals: np.ndarray, batch: int):
-    """vs[i] = f(n) for the positions ns and their values vals, i the rank of n.
-
-    The rank of n is rank[n >> 6] + popcount(words[n >> 6] & ((1 << (n & 63)) - 1)).
-    """
-    for lo in range(0, ns.size, batch):
-        n = ns[lo:lo + batch]
-        w = n >> 6
-        below = np.left_shift(np.uint64(1), (n & 63).astype(np.uint64))
-        below -= np.uint64(1)
-        below &= words[w]
-        at = rank[w]
-        at += np.bitwise_count(below)
-        vs[at] = vals[lo:lo + batch]
 
 
 def get_support(f: MultFnSpec, table: SieveTable, x: int):

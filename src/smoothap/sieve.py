@@ -4,12 +4,13 @@ The y-smooth n <= x (every prime factor <= y) are generated directly from
 the primes p <= y (`smooth_pieces`), in O(Psi(x,y)) work and memory for
 y <= sqrt(x).  Every query here reads that walk: `psi`, the coprime and
 progression counts (a gcd or a residue per walked number), and
-`smooth_numbers`, the walk as one ascending int32 array, which is the
-y-smooth set of the large-sieve experiments (a count Psi(t,y) is a
-searchsorted on it).  The ascending order comes from a bitmap over 0..x
-(`smooth_bitmap`, `bitmap_positions`), not from a sort.  The support of a
-multiplicative function (`multfn.get_support`) is the same walk with
-values, placed by rank in that bitmap.
+`smooth_ascending`, the walk (and the values of a multiplicative f on it)
+as ascending arrays.  Their order comes from a bitmap over 0..x and an
+int32 rank per 64-bit word, not from a sort: each walked n is written at
+its rank.  `smooth_numbers` is the y-smooth set of the large-sieve
+experiments (a count Psi(t,y) is a searchsorted on it), and the support
+of a multiplicative function (`multfn.get_support`) is the walk with
+values.
 """
 
 from __future__ import annotations
@@ -20,21 +21,26 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import residues
-from .errors import DomainError, RangeError, SizingError
+from .errors import DomainError, OracleError, RangeError, SizingError
 
 # The cap bounds the one dense array over 0..x left, multfn.values_array
 # (16 bytes per integer, 800 MB at the cap), which verify-identities builds
 # for its Dirichlet-inverse check; every other query is sized by Psi(x,y).
 X_MAX_CAP = 50_000_000
 
-# cofactors per chunk of the batched large-prime step, to bound its temporaries
-_BATCH = 1 << 18
+# points per chunk of the batched large-prime step and of the bit setter, to
+# bound their temporaries (about 20 bytes a point each)
+_BATCH = 1 << 14
 
-# bitmap words unpacked at a time when the set bits are read out in order
-_UNPACK_WORDS = 1 << 10
+# points placed at their ranks at once: at least this many, and at least
+# 1/32 of the walk, so a large build places about 32 times.  The placement's
+# temporaries take about 40 bytes a point, about 1.3 bytes per walked point.
+_PLACE_BATCH = 1 << 9
 
-# positions whose bits are set at a time (about 20 bytes of temporaries each)
-_BITS_BATCH = 1 << 14
+# up to this x the pieces of one walk are joined (at most 20 bytes a point,
+# 1.3 MB) instead of walking twice: verify-identities builds dozens of
+# supports at x <= 5000, where the second walk would cost more than the build
+_ONE_WALK_X = 1 << 16
 
 
 def _prime_mask(limit: int) -> np.ndarray:
@@ -195,44 +201,72 @@ def psi_progression(table: SieveTable, x: int, y: int, a: int, q: int) -> int:
 def smooth_numbers(table: SieveTable, x: int, y: int) -> np.ndarray:
     """The n <= x with P(n) <= y, ascending int32, from one walk (n = 1 included)."""
     _check_query(table, x, y)
-    return bitmap_positions(smooth_bitmap(x, y))
+    return smooth_ascending(x, y)[0]
 
 
-def smooth_bitmap(x: int, y: int, fpk=None) -> np.ndarray:
-    """The walk of smooth_pieces(x, y, fpk, values=False) as a bitmap over 0..x.
+def smooth_ascending(x: int, y: int, fpk=None):
+    """The walk of smooth_pieces(x, y, fpk) as ascending arrays (ns, vs).
 
-    Bit n & 63 of word n >> 6 is set for each walked n: x/8 bytes, whatever
-    the order of the pieces, so the walked set is never sorted.
+    ns is int32; vs is the complex f(n) at each n, or None without fpk.
+    The walked n set bit n & 63 of word n >> 6 of a bitmap over 0..x, and
+    rank[w] counts the set bits in the words before w, so n goes to
+    rank[n >> 6] + popcount(words[n >> 6] & ((1 << (n & 63)) - 1)) with its
+    value: x/8 + x/16 bytes, and the walk is never sorted.  Up to
+    _ONE_WALK_X the pieces of one walk are joined and placed.  Past it the
+    walk runs twice: the first carries no values and sets the bitmap, the
+    second is placed piece by piece, so no stage holds a second copy of the
+    values.  A second walk that yields an n the first did not, or another
+    number of points, raises OracleError (fpk was not deterministic).
     """
-    words = np.zeros(max(x, 0) // 64 + 1, dtype=np.uint64)
-    for ns, _ in smooth_pieces(x, y, fpk, values=False):
-        set_bits(words, ns)
-    return words
+    x = max(x, 0)
+    words = np.zeros(x // 64 + 1, dtype=np.uint64)
+    if x <= _ONE_WALK_X:
+        parts_n, parts_v = zip(*smooth_pieces(x, y, fpk))
+        pieces = [(np.concatenate(parts_n), None if fpk is None else np.concatenate(parts_v))]
+        del parts_n, parts_v
+        _set_bits(words, pieces[0][0])
+    else:
+        for n, _ in smooth_pieces(x, y, fpk, values=False):
+            _set_bits(words, n)
+        pieces = smooth_pieces(x, y, fpk)
+    rank = np.zeros(words.size, dtype=np.int32)
+    np.cumsum(np.bitwise_count(words[:-1]), dtype=np.int32, out=rank[1:])
+    total = int(rank[-1]) + int(np.bitwise_count(words[-1]))
+    ns = np.empty(total, dtype=np.int32)
+    vs = None if fpk is None else np.empty(total, dtype=np.complex128)
+    batch = max(_PLACE_BATCH, total >> 5)
+    walked = 0
+    for piece_n, piece_v in pieces:
+        walked += piece_n.size
+        for lo in range(0, piece_n.size, batch):
+            n = piece_n[lo:lo + batch]
+            w = n >> 6
+            bit = np.left_shift(np.uint64(1), (n & 63).astype(np.uint64))
+            # take and put gather and scatter faster than fancy indexing
+            word = np.take(words, w)
+            if not (word & bit).all():
+                raise OracleError("the oracle gave another support on a second walk")
+            bit -= np.uint64(1)
+            bit &= word
+            at = np.take(rank, w)
+            at += np.bitwise_count(bit)
+            np.put(ns, at, n)
+            if vs is not None:
+                np.put(vs, at, piece_v[lo:lo + batch])
+    if walked != total:
+        raise OracleError("the oracle gave another support on a second walk")
+    return ns, vs
 
 
-def set_bits(words: np.ndarray, ns: np.ndarray):
+def _set_bits(words: np.ndarray, ns: np.ndarray):
     """Set bit n & 63 of words[n >> 6] for each n of ns, which are distinct.
 
     Distinct n set distinct bits, so adding each bit sets it: np.add.at is
     several times faster than np.bitwise_or.at.
     """
-    for lo in range(0, ns.size, _BITS_BATCH):
-        n = ns[lo:lo + _BITS_BATCH]
+    for lo in range(0, ns.size, _BATCH):
+        n = ns[lo:lo + _BATCH]
         np.add.at(words, n >> 6, np.left_shift(np.uint64(1), (n & 63).astype(np.uint64)))
-
-
-def bitmap_positions(words: np.ndarray) -> np.ndarray:
-    """The set bits of a bitmap over 0..64*len(words)-1, ascending int32."""
-    out = np.empty(int(np.bitwise_count(words).sum(dtype=np.int64)), dtype=np.int32)
-    at = 0
-    for lo in range(0, words.size, _UNPACK_WORDS):
-        # byte j of a little-endian word holds its bits 8j..8j+7
-        chunk = words[lo:lo + _UNPACK_WORDS].astype("<u8", copy=False).view(np.uint8)
-        hit = np.flatnonzero(np.unpackbits(chunk, bitorder="little"))
-        hit += 64 * lo
-        out[at:at + hit.size] = hit
-        at += hit.size
-    return out
 
 
 def _check_query(table: SieveTable, x: int, y: int):

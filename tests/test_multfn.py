@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from smoothap.errors import OracleError, RangeError
 from smoothap.multfn import (check_class_c, completely_multiplicative,
                              dirichlet_inverse, evaluate, from_prime_powers,
                              get_support, lambda_f, restrict_smooth, values_array)
-from smoothap.sieve import psi, primes_upto
+from smoothap.sieve import SieveTable, psi, primes_upto
 
 
 def convolution(fv, gv, N):
@@ -144,7 +146,7 @@ JOIN_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("x", [0, 1, 2, 63, 64, 65, 2000, 250_000])
+@pytest.mark.parametrize("x", [0, 1, 2, 63, 64, 65, 2000, 65535, 65536, 65537, 250_000])
 @pytest.mark.parametrize("f", JOIN_SPECS, ids=spec_id)
 def test_support_values_bitwise_equals_join_oracle(table_1e6, f, x):
     # placing the values by rank gives the sorted join of the pieces
@@ -165,6 +167,33 @@ def test_support_values_rejects_an_oracle_that_changes_between_walks(table_1e6):
 
     with pytest.raises(OracleError):
         multfn._support_values(multfn.MultFnSpec("fickle", fickle, 50), table_1e6, 100_000)
+
+
+def test_support_values_rejects_a_second_walk_of_the_same_size(table_1e6):
+    # 66 of the 50-smooth n <= 100,000 have 37^2 || n and 66 have 2^9 || n:
+    # f(37^2) vanishes on the first walk only, f(2^9) on the second only
+    calls = {}
+
+    def swap(p, k):
+        calls[p, k] = calls.get((p, k), 0) + 1
+        return 0.0 if (p, k) == ((37, 2) if calls[p, k] == 1 else (2, 9)) else 1.0
+
+    with pytest.raises(OracleError, match="swap: the oracle gave another support"):
+        multfn._support_values(multfn.MultFnSpec("swap", swap, 50), table_1e6, 100_000)
+
+
+def test_unbounded_support_peak_bytes_per_point():
+    # f with no smoothness bound: every n <= x is walked, most of them in the
+    # batched large-prime step, whose temporaries sit next to the values
+    x = 250_000
+    table, f = SieveTable(x), multfn.random_unit_circle(0)
+    tracemalloc.start()
+    try:
+        ns, _ = get_support(f, table, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * ns.size, peak / ns.size
 
 
 def largest_prime_first_product(f, n):

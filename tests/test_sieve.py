@@ -38,6 +38,7 @@ def test_psi_walk_matches_lpf_count(table_1e6, x):
 
 @pytest.mark.parametrize("x, y", [(0, 2), (1, 2), (16, 3), (16, 4), (16, 5),
                                   (10**4, 7), (10**4, 100), (10**4, 10**4),
+                                  (65535, 40), (65536, 257), (65537, 65537),
                                   (10**5, 316), (10**5, 317), (10**6, 10**6)])
 def test_smooth_pieces_and_prefix_match_lpf(table_1e6, x, y):
     mask = oracles.lpf_sieve(10**6)[: x + 1] <= y
