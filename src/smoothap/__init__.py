@@ -17,13 +17,12 @@ from .characters import (CharacterFamily, DirichletCharacter, decompose,
                          principal_character, trivial_character)
 from .multfn import (ClassCCertificate, MultFnSpec, check_class_c,
                      dirichlet_inverse, evaluate, lambda_f, restrict_smooth)
-from .discrepancy import (DiscrepancyRecord, ExceptionalSet, beta_stats,
-                          bv_average, character_sum, delta, delta_A, delta_xi,
+from .discrepancy import (DiscrepancyRecord, ExceptionalSet, bv_average,
+                          character_sum, delta, delta_A, delta_xi,
                           u_kernel_chardef_row, u_kernel_moebius,
                           u_kernel_moebius_row,
                           verify_transfer_identity)
 from .large_sieve import (EtaClass, SieveExperiment, classify_eta,
-                          detect_exceptional, exceptional_counts, ls_dual,
-                          ls_primal)
+                          detect_exceptional, ls_dual, ls_primal)
 
 __version__ = "0.1.0"

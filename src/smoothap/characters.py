@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import euler_phi, factorize, unit_mask
+from .arith import factorize, unit_mask
 from .errors import DomainError
 
 MODULUS_CAP = 1_000_000  # dlog tables are O(q); raise deliberately if needed
@@ -75,7 +75,6 @@ class UnitGroup:
         for p, e in factorize(q):
             self.components.extend(self._local(p, e))
         self.M = math.lcm(*(c.order for c in self.components)) if self.components else 1
-        self.phi = euler_phi(q)
         self.unit_mask = unit_mask(q)
         self.unit_mask.setflags(write=False)
 

@@ -18,13 +18,12 @@ import sys
 import numpy as np
 
 from . import multfn
-from .characters import family_A, trivial_character
+from .characters import enumerate_characters, family_A, trivial_character
 from .discrepancy import (ExceptionalSet, bv_average, discrepancy_record,
                           u_kernel_chardef_row, u_kernel_moebius_row,
                           verify_transfer_identity)
 from .errors import DomainError, OracleError, RangeError, SizingError
-from .large_sieve import (context_bound, detect_exceptional, exceptional_counts,
-                          ls_primal, modulus_range_Q)
+from .large_sieve import context_bound, detect_exceptional, ls_primal, modulus_range_Q
 from .multfn import dirichlet_inverse, values_array
 from .reports import (DECAY_COLUMNS, DISCREPANCY_COLUMNS, EXCEPTIONAL_COLUMNS,
                       IDENTITY_COLUMNS, PSI_COLUMNS, SIEVE_COLUMNS,
@@ -41,7 +40,7 @@ def _int(text: str, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {text!r}") from None
 
 
-def _parse_function(name: str, y: int, f_seed: int, families=None):
+def _parse_function(name: str, y: int, f_seed: int):
     if name == "smooth-indicator":
         return multfn.smooth_indicator(y)
     if name == "moebius-smooth":
@@ -54,11 +53,10 @@ def _parse_function(name: str, y: int, f_seed: int, families=None):
             raise DomainError(f"expected twist:<conductor>:<rank>, got {name!r}")
         r = _int(fields[1], "twist conductor")
         rank = _int(fields[2], "twist rank")
-        fam = families if families is not None else family_A(r)
-        for chi in fam.members:
-            if chi.q == r and chi.rank == rank:
-                return multfn.character_twist(chi, y)
-        raise DomainError(f"no primitive character mod {r} with rank {rank}")
+        chars = enumerate_characters(r)
+        if not (0 <= rank < len(chars) and chars[rank].primitive):
+            raise DomainError(f"no primitive character mod {r} with rank {rank}")
+        return multfn.character_twist(chars[rank], y)
     raise DomainError(f"unknown function spec {name!r}")
 
 
@@ -173,7 +171,6 @@ def cmd_large_sieve(args):
             raise DomainError(f"unknown coefficient family {args.coeffs!r}")
         exp = ls_primal(args.x, args.y, args.Q, a, args.weight_mode, table,
                         families, threads=args.threads)
-        exp.trial = trial
         best = max(best, exp.ratio)
         rows.append({"trial": trial, "x": exp.x, "y": exp.y, "Q": exp.Q,
                      "weight_mode": exp.weight_mode, "lhs": exp.lhs,
@@ -190,10 +187,10 @@ def cmd_large_sieve(args):
 def cmd_exceptional(args):
     table = SieveTable(args.x)
     families = family_A(args.Q)
-    f = _parse_function(args.f, args.y, args.f_seed, families)
+    f = _parse_function(args.f, args.y, args.f_seed)
     found = detect_exceptional(f, args.x, args.y, args.Q, args.B, args.eps,
                                table, families, threads=args.threads)
-    count, weighted = exceptional_counts(found)
+    count, weighted = len(found.members), found.weighted_count
     bound = context_bound(args.x, args.B)
     rows = []
     for kind, wits in (("member", found.members), ("near_miss", found.near_misses)):
@@ -249,6 +246,11 @@ def _dirichlet_convolution(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
 
 
 def cmd_verify_identities(args):
+    if args.qmax < 1:
+        raise DomainError(f"need --qmax >= 1, got {args.qmax}")
+    if args.tuples > 0 and args.xmax < 50:
+        raise DomainError(f"the transfer tuples draw x from 50..xmax, so need --xmax >= 50, "
+                          f"got {args.xmax}")
     table = SieveTable(args.xmax)
     rng = random.Random(args.seed)
     rows = []

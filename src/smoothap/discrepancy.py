@@ -104,11 +104,6 @@ class ExceptionalSet:
         return weighted
 
 
-def beta_stats(xi: ExceptionalSet) -> tuple[Fraction, float]:
-    """(beta, weighted) = (sum 1/r_psi exactly, sum 1/sqrt(r_psi)) over members."""
-    return xi.beta, xi.weighted_count
-
-
 # ---------------------------------------------------------------------------
 # residue-wise summation helpers
 

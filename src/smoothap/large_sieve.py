@@ -13,6 +13,7 @@ over scales.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +38,6 @@ class SieveExperiment:
     weight_mode: str  # "unweighted" | "sqrt"
     lhs: float
     rhs: float
-    trial: int = 0
 
     @property
     def ratio(self) -> float:
@@ -53,7 +53,54 @@ def modulus_range_Q(x: int, y: int, c: float = 0.2, weighted: bool = False) -> i
     """
     if weighted:
         return max(1, int(x**c))
+    if x < 2:
+        raise DomainError(f"the unweighted range takes log log x, so needs x >= 2, got {x}")
     return max(1, int(min(y**c, math.exp(c * math.log(x) / math.log(math.log(x))))))
+
+
+def _by_modulus(chars: list[DirichletCharacter]) -> list[list[DirichletCharacter]]:
+    """The runs of equal modulus in chars (one run per modulus in family order)."""
+    return [list(run) for _, run in itertools.groupby(chars, key=lambda chi: chi.q)]
+
+
+def _character_sums(ns: np.ndarray, a: np.ndarray, groups: list[list[DirichletCharacter]],
+                    threads: int = 1) -> np.ndarray:
+    """(M a)_chi = sum_i a[i] chi(ns[i]) over the characters of groups (`_by_modulus`).
+
+    Each modulus costs one `residue_sums` pass over ns and one length-q dot
+    product per character; the moduli are fanned out over `ordered_map`.
+    """
+    def modulus_sums(chars):
+        rs = residue_sums(ns, a, chars[0].q)
+        return [complex((chi.complex_table() * rs).sum()) for chi in chars]
+
+    rows = ordered_map(modulus_sums, groups, threads)
+    return np.array([S for row in rows for S in row], dtype=np.complex128)
+
+
+def _character_combination(ns: np.ndarray, b: np.ndarray,
+                           groups: list[list[DirichletCharacter]]) -> np.ndarray:
+    """(M^T b)_i = sum_chi b_chi chi(ns[i]), the transpose of `_character_sums`.
+
+    b is indexed by the characters of groups in order.  Each modulus builds
+    one length-q row sum_chi b_chi chi(r) and gathers it once at ns mod q.
+    """
+    out = np.zeros(ns.size, dtype=np.complex128)
+    coefs = iter(b)
+    for chars in groups:  # zip stops at the end of chars, taking one coef per chi
+        row = sum(coef * chi.complex_table() for chi, coef in zip(chars, coefs))
+        out += row[residues(ns, chars[0].q)]
+    return out
+
+
+def _nonzero_coefficients(v: np.ndarray, n: int, what: str) -> np.ndarray:
+    """v as a complex vector of length n with some nonzero entry, else DomainError."""
+    v = np.asarray(v, dtype=np.complex128)
+    if v.shape != (n,):
+        raise DomainError(f"need one coefficient per {what} ({n}), got shape {v.shape}")
+    if not np.any(v):
+        raise DomainError("all coefficients are zero, so the ratio is undefined")
+    return v
 
 
 def ls_primal(x: int, y: int, Q: int, a: np.ndarray, weight_mode: str,
@@ -65,29 +112,18 @@ def ls_primal(x: int, y: int, Q: int, a: np.ndarray, weight_mode: str,
     (`smooth_numbers`), so a has length Psi(x,y) and no other support.
     """
     ns = smooth_numbers(table, x, y)
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape != ns.shape:
-        raise DomainError(f"need one coefficient per y-smooth n <= x ({ns.size}), "
-                          f"got shape {a.shape}")
+    a = _nonzero_coefficients(a, ns.size, "y-smooth n <= x")
     if families.D < Q:
         raise DomainError(f"family covers conductors <= {families.D}, need {Q}")
-    members = families.up_to(Q)
-    moduli = sorted({chi.q for chi in members})
-
-    def modulus_term(q: int) -> float:
-        rs = residue_sums(ns, a, q)
-        w = 1.0 if weight_mode == "unweighted" else 1.0 / math.sqrt(q)
-        sub = 0.0
-        for chi in members:
-            if chi.q == q:
-                T = complex((chi.complex_table() * rs).sum())
-                sub += w * (T.real * T.real + T.imag * T.imag)
-        return sub
-
-    terms = ordered_map(modulus_term, moduli, threads)
+    groups = _by_modulus(families.up_to(Q))
+    sums = iter(_character_sums(ns, a, groups, threads).tolist())
     lhs = 0.0
-    for t in terms:
-        lhs += t
+    for chars in groups:
+        w = 1.0 if weight_mode == "unweighted" else 1.0 / math.sqrt(chars[0].q)
+        sub = 0.0
+        for T in itertools.islice(sums, len(chars)):
+            sub += w * (T.real * T.real + T.imag * T.imag)
+        lhs += sub
     rhs = float(ns.size) * float(np.sum(np.abs(a) ** 2))
     return SieveExperiment(x, y, Q, weight_mode, lhs, rhs)
 
@@ -99,14 +135,9 @@ def ls_dual(x: int, y: int, Q: int, b: np.ndarray, table: SieveTable,
     b is indexed by families.up_to(Q) in family order.
     """
     members = families.up_to(Q)
-    b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (len(members),):
-        raise DomainError(f"need one coefficient per primitive character ({len(members)})")
+    b = _nonzero_coefficients(b, len(members), "primitive character")
     ns = smooth_numbers(table, x, y)
-    G = np.zeros(ns.size, dtype=np.complex128)
-    for coef, chi in zip(b, members):
-        if coef != 0:
-            G += coef * chi.complex_table()[residues(ns, chi.q)]
+    G = _character_combination(ns, b, _by_modulus(members))
     lhs = float(np.sum(np.abs(G) ** 2))
     rhs = float(ns.size) * float(np.sum(np.abs(b) ** 2))
     return SieveExperiment(x, y, Q, "unweighted", lhs, rhs)
@@ -117,48 +148,29 @@ def max_ratio_power_iteration(x: int, y: int, Q: int, table: SieveTable,
                               iters: int = 200, seed: int = 0) -> float:
     """Largest primal (or dual) ratio via power iteration on the Gram operator.
 
-    Both sides share their singular values, so the two estimates must agree;
-    running them independently makes that an actual check rather than a
-    tautology.
+    With M the characters-by-smooth-n matrix (`_character_sums`, and
+    `_character_combination` for M^T), the primal side iterates M^H M and
+    the dual side conj(M) M^T: the side only picks the order.  The two share
+    their nonzero eigenvalues, so running them independently makes their
+    agreement an actual check rather than a tautology.
     """
     members = families.up_to(Q)
-    smooth_n = smooth_numbers(table, x, y)
-    tables = [chi.complex_table()[residues(smooth_n, chi.q)] for chi in members]
-    Psi = float(smooth_n.size)
-    rng = np.random.RandomState(seed)
-
-    def forward(v):  # (M v)_chi = sum_n chi(n) v_n over smooth n
-        return np.array([(tab * v).sum() for tab in tables])
-
-    def adjoint(w):  # (M^H w)_n = sum_chi conj(chi(n)) w_chi
-        out = np.zeros(smooth_n.size, dtype=np.complex128)
-        for wc, tab in zip(w, tables):
-            out += wc * np.conj(tab)
-        return out
-
+    groups = _by_modulus(members)
+    ns = smooth_numbers(table, x, y)
     if side == "primal":
-        v = rng.standard_normal(smooth_n.size) + 1j * rng.standard_normal(smooth_n.size)
-        v /= np.linalg.norm(v)
-        for _ in range(iters):
-            u = adjoint(forward(v))
-            v = u / np.linalg.norm(u)
-        w = forward(v)
-        return float(np.vdot(w, w).real / np.vdot(v, v).real / Psi)
-    if side == "dual":
-        v = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
-        v /= np.linalg.norm(v)
-        for _ in range(iters):
-            # dual operator N = M^T: (N v)_n = sum_chi chi(n) v_chi
-            u = np.zeros(smooth_n.size, dtype=np.complex128)
-            for vc, tab in zip(v, tables):
-                u += vc * tab
-            w = np.array([(np.conj(tab) * u).sum() for tab in tables])
-            v = w / np.linalg.norm(w)
-        u = np.zeros(smooth_n.size, dtype=np.complex128)
-        for vc, tab in zip(v, tables):
-            u += vc * tab
-        return float(np.vdot(u, u).real / np.vdot(v, v).real / Psi)
-    raise DomainError(f"side must be 'primal' or 'dual', got {side!r}")
+        first, second, size = _character_sums, _character_combination, ns.size
+    elif side == "dual":
+        first, second, size = _character_combination, _character_sums, len(members)
+    else:
+        raise DomainError(f"side must be 'primal' or 'dual', got {side!r}")
+    rng = np.random.RandomState(seed)
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        u = np.conj(second(ns, np.conj(first(ns, v, groups)), groups))
+        v = u / np.linalg.norm(u)
+    w = first(ns, v, groups)
+    return float(np.vdot(w, w).real / np.vdot(v, v).real / float(ns.size))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +188,8 @@ class EtaClass:
 
 
 def classify_eta(x: int, y: int, Q: int, table: SieveTable,
-                 families: CharacterFamily | None = None, levels: int = 16,
-                 threads: int = 1) -> list[EtaClass]:
+                 families: CharacterFamily | None = None,
+                 levels: int = 16) -> list[EtaClass]:
     """Assign every non-principal character mod q <= Q^2 to its dyadic class.
 
     Characters whose smooth character sum is <= Psi * 2^-levels fall in no
@@ -187,42 +199,23 @@ def classify_eta(x: int, y: int, Q: int, table: SieveTable,
     """
     if families is not None and families.D < Q * Q:
         raise DomainError(f"family covers conductors <= {families.D}, need {Q * Q}")
-    canonical = {}
-    if families is not None:
-        canonical = {chi: chi for chi in families.members}
+    canonical = {chi: chi for chi in families.members} if families is not None else {}
     ns = smooth_numbers(table, x, y)
     Psi = float(ns.size)
-
-    def class_rows(q: int):
-        counts = np.bincount(residues(ns, q), minlength=q).astype(float)
-        rows = []
-        for chi in enumerate_characters(q):
-            if chi.is_principal:
-                continue
-            S = abs(complex((chi.complex_table() * counts).sum()))
-            k, thr = 1, Psi / 2.0
-            while S <= thr and k <= levels:
-                k += 1
-                thr /= 2.0
-            if k <= levels:  # S > Psi*2^-k and S <= Psi*2^-(k-1)
-                rows.append((k, chi, S))
-        return rows
-
-    all_rows = ordered_map(class_rows, range(1, Q * Q + 1), threads)
+    chars = [chi for q in range(1, Q * Q + 1) for chi in enumerate_characters(q)
+             if not chi.is_principal]
+    sums = _character_sums(ns, np.ones(ns.size, dtype=np.complex128), _by_modulus(chars))
     classes = [EtaClass(eta=2.0 ** -(k + 1)) for k in range(levels)]
-    for rows in all_rows:
-        for k, chi, S in rows:
-            cl = classes[k - 1]
-            cl.members.append(chi)
-            cl.sums.append(S)
-    for cl in classes:
-        seen = set()
-        for chi in cl.members:
-            psi0 = decompose(chi)
-            psi0 = canonical.get(psi0, psi0)
-            if psi0 not in seen:
-                seen.add(psi0)
-                cl.xi_star.append(psi0)
+    for chi, S in zip(chars, np.abs(sums).tolist()):
+        k, thr = 1, Psi / 2.0
+        while S <= thr and k <= levels:
+            k += 1
+            thr /= 2.0
+        if k <= levels:  # S > Psi*2^-k and S <= Psi*2^-(k-1)
+            classes[k - 1].members.append(chi)
+            classes[k - 1].sums.append(S)
+    for cl in classes:  # distinct inducing characters, in order of first appearance
+        cl.xi_star = list(dict.fromkeys(canonical.get(p, p) for p in map(decompose, cl.members)))
     return classes
 
 
@@ -232,8 +225,16 @@ def classify_eta(x: int, y: int, Q: int, table: SieveTable,
 
 def detection_scale(x: int, y: int, B: float) -> float:
     """T = (u log u)^4 (log x)^B with u = log x/log y; u log u floored at 1."""
+    if y < 2:
+        raise DomainError(f"need y >= 2, got {y}")
     u = math.log(x) / math.log(y)
-    return max(u * math.log(u), 1.0) ** 4 * math.log(x) ** B if u > 1 else math.log(x) ** B
+    try:
+        T = max(u * math.log(u), 1.0) ** 4 * math.log(x) ** B if u > 1 else math.log(x) ** B
+    except OverflowError:
+        T = math.inf
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T = {T} at x={x}, y={y}, B={B} is not a positive finite float")
+    return T
 
 
 def refine_grid(grid: list[int], smooth: np.ndarray, T: float) -> list[int]:
@@ -311,11 +312,9 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
     return out
 
 
-def exceptional_counts(set_b: ExceptionalSet) -> tuple[int, float]:
-    """(|Xi(B)|, sum over members of conductor^{-1/2})."""
-    return len(set_b.members), set_b.weighted_count
-
-
 def context_bound(x: int, B: float) -> float:
     """(log x)^{3B+13}: the theoretical ceiling reported alongside counts."""
-    return math.log(x) ** (3 * B + 13)
+    try:
+        return math.log(x) ** (3 * B + 13)
+    except OverflowError:
+        raise DomainError(f"(log x)^(3B+13) overflows a float at x={x}, B={B}") from None

@@ -129,6 +129,11 @@ def bincount_residue_sums(ns, vs, q):
             + 1j * np.bincount(res, weights=vs.imag, minlength=q))
 
 
+def dense_character_matrix(ns, chars):
+    """M[j, i] = chars[j](ns[i]): one gather of the complex table per character."""
+    return np.array([chi.complex_table()[ns % chi.q] for chi in chars])
+
+
 # ---------------------------------------------------------------------------
 # characters by exhaustive homomorphism search (tiny q only)
 

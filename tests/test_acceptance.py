@@ -23,7 +23,7 @@ from smoothap.discrepancy import (ExceptionalSet, bv_average,
                                   u_kernel_chardef_row, u_kernel_moebius,
                                   verify_transfer_identity)
 from smoothap.large_sieve import (context_bound, detect_exceptional,
-                                  detection_scale, exceptional_counts, ls_dual,
+                                  detection_scale, ls_dual,
                                   ls_primal, max_ratio_power_iteration)
 from smoothap.multfn import check_class_c, dirichlet_inverse, values_array
 from smoothap.sieve import alpha_saddle, psi, smooth_numbers
@@ -287,7 +287,7 @@ def test_criterion_7_exceptional_detection_suite(table_1e4, golden_dir):
             assert (chi.q, chi.rank) in got
     assert any(w.character.q == 1 for w in found.members)  # trivial character present
 
-    count, weighted = exceptional_counts(found)
+    count, weighted = len(found.members), found.weighted_count
     pin_golden(golden_dir, "exceptional_count_10000_50_20_B1", float(count), tol=0.0)
     pin_golden(golden_dir, "exceptional_weighted_10000_50_20_B1", weighted,
                tol=1e-9 * (1 + weighted))

@@ -212,11 +212,25 @@ def test_usage_error_exit_2(tmp_path, capsys):
              delta + ["twist:5"], delta + ["twist:abc"], delta + ["twist:7:1:2"],
              delta + ["twist:7:x"],
              ["bv-average", "--x", "100", "--y", "5", "--Q", "3", "--xi", "A:x"],
-             ["bv-average", "--xs", "1000,zz", "--y", "5", "--Q", "3"]]
+             ["bv-average", "--xs", "1000,zz", "--y", "5", "--Q", "3"],
+             # inputs that ended in a traceback (exit 1) before they were checked
+             ["large-sieve", "--x", "1", "--y", "2"],
+             ["exceptional", "--x", "100", "--y", "1", "--Q", "5"],
+             ["exceptional", "--x", "100", "--y", "5", "--Q", "3", "--B", "400"],
+             ["verify-identities", "--qmax", "0"],
+             ["verify-identities", "--xmax", "10"]]
     for args in cases:
         assert run_cli(args, tmp_path) == 2, args
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["type"] == "DomainError" and err["error"], args
+
+
+def test_exceptional_twist_outside_the_scanned_family(tmp_path):
+    # twist:R:RANK reads character RANK mod R, whatever the conductors scanned
+    assert run_cli(["exceptional", "--x", "5000", "--y", "20", "--Q", "5",
+                    "--f", "twist:7:1"], tmp_path) == 0
+    doc = json.loads((tmp_path / "exceptional.json").read_text())
+    assert doc["config"]["f_record"]["label"] == "twist[q=7,rank=1,y=20]"
 
 
 def test_seed0_reports_match_pinned_digests(tmp_path):

@@ -11,7 +11,7 @@ from smoothap import multfn
 from smoothap.arith import euler_phi, factorize, residues, unit_mask
 from smoothap.characters import (enumerate_characters, family_A, induce,
                                  trivial_character)
-from smoothap.discrepancy import (ExceptionalSet, _record, beta_stats, bv_average,
+from smoothap.discrepancy import (ExceptionalSet, _record, bv_average,
                                   character_sum, delta, delta_A, delta_xi,
                                   discrepancy_record, residue_sums,
                                   u_kernel_chardef_row, u_kernel_moebius,
@@ -450,15 +450,12 @@ def test_transfer_identity_randomized(table_1e4):
 
 
 def test_beta_stats():
-    assert beta_stats(XI_EMPTY) == (0, 0.0)
-    b, w = beta_stats(XI_TRIVIAL)
-    assert b == 1 and w == 1.0
+    assert (XI_EMPTY.beta, XI_EMPTY.weighted_count) == (0, 0.0)
+    assert XI_TRIVIAL.beta == 1 and XI_TRIVIAL.weighted_count == 1.0
     psi3 = [c for c in enumerate_characters(3) if c.primitive][0]
     xi = ExceptionalSet.from_characters([trivial_character(), psi3])
-    b, w = beta_stats(xi)
-    assert b == Fraction(4, 3)
-    assert w == pytest.approx(1 + 3 ** -0.5)
-    assert xi.beta == b and xi.weighted_count == w  # recomputable from members
+    assert xi.beta == Fraction(4, 3)
+    assert xi.weighted_count == pytest.approx(1 + 3 ** -0.5)
 
 
 def test_induced_sum_convolution_identity(table_1e4):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from smoothap import multfn
 from smoothap.characters import decompose, enumerate_characters, family_A
 from smoothap.discrepancy import character_sum
 from smoothap.errors import DomainError
-from smoothap.large_sieve import (classify_eta, context_bound, detect_exceptional,
-                                  detection_scale, exceptional_counts, ls_dual,
-                                  ls_primal, max_ratio_power_iteration, refine_grid,
-                                  modulus_range_Q)
+from smoothap.large_sieve import (_by_modulus, _character_combination, _character_sums,
+                                  classify_eta, context_bound, detect_exceptional,
+                                  detection_scale, ls_dual, ls_primal,
+                                  max_ratio_power_iteration, refine_grid, modulus_range_Q)
 from smoothap.multfn import values_array
 from smoothap.sieve import dyadic_partition, psi, smooth_numbers
 
@@ -89,6 +90,65 @@ def test_primal_dual_norms_agree(table_1e4):
         r1 = max_ratio_power_iteration(x, y, Q, table_1e4, fam, "primal", iters=200, seed=1)
         r2 = max_ratio_power_iteration(x, y, Q, table_1e4, fam, "dual", iters=200, seed=2)
         assert abs(r1 - r2) <= 1e-4
+
+
+CHARACTER_SUM_GRID = ((10**4, 20, 1), (5000, 50, 12), (3000, 7, 9))
+
+
+@pytest.mark.parametrize("x,y,Q", CHARACTER_SUM_GRID)
+def test_character_sums_and_combination_match_dense_gather(table_1e4, x, y, Q):
+    ns = smooth_numbers(table_1e4, x, y)
+    members = family_A(Q).members
+    M = oracles.dense_character_matrix(ns, members)
+    rng = np.random.RandomState(x + Q)
+    a = rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)
+    b = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
+    groups = _by_modulus(members)
+    for got, want in ((_character_sums(ns, a, groups), M @ a),
+                      (_character_sums(ns, a, groups, threads=2), M @ a),
+                      (_character_combination(ns, b, groups), M.T @ b)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("x,y,Q", CHARACTER_SUM_GRID)
+def test_character_combination_is_the_transpose(table_1e4, x, y, Q):
+    # sum_chi b_chi (M a)_chi = sum_n a_n (M^T b)_n, a bilinear form (no conjugate)
+    ns = smooth_numbers(table_1e4, x, y)
+    members = family_A(Q).members
+    groups = _by_modulus(members)
+    rng = np.random.RandomState(Q)
+    a = rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)
+    b = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
+    lhs = np.sum(b * _character_sums(ns, a, groups))
+    rhs = np.sum(a * _character_combination(ns, b, groups))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_power_iteration_holds_no_characters_by_points_matrix(table_1e6):
+    # the dense route kept one complex row of length Psi per member (6.8 MB here)
+    x, y, Q = 10**5, 50, 15
+    fam = family_A(Q)
+    for chi in fam.members:
+        chi.complex_table()  # cached: not this call's memory
+    smooth_numbers(table_1e6, x, y)
+    tracemalloc.start()
+    try:
+        max_ratio_power_iteration(x, y, Q, table_1e6, fam, "primal", iters=3)
+        max_ratio_power_iteration(x, y, Q, table_1e6, fam, "dual", iters=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
+
+
+def test_all_zero_coefficients_are_a_domain_error(table_1e4):
+    fam = family_A(6)
+    P = psi(table_1e4, 2000, 20)
+    with pytest.raises(DomainError):
+        ls_primal(2000, 20, 6, np.zeros(P), "unweighted", table_1e4, fam)
+    with pytest.raises(DomainError):
+        ls_dual(2000, 20, 6, np.zeros(len(fam.up_to(6))), table_1e4, fam)
 
 
 def test_modulus_range_Q_modes():
@@ -264,9 +324,10 @@ def test_detect_exceptional_requires_smooth_support(table_1e4):
 def test_exceptional_counts(table_1e4):
     from smoothap.discrepancy import ExceptionalSet
     from smoothap.characters import trivial_character
-    assert exceptional_counts(ExceptionalSet(members=[])) == (0, 0.0)
+    empty = ExceptionalSet(members=[])
+    assert (len(empty.members), empty.weighted_count) == (0, 0.0)
     xi = ExceptionalSet.from_characters([trivial_character()])
-    assert exceptional_counts(xi) == (1, 1.0)
+    assert (len(xi.members), xi.weighted_count) == (1, 1.0)
     assert context_bound(10**4, 1.0) == pytest.approx(math.log(10**4) ** 16)
 
 
