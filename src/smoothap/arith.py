@@ -103,5 +103,11 @@ def residues(n: np.ndarray, q: int) -> np.ndarray:
 
 
 def unit_mask(q: int) -> np.ndarray:
-    """Boolean mask over the residues 0..q-1 of the units mod q ([True] at q = 1)."""
-    return np.gcd(np.arange(q), q) == 1
+    """Boolean mask over the residues 0..q-1 of the units mod q ([True] at q = 1).
+
+    Clears the multiples of each prime of q, with no gcd per residue.
+    """
+    mask = np.ones(q, dtype=bool)
+    for p, _ in factorize(q):
+        mask[::p] = False
+    return mask

@@ -27,8 +27,8 @@ from .large_sieve import context_bound, detect_exceptional, ls_primal, modulus_r
 from .multfn import dirichlet_inverse, values_array
 from .reports import (DECAY_COLUMNS, DISCREPANCY_COLUMNS, EXCEPTIONAL_COLUMNS,
                       IDENTITY_COLUMNS, PSI_COLUMNS, SIEVE_COLUMNS,
-                      _write_atomic, discrepancy_row, emit_report,
-                      fmt_number)
+                      atomic_files, discrepancy_row, emit_reports, fmt_number,
+                      write_json)
 from .sieve import SieveTable, psi, psi_coprime, psi_progression
 from .util import ordered_map
 
@@ -71,15 +71,7 @@ def _parse_xi(spec: str):
 
 
 def _emit(args, name: str, columns, rows, config, summary=None):
-    os.makedirs(args.out, exist_ok=True)
-    paths = []
-    if args.format in ("csv", "both"):
-        paths.append(emit_report(os.path.join(args.out, f"{name}.csv"),
-                                 "csv", columns, rows, config))
-    if args.format in ("json", "both"):
-        paths.append(emit_report(os.path.join(args.out, f"{name}.json"),
-                                 "json", columns, rows, config, summary))
-    for p in paths:
+    for p in emit_reports(args.out, name, args.format, columns, rows, config, summary):
         print(f"wrote {p}")
 
 
@@ -123,7 +115,6 @@ def cmd_bv_average(args):
     xi = _parse_xi(args.xi)
     table = SieveTable(max(xs))
     decay_rows = []
-    records_rows = []
     config = {"command": "bv-average", "x": args.x, "xs": args.xs, "y": args.y,
               "Q": args.Q, "a1": args.a1, "a2": args.a2, "xi": args.xi,
               "f": args.f, "f_seed": args.f_seed,
@@ -140,17 +131,17 @@ def cmd_bv_average(args):
               f"psi={psi_x} normalized={fmt_number(normalized)}")
         decay_rows.append({"x": x, "y": y, "Q": Q, "total": total,
                            "psi": psi_x, "normalized": normalized})
-        if len(xs) == 1:
-            records_rows = [discrepancy_row(r) for r in records]
     if len(xs) == 1:
-        summary = {k: v for k, v in decay_rows[0].items()}
-        _emit(args, "bv-average", DISCREPANCY_COLUMNS, records_rows, config, summary)
+        _emit(args, "bv-average", DISCREPANCY_COLUMNS, map(discrepancy_row, records),
+              config, summary=decay_rows[0])
     else:
         _emit(args, "bv-average-decay", DECAY_COLUMNS, decay_rows, config)
     return 0
 
 
 def cmd_large_sieve(args):
+    if args.trials < 1:
+        raise DomainError(f"need --trials >= 1, got {args.trials}")
     if args.Q is None:  # pick the range the inequality is stated for
         args.Q = modulus_range_Q(args.x, args.y, args.c,
                                  weighted=args.weight_mode == "sqrt")
@@ -185,19 +176,18 @@ def cmd_large_sieve(args):
 
 
 def cmd_exceptional(args):
+    bound = context_bound(args.x, args.B)
     table = SieveTable(args.x)
     families = family_A(args.Q)
     f = _parse_function(args.f, args.y, args.f_seed)
     found = detect_exceptional(f, args.x, args.y, args.Q, args.B, args.eps,
                                table, families, threads=args.threads)
     count, weighted = len(found.members), found.weighted_count
-    bound = context_bound(args.x, args.B)
-    rows = []
-    for kind, wits in (("member", found.members), ("near_miss", found.near_misses)):
-        for w in wits:
-            rows.append({"conductor": w.character.q, "chi_rank": w.character.rank,
-                         "witness_X": w.X, "witness_value": w.value,
-                         "threshold": w.threshold, "kind": kind})
+    rows = ({"conductor": w.character.q, "chi_rank": w.character.rank,
+             "witness_X": w.X, "witness_value": w.value,
+             "threshold": w.threshold, "kind": kind}
+            for kind, wits in (("member", found.members), ("near_miss", found.near_misses))
+            for w in wits)
     config = {"command": "exceptional", "x": args.x, "y": args.y, "Q": args.Q,
               "B": args.B, "eps": args.eps, "f": args.f, "f_seed": args.f_seed,
               "f_record": f.to_record()}
@@ -207,9 +197,9 @@ def cmd_exceptional(args):
           summary={"count": count, "weighted": weighted, "context_bound": bound})
     if args.format in ("json", "both"):
         path = os.path.join(args.out, "exceptional-characters.json")
-        doc = {"config": config,
-               "members": [w.character.to_record() for w in found.members]}
-        _write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        with atomic_files([path]) as (fh,):
+            write_json(fh, {"config": config}, "members",
+                       (w.character.to_record() for w in found.members))
         print(f"wrote {path}")
     return 0
 

@@ -4,12 +4,23 @@ Floats are printed as decimal strings with 12 significant digits in both
 formats; integers stay plain.  Every report embeds the resolved experiment
 configuration (execution details like thread counts and paths are not part
 of the configuration, so reruns at different parallelism are byte-identical).
+
+Reports are written in one pass over an iterator of rows: each value is
+formatted once, its CSV line and JSON record are written, and the row is
+dropped, so memory does not grow with the number of records.  The JSON text
+is byte for byte what `json.dumps(doc, sort_keys=True, indent=1)` gives for
+the whole document.  Every file is written under a `.tmp` name and renamed
+over the report only after the last row, so an error part-way leaves the
+old reports as they were.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=1)
 
 
 def fmt_number(v) -> str:
@@ -41,39 +52,89 @@ def discrepancy_row(rec) -> dict:
     }
 
 
-def emit_csv(path: str, columns: list[str], rows: list[dict], config: dict):
-    """CSV report: one '# config: {...}' comment line, header, then rows."""
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt_number(row[c]) for c in columns))
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _encode(value, level: int) -> str:
+    """`value` as json.dumps(..., sort_keys=True, indent=1) renders it nested
+    `level` deep: its own text with each newline followed by `level` spaces."""
+    return _ENCODER.encode(value).replace("\n", "\n" + " " * level)
 
 
-def emit_json(path: str, rows: list[dict], config: dict, summary: dict | None = None):
-    """JSON report: {"config": ..., "summary": ..., "records": [...]}."""
-    doc = {
-        "config": config,
-        "records": [{k: fmt_number(v) for k, v in row.items()} for row in rows],
-    }
+def write_json(fh, doc: dict, key: str, items) -> None:
+    """Write json.dumps({**doc, key: list(items)}, sort_keys=True, indent=1)
+    plus a newline to fh, one item of `items` at a time."""
+    head = "{\n "
+    for k in sorted({**doc, key: None}):
+        fh.write(head + _encode(k, 1) + ": ")
+        head = ",\n "
+        if k != key:
+            fh.write(_encode(doc[k], 1))
+            continue
+        sep = "[\n  "
+        for item in items:
+            fh.write(sep + _encode(item, 2))
+            sep = ",\n  "
+        fh.write("[]" if sep == "[\n  " else "\n ]")
+    fh.write("\n}\n")
+
+
+@contextlib.contextmanager
+def atomic_files(paths: list[str]):
+    """Text handles on `path + ".tmp"` for each path, renamed over the paths
+    when the block ends; an exception removes the .tmp files instead."""
+    tmps = [p + ".tmp" for p in paths]
+    handles = []
+    try:
+        for tmp in tmps:
+            handles.append(open(tmp, "w", encoding="utf-8", newline="\n"))
+        yield handles
+        for fh in handles:
+            fh.close()
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for fh, tmp in zip(handles, tmps):
+            fh.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+
+
+def emit_reports(out: str, name: str, fmt: str, columns: list[str], rows,
+                 config: dict, summary: dict | None = None) -> list[str]:
+    """Write `out/name.csv` and/or `out/name.json` (fmt "csv", "json" or
+    "both") from one pass over `rows`; returns the paths written.
+
+    CSV: one '# config: {...}' comment line, header, then one line per row.
+    JSON: {"config": ..., "records": [...], "summary": ...}, the summary
+    omitted when None.
+    """
+    if fmt not in ("csv", "json", "both"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    os.makedirs(out, exist_ok=True)
+    paths = [os.path.join(out, f"{name}.{ext}")
+             for ext in ("csv", "json") if fmt in (ext, "both")]
+    doc = {"config": config}
     if summary is not None:
         doc["summary"] = {k: fmt_number(v) for k, v in summary.items()}
-    _write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    with atomic_files(paths) as handles:
+        csv_fh = handles[0] if fmt != "json" else None
+        if csv_fh is not None:
+            csv_fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+            csv_fh.write(",".join(columns) + "\n")
+
+        def records():
+            for row in rows:
+                cells = {k: fmt_number(v) for k, v in row.items()}
+                if csv_fh is not None:
+                    csv_fh.write(",".join(cells[c] for c in columns) + "\n")
+                yield cells
+
+        if fmt == "csv":
+            for _ in records():
+                pass
+        else:
+            write_json(handles[-1], doc, "records", records())
+    return paths
 
 
-def emit_report(path: str, fmt: str, columns: list[str], rows: list[dict],
-                config: dict, summary: dict | None = None) -> str:
-    if fmt == "csv":
-        emit_csv(path, columns, rows, config)
-    elif fmt == "json":
-        emit_json(path, rows, config, summary)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    return path
-
-
-def _write_atomic(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+# the name under which perfbench/tracer.py times report writing
+emit_report = emit_reports

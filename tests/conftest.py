@@ -10,6 +10,18 @@ from smoothap.sieve import SieveTable
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+@pytest.fixture(autouse=True)
+def no_tmp_file_left(request):
+    """Fail a test that leaves a `*.tmp` file (a report never renamed) in its tmp_path."""
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")
+    yield
+    left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.tmp"))
+    assert not left, f"temporary files left behind: {left}"
+
+
 @pytest.fixture(scope="session")
 def table_1e4():
     return SieveTable(10**4)

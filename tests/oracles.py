@@ -12,10 +12,14 @@ exceptions are the kernel u_D(n; q) summed cell by cell from its definition
 (it induces each character with the package's `induce` and reads `cvalue`,
 the per-cell route that the one-gather row form must equal bit for bit),
 and the support joined from the package's `smooth_pieces` by one argsort,
-the route that the rank placement of `multfn.get_support` must equal.
+the route that the rank placement of `multfn.get_support` must equal.  The
+report texts at the end are formed whole, with the package's `fmt_number`,
+as one `"\n".join` and one `json.dumps`: the streaming writer must equal
+them byte for byte.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +28,7 @@ import numpy as np
 
 from smoothap.characters import DirichletCharacter, UnitGroup, induce
 from smoothap.errors import DomainError
+from smoothap.reports import fmt_number
 from smoothap.sieve import smooth_pieces
 
 
@@ -342,3 +347,30 @@ def alpha_saddle_highprec(x, y, digits=30):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+# ---------------------------------------------------------------------------
+# report texts formed whole
+
+
+def json_text(doc):
+    """A JSON report as one json.dumps of the whole document."""
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def csv_report_text(columns, rows, config):
+    """'# config: {...}', the header and one line per row, joined at the end."""
+    lines = ["# config: " + json.dumps(config, sort_keys=True)]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(fmt_number(row[c]) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def json_report_text(rows, config, summary=None):
+    """{"config", "records"[, "summary"]} with every value formatted, dumped whole."""
+    doc = {"config": config,
+           "records": [{k: fmt_number(v) for k, v in row.items()} for row in rows]}
+    if summary is not None:
+        doc["summary"] = {k: fmt_number(v) for k, v in summary.items()}
+    return json_text(doc)

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import smoothap
 import numpy as np
+import pytest
 
 import oracles
 from smoothap import characters, cli, discrepancy, multfn
 from smoothap.characters import family_A
 from smoothap.cli import _dirichlet_convolution, _kernel_worst, main
-from smoothap.reports import DISCREPANCY_COLUMNS, emit_report, fmt_number
+from smoothap.reports import DISCREPANCY_COLUMNS, emit_reports, fmt_number
 from smoothap.sieve import SieveTable
 
 
@@ -215,6 +216,8 @@ def test_usage_error_exit_2(tmp_path, capsys):
              ["bv-average", "--xs", "1000,zz", "--y", "5", "--Q", "3"],
              # inputs that ended in a traceback (exit 1) before they were checked
              ["large-sieve", "--x", "1", "--y", "2"],
+             # ran no trial and reported max_ratio 0 (exit 0)
+             ["large-sieve", "--x", "1000", "--y", "10", "--Q", "3", "--trials", "0"],
              ["exceptional", "--x", "100", "--y", "1", "--Q", "5"],
              ["exceptional", "--x", "100", "--y", "5", "--Q", "3", "--B", "400"],
              ["verify-identities", "--qmax", "0"],
@@ -223,6 +226,47 @@ def test_usage_error_exit_2(tmp_path, capsys):
         assert run_cli(args, tmp_path) == 2, args
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["type"] == "DomainError" and err["error"], args
+
+
+def test_exceptional_checks_context_bound_before_the_scan(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("detect_exceptional called")
+
+    monkeypatch.setattr(cli, "detect_exceptional", forbidden)
+    assert run_cli(["exceptional", "--x", "100", "--y", "5", "--Q", "3", "--B", "200"],
+                   tmp_path) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "DomainError" and "overflows" in err["error"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+def test_every_command_writes_the_whole_document_text(tmp_path, monkeypatch, fmt):
+    # each report equals the text formed whole from the rows the command
+    # streamed; exceptional-characters.json equals its own whole re-dump
+    calls = []
+
+    def recorded(out, name, fmt, columns, rows, config, summary=None):
+        rows = list(rows)
+        calls.append((name, columns, rows, config, summary))
+        return emit_reports(out, name, fmt, columns, rows, config, summary)
+
+    monkeypatch.setattr(cli, "emit_reports", recorded)
+    for cmd, args in EVERY_COMMAND.items():
+        calls.clear()
+        out = tmp_path / cmd
+        assert main(["--out", str(out), "--format", fmt, *args]) == 0, cmd
+        (name, columns, rows, config, summary), = calls
+        want = {}
+        if fmt in ("csv", "both"):
+            want[f"{name}.csv"] = oracles.csv_report_text(columns, rows, config)
+        if fmt in ("json", "both"):
+            want[f"{name}.json"] = oracles.json_report_text(rows, config, summary)
+            if cmd == "exceptional":
+                text = (out / "exceptional-characters.json").read_text(encoding="utf-8")
+                assert text == oracles.json_text(json.loads(text))
+                want["exceptional-characters.json"] = text
+        got = {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()}
+        assert got == want, (cmd, fmt)
 
 
 def test_exceptional_twist_outside_the_scanned_family(tmp_path):
@@ -306,9 +350,8 @@ def test_cli_determinism_across_runs_and_threads(tmp_path):
 
 
 def test_empty_record_list_gives_header_only_csv(tmp_path):
-    path = str(tmp_path / "empty.csv")
-    emit_report(path, "csv", ["a", "b"], [], {"command": "demo"})
-    lines = Path(path).read_text().splitlines()
+    emit_reports(str(tmp_path), "empty", "csv", ["a", "b"], [], {"command": "demo"})
+    lines = (tmp_path / "empty.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1] == "a,b"
 

@@ -333,6 +333,13 @@ def test_residues_equal_remainder():
             assert np.array_equal(got, nd % q)
 
 
+def test_unit_mask_equals_gcd_form():
+    for q in range(1, 5001):
+        want = np.gcd(np.arange(q), q) == 1
+        got = unit_mask(q)
+        assert got.dtype == bool and np.array_equal(got, want), q
+
+
 def test_residue_sums_bitwise_across_layouts(table_1e4):
     # the one np.add.at equals the two-bincount form bit for bit, for int32
     # and int64 positions, contiguous and strided values, signed zeros and
