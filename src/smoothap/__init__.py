@@ -10,8 +10,8 @@ Submodules:
     cli          the `smoothap` command-line entry point
 """
 
-from .sieve import (SieveTable, alpha_saddle, dyadic_partition, psi, psi_coprime,
-                    psi_progression, smooth_short_interval)
+from .sieve import (SmoothSet, alpha_saddle, dyadic_partition, psi, psi_coprime,
+                    psi_progression, smooth_numbers, smooth_short_interval)
 from .characters import (CharacterFamily, DirichletCharacter, decompose,
                          enumerate_characters, family_A, induce,
                          principal_character, trivial_character)

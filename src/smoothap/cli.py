@@ -22,14 +22,14 @@ from .characters import enumerate_characters, family_A, trivial_character
 from .discrepancy import (ExceptionalSet, bv_average, discrepancy_record,
                           u_kernel_chardef_row, u_kernel_moebius_row,
                           verify_transfer_identity)
-from .errors import DomainError, OracleError, RangeError, SizingError
+from .errors import DomainError, OracleError, SizingError
 from .large_sieve import context_bound, detect_exceptional, ls_primal, modulus_range_Q
 from .multfn import dirichlet_inverse, values_array
 from .reports import (DECAY_COLUMNS, DISCREPANCY_COLUMNS, EXCEPTIONAL_COLUMNS,
                       IDENTITY_COLUMNS, PSI_COLUMNS, SIEVE_COLUMNS,
                       atomic_files, discrepancy_row, emit_reports, fmt_number,
                       write_json)
-from .sieve import SieveTable, psi, psi_coprime, psi_progression
+from .sieve import _check_query, psi, psi_coprime, psi_progression, smooth_numbers
 from .util import ordered_map
 
 
@@ -70,25 +70,33 @@ def _parse_xi(spec: str):
     raise DomainError(f"unknown Xi spec {spec!r}")
 
 
+def _check_x(*xs: int):
+    """Each x >= 1 and within the cap, checked before a command builds anything."""
+    for x in xs:
+        if x < 1:
+            raise DomainError(f"x must be >= 1, got {x}")
+        _check_query(x)
+
+
 def _emit(args, name: str, columns, rows, config, summary=None):
     for p in emit_reports(args.out, name, args.format, columns, rows, config, summary):
         print(f"wrote {p}")
 
 
 def cmd_psi(args):
-    table = SieveTable(args.x)
+    _check_x(args.x)
     rows = []
     if args.q is None:
         rows.append({"kind": "psi", "x": args.x, "y": args.y, "q": "", "a": "",
-                     "count": psi(table, args.x, args.y)})
+                     "count": psi(args.x, args.y)})
     elif args.a is None:
         rows.append({"kind": "psi_coprime", "x": args.x, "y": args.y,
                      "q": args.q, "a": "",
-                     "count": psi_coprime(table, args.x, args.y, args.q)})
+                     "count": psi_coprime(args.x, args.y, args.q)})
     else:
         rows.append({"kind": "psi_progression", "x": args.x, "y": args.y,
                      "q": args.q, "a": args.a,
-                     "count": psi_progression(table, args.x, args.y, args.a, args.q)})
+                     "count": psi_progression(args.x, args.y, args.a, args.q)})
     config = {"command": "psi", "x": args.x, "y": args.y, "q": args.q, "a": args.a}
     for row in rows:
         print(f"{row['kind']} = {row['count']}")
@@ -97,9 +105,9 @@ def cmd_psi(args):
 
 
 def cmd_delta(args):
-    table = SieveTable(args.x)
+    _check_x(args.x)
     f = _parse_function(args.f, args.y, args.f_seed)
-    rec = discrepancy_record(f, args.x, args.q, args.a, 1, table)
+    rec = discrepancy_record(f, args.x, args.q, args.a, 1)
     rec.a1 %= rec.q  # the report names the residue class of a
     config = {"command": "delta", "x": args.x, "y": args.y, "q": args.q,
               "a": args.a, "f": args.f, "f_seed": args.f_seed}
@@ -113,7 +121,7 @@ def cmd_bv_average(args):
     if any(v is None for v in xs):
         raise DomainError("bv-average needs --x or --xs")
     xi = _parse_xi(args.xi)
-    table = SieveTable(max(xs))
+    _check_x(*xs)
     decay_rows = []
     config = {"command": "bv-average", "x": args.x, "xs": args.xs, "y": args.y,
               "Q": args.Q, "a1": args.a1, "a2": args.a2, "xi": args.xi,
@@ -123,9 +131,9 @@ def cmd_bv_average(args):
         y = args.y if args.y_rule == "fixed" else max(2, round(x ** (1.0 / 3)))
         Q = args.Q if args.Q is not None else int(x**args.Q_exp)
         f = _parse_function(args.f, y, args.f_seed)
-        total, records = bv_average(f, x, Q, args.a1, args.a2, xi, table,
+        total, records = bv_average(f, x, Q, args.a1, args.a2, xi,
                                     threads=args.threads)
-        psi_x = psi(table, x, y)
+        psi_x = psi(x, y)
         normalized = total / psi_x
         print(f"x={x} y={y} Q={Q} total={fmt_number(total)} "
               f"psi={psi_x} normalized={fmt_number(normalized)}")
@@ -145,9 +153,10 @@ def cmd_large_sieve(args):
     if args.Q is None:  # pick the range the inequality is stated for
         args.Q = modulus_range_Q(args.x, args.y, args.c,
                                  weighted=args.weight_mode == "sqrt")
-    table = SieveTable(args.x)
+    _check_x(args.x)
     families = family_A(args.Q)
-    Psi = psi(table, args.x, args.y)
+    smooth = smooth_numbers(args.x, args.y)  # built once: every trial reads it
+    Psi = len(smooth.ns)
     rows = []
     best = 0.0
     for trial in range(args.trials):
@@ -160,8 +169,9 @@ def cmd_large_sieve(args):
                          dtype=np.complex128)
         else:
             raise DomainError(f"unknown coefficient family {args.coeffs!r}")
-        exp = ls_primal(args.x, args.y, args.Q, a, args.weight_mode, table,
-                        families, threads=args.threads)
+        exp = ls_primal(smooth, args.Q, a, args.weight_mode, families,
+                        threads=args.threads)
+        del a  # before the next trial builds its own
         best = max(best, exp.ratio)
         rows.append({"trial": trial, "x": exp.x, "y": exp.y, "Q": exp.Q,
                      "weight_mode": exp.weight_mode, "lhs": exp.lhs,
@@ -176,12 +186,12 @@ def cmd_large_sieve(args):
 
 
 def cmd_exceptional(args):
+    _check_x(args.x)
     bound = context_bound(args.x, args.B)
-    table = SieveTable(args.x)
     families = family_A(args.Q)
     f = _parse_function(args.f, args.y, args.f_seed)
     found = detect_exceptional(f, args.x, args.y, args.Q, args.B, args.eps,
-                               table, families, threads=args.threads)
+                               families=families, threads=args.threads)
     count, weighted = len(found.members), found.weighted_count
     rows = ({"conductor": w.character.q, "chi_rank": w.character.rank,
              "witness_X": w.X, "witness_value": w.value,
@@ -241,7 +251,7 @@ def cmd_verify_identities(args):
     if args.tuples > 0 and args.xmax < 50:
         raise DomainError(f"the transfer tuples draw x from 50..xmax, so need --xmax >= 50, "
                           f"got {args.xmax}")
-    table = SieveTable(args.xmax)
+    _check_x(args.xmax)
     rng = random.Random(args.seed)
     rows = []
 
@@ -265,7 +275,7 @@ def cmd_verify_identities(args):
         D = rng.randrange(1, 11)
         f = multfn.random_unit_circle(seed=args.seed * 1009 + trial,
                                       smooth_bound=50)
-        chk = verify_transfer_identity(f, x, q, 1, 1, xi_triv, D, table)
+        chk = verify_transfer_identity(f, x, q, 1, 1, xi_triv, D)
         worst = max(worst, chk.residual / (1 + abs(chk.lhs)))
     add("transfer-identity", f"tuples={args.tuples}", worst, 1e-8)
 
@@ -274,8 +284,8 @@ def cmd_verify_identities(args):
     for trial in range(5):
         f = multfn.random_unit_circle(seed=1000 + trial)
         g = dirichlet_inverse(f, args.xmax)
-        fv = values_array(f, table, args.xmax)
-        gv = values_array(g, table, args.xmax)
+        fv = values_array(f, args.xmax)
+        gv = values_array(g, args.xmax)
         conv = _dirichlet_convolution(fv, gv)
         worst = max(worst, float(np.max(np.abs(conv[2:]))))
     add("dirichlet-inverse", f"n<={args.xmax}", worst, 1e-10)
@@ -370,7 +380,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, SizingError, RangeError, OracleError) as exc:
+    except (DomainError, SizingError, OracleError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}),
               file=sys.stderr)
         return 2

@@ -33,7 +33,6 @@ from .arith import (divisors, euler_phi, factorize, moebius, modinv, radical_mul
 from .characters import CharacterFamily, DirichletCharacter
 from .errors import DomainError
 from .multfn import MultFnSpec, dirichlet_inverse, evaluate, get_support
-from .sieve import SieveTable
 from .util import ordered_map
 
 
@@ -120,10 +119,9 @@ def residue_sums(ns: np.ndarray, vs: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def character_sum(f: MultFnSpec, X: int, chi: DirichletCharacter,
-                  table: SieveTable) -> complex:
+def character_sum(f: MultFnSpec, X: int, chi: DirichletCharacter) -> complex:
     """S_f(X, chi) = sum_{n<=X} f(n) * conj(chi(n))."""
-    rs = residue_sums(*get_support(f, table, X), chi.q)
+    rs = residue_sums(*get_support(f, x=X), chi.q)
     return complex((np.conj(chi.complex_table()) * rs).sum())
 
 
@@ -142,14 +140,18 @@ def _sum_induced(rs_units: np.ndarray, units: np.ndarray, psi: DirichletCharacte
 
 
 def discrepancy_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
-                       table: SieveTable, xi: ExceptionalSet | None = None,
+                       xi: ExceptionalSet | None = None,
                        D: int | None = None) -> DiscrepancyRecord:
     """Delta(f,x;q,a1*conj(a2)), plus Delta_Xi when xi is given and Delta_A when D is."""
+    _check_cell(q, a1, a2)
+    return _record(residue_sums(*get_support(f, x=x), q), q, a1, a2, xi, D)
+
+
+def _check_cell(q: int, a1: int, a2: int):
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     if math.gcd(a1 * a2, q) != 1:
         raise DomainError(f"need gcd(a1*a2, q) = 1, got a1={a1}, a2={a2}, q={q}")
-    return _record(residue_sums(*get_support(f, table, x), q), q, a1, a2, xi, D)
 
 
 def _record(rs: np.ndarray, q: int, a1: int, a2: int, xi: ExceptionalSet | None,
@@ -181,21 +183,20 @@ def _record(rs: np.ndarray, q: int, a1: int, a2: int, xi: ExceptionalSet | None,
     return rec
 
 
-def delta(f: MultFnSpec, x: int, q: int, a: int, table: SieveTable) -> complex:
+def delta(f: MultFnSpec, x: int, q: int, a: int) -> complex:
     """Delta(f,x;q,a): progression sum minus the coprime average."""
-    return discrepancy_record(f, x, q, a, 1, table).delta
+    return discrepancy_record(f, x, q, a, 1).delta
 
 
 def delta_xi(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
-             xi: ExceptionalSet, table: SieveTable) -> complex:
+             xi: ExceptionalSet) -> complex:
     """Delta_Xi(f,x;q,a1*conj(a2)): main terms only from characters induced by Xi."""
-    return discrepancy_record(f, x, q, a1, a2, table, xi=xi).delta_xi
+    return discrepancy_record(f, x, q, a1, a2, xi=xi).delta_xi
 
 
-def delta_A(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int,
-            table: SieveTable) -> complex:
+def delta_A(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int) -> complex:
     """Delta_A(f,x;q,a1*conj(a2)) = sum_{n<=x} f(n) u_D(n*conj(a1)*a2; q)."""
-    return discrepancy_record(f, x, q, a1, a2, table, D=D).delta_a
+    return discrepancy_record(f, x, q, a1, a2, D=D).delta_a
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +290,15 @@ def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
 
 
 def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
-               xi: ExceptionalSet, table: SieveTable,
+               xi: ExceptionalSet,
                threads: int = 1) -> tuple[float, list[DiscrepancyRecord]]:
     """sum_{q<=Q, gcd(q, a1*a2)=1} |Delta_Xi(f,x;q,a1*conj(a2))| plus the records.
 
     Work may fan out over q, but records and the total are always reduced
     in ascending q, so the result is independent of the schedule.
     """
-    if Q > x:
-        raise DomainError(f"need Q <= x, got Q={Q}, x={x}")
+    if not 1 <= Q <= x:  # Q < 1 would sum over no modulus
+        raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x}")
     qs = [q for q in range(1, Q + 1) if math.gcd(q, a1 * a2) == 1]
     # _record reads the residue sums only at the units mod q, and an n
     # with gcd(n, q) > 1 lands only in a non-unit bin.  So q passes only over
@@ -306,7 +307,7 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
     # same sequential sum as over the whole support.  The support itself is
     # the part for g = 1; each other part is built once and serves all its q
     # before the next one is built, so at most one copy is alive at a time.
-    ns, vs = get_support(f, table, x)
+    ns, vs = get_support(f, x=x)
     by_q = {}
     for g in sorted({math.gcd(q, 6) for q in qs}):
         if g == 1:
@@ -342,8 +343,7 @@ class TransferCheck:
 
 
 def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
-                             xi: ExceptionalSet, D: int,
-                             table: SieveTable) -> TransferCheck:
+                             xi: ExceptionalSet, D: int) -> TransferCheck:
     """Evaluate both sides of the exact identity relating Delta_Xi to Delta_A.
 
     lhs = Delta_Xi - Delta_A at (f, x; q, a1*conj(a2)).
@@ -351,14 +351,17 @@ def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
           g(l) * sum_{d<=D, (d,l)=1, d|q} phi(d) * Delta_Xi(f, x/l; d, b*conj(l))
                  * sum_{m<=D/d, m|q/d} mu(m),
     with g the Dirichlet inverse of f.  The l-sum is finite: terms vanish
-    once x/l < 1.
+    once x/l < 1.  Every Delta_Xi(f, x/l; ...) reads the prefix n <= x/l of
+    the one support of f up to x.
     """
     for chi in xi.characters:
         if chi.q > D:
             raise DomainError(
                 f"Xi member of conductor {chi.q} lies outside A({D}); identity needs Xi in A(D)"
             )
-    rec = discrepancy_record(f, x, q, a1, a2, table, xi=xi, D=D)
+    _check_cell(q, a1, a2)
+    ns, vs = get_support(f, x=x)
+    rec = _record(residue_sums(ns, vs, q), q, a1, a2, xi, D)
     lhs = rec.delta_xi - rec.delta_a
 
     g = dirichlet_inverse(f, x)
@@ -371,15 +374,16 @@ def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
 
     rhs = 0j
     for ell in ells:
-        gl = evaluate(g, ell, table)
+        gl = evaluate(g, ell)
         if gl == 0:
             continue
-        xl = x // ell
+        # a needle of the positions' dtype: any other makes numpy copy ns to it
+        hi = int(np.searchsorted(ns, ns.dtype.type(x // ell), side="right"))
         for d in qdivs:
             if math.gcd(d, ell) != 1 or mu_sums[d] == 0:
                 continue
             a = (b % d) * modinv(ell, d) % d if d > 1 else 0
-            dx = discrepancy_record(f, xl, d, a, 1, table, xi=xi).delta_xi
+            dx = _record(residue_sums(ns[:hi], vs[:hi], d), d, a, 1, xi).delta_xi
             rhs += gl * euler_phi(d) * dx * mu_sums[d]
     rhs /= euler_phi(q)
     return TransferCheck(lhs, rhs)

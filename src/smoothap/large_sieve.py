@@ -24,7 +24,7 @@ from .characters import CharacterFamily, DirichletCharacter, decompose, enumerat
 from .discrepancy import ExceptionalSet, ExceptionalWitness, residue_sums
 from .errors import DomainError
 from .multfn import MultFnSpec, get_support
-from .sieve import SieveTable, dyadic_partition, smooth_numbers
+from .sieve import SmoothSet, dyadic_partition, smooth_numbers
 from .util import ordered_map
 
 
@@ -103,15 +103,14 @@ def _nonzero_coefficients(v: np.ndarray, n: int, what: str) -> np.ndarray:
     return v
 
 
-def ls_primal(x: int, y: int, Q: int, a: np.ndarray, weight_mode: str,
-              table: SieveTable, families: CharacterFamily,
-              threads: int = 1) -> SieveExperiment:
+def ls_primal(smooth: SmoothSet, Q: int, a: np.ndarray, weight_mode: str,
+              families: CharacterFamily, threads: int = 1) -> SieveExperiment:
     """Primal form: lhs = sum_{q<=Q} w(q) sum*_chi |sum_n a_n chi(n)|^2.
 
     a[i] is the coefficient at the i-th y-smooth n <= x in ascending order
-    (`smooth_numbers`), so a has length Psi(x,y) and no other support.
+    (smooth.ns), so a has length Psi(x,y) and no other support.
     """
-    ns = smooth_numbers(table, x, y)
+    ns = smooth.ns
     a = _nonzero_coefficients(a, ns.size, "y-smooth n <= x")
     if families.D < Q:
         raise DomainError(f"family covers conductors <= {families.D}, need {Q}")
@@ -125,10 +124,10 @@ def ls_primal(x: int, y: int, Q: int, a: np.ndarray, weight_mode: str,
             sub += w * (T.real * T.real + T.imag * T.imag)
         lhs += sub
     rhs = float(ns.size) * float(np.sum(np.abs(a) ** 2))
-    return SieveExperiment(x, y, Q, weight_mode, lhs, rhs)
+    return SieveExperiment(smooth.x, smooth.y, Q, weight_mode, lhs, rhs)
 
 
-def ls_dual(x: int, y: int, Q: int, b: np.ndarray, table: SieveTable,
+def ls_dual(smooth: SmoothSet, Q: int, b: np.ndarray,
             families: CharacterFamily) -> SieveExperiment:
     """Dual form: lhs = sum_{smooth n<=x} |sum_{q<=Q} sum*_chi b_chi chi(n)|^2.
 
@@ -136,14 +135,14 @@ def ls_dual(x: int, y: int, Q: int, b: np.ndarray, table: SieveTable,
     """
     members = families.up_to(Q)
     b = _nonzero_coefficients(b, len(members), "primitive character")
-    ns = smooth_numbers(table, x, y)
+    ns = smooth.ns
     G = _character_combination(ns, b, _by_modulus(members))
     lhs = float(np.sum(np.abs(G) ** 2))
     rhs = float(ns.size) * float(np.sum(np.abs(b) ** 2))
-    return SieveExperiment(x, y, Q, "unweighted", lhs, rhs)
+    return SieveExperiment(smooth.x, smooth.y, Q, "unweighted", lhs, rhs)
 
 
-def max_ratio_power_iteration(x: int, y: int, Q: int, table: SieveTable,
+def max_ratio_power_iteration(smooth: SmoothSet, Q: int,
                               families: CharacterFamily, side: str,
                               iters: int = 200, seed: int = 0) -> float:
     """Largest primal (or dual) ratio via power iteration on the Gram operator.
@@ -156,7 +155,7 @@ def max_ratio_power_iteration(x: int, y: int, Q: int, table: SieveTable,
     """
     members = families.up_to(Q)
     groups = _by_modulus(members)
-    ns = smooth_numbers(table, x, y)
+    ns = smooth.ns
     if side == "primal":
         first, second, size = _character_sums, _character_combination, ns.size
     elif side == "dual":
@@ -187,7 +186,7 @@ class EtaClass:
     xi_star: list[DirichletCharacter] = field(default_factory=list)
 
 
-def classify_eta(x: int, y: int, Q: int, table: SieveTable,
+def classify_eta(smooth: SmoothSet, Q: int,
                  families: CharacterFamily | None = None,
                  levels: int = 16) -> list[EtaClass]:
     """Assign every non-principal character mod q <= Q^2 to its dyadic class.
@@ -200,7 +199,7 @@ def classify_eta(x: int, y: int, Q: int, table: SieveTable,
     if families is not None and families.D < Q * Q:
         raise DomainError(f"family covers conductors <= {families.D}, need {Q * Q}")
     canonical = {chi: chi for chi in families.members} if families is not None else {}
-    ns = smooth_numbers(table, x, y)
+    ns = smooth.ns
     Psi = float(ns.size)
     chars = [chi for q in range(1, Q * Q + 1) for chi in enumerate_characters(q)
              if not chi.is_principal]
@@ -240,7 +239,7 @@ def detection_scale(x: int, y: int, B: float) -> float:
 def refine_grid(grid: list[int], smooth: np.ndarray, T: float) -> list[int]:
     """Split grid steps until each holds few enough smooth numbers.
 
-    smooth is the ascending y-smooth numbers (`smooth_numbers`), so
+    smooth is the ascending y-smooth numbers (`smooth_numbers(...).ns`), so
     Psi(t, y) is the count of them <= t.  Guarantees, for every step of
     length >= 2, that the smooth count inside it is at most Psi(X_j, y)/(2T);
     unit steps need no condition since every integer there is itself a grid
@@ -263,9 +262,10 @@ def refine_grid(grid: list[int], smooth: np.ndarray, T: float) -> list[int]:
     return out
 
 
+# perfbench/tracer.py reads families at position 7 or as the keyword
+# families, so every call in the package passes families by keyword
 def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: float,
-                       table: SieveTable, families: CharacterFamily,
-                       threads: int = 1) -> ExceptionalSet:
+                       families: CharacterFamily, threads: int = 1) -> ExceptionalSet:
     """Primitive characters of conductor <= Q whose correlation with f is large.
 
     A character enters the set when |S_f(X_j, chi)| >= Psi(X_j, y)/(2T) at
@@ -281,12 +281,12 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
         raise DomainError(f"family covers conductors <= {families.D}, need {Q}")
     if x < 16:  # dyadic_partition's bound, checked before log x is taken
         raise DomainError(f"need x >= 16, got {x}")
-    ns, vs = get_support(f, table, x)
+    ns, vs = get_support(f, x=x)
     if float(np.max(np.abs(vs))) > 1 + 1e-9:
         raise DomainError("f must be 1-bounded")
 
     T = detection_scale(x, y, B)
-    smooth = smooth_numbers(table, x, y)
+    smooth = smooth_numbers(x, y).ns
     grid = refine_grid(dyadic_partition(x, T, eps), smooth, T)
     gx = np.array(grid, dtype=ns.dtype)  # as in refine_grid: no copy of ns or smooth
     thresholds = np.searchsorted(smooth, gx, side="right") / (2.0 * T)  # Psi(X_j, y)/(2T)

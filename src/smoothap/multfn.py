@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OracleError, RangeError
-from .sieve import SieveTable, primes_upto, smooth_ascending
+from .errors import DomainError, OracleError
+from .sieve import X_MAX_CAP, _check_query, primes_upto, smooth_ascending
 
 CLASS_C_SLACK = 1e-12
 
@@ -27,8 +27,7 @@ class MultFnSpec:
     """A multiplicative function f with f(1) = 1, defined on prime powers.
 
     The label names the function in reports, so it should name it uniquely
-    (the library constructors bake their parameters in).  Value supports
-    are cached by spec identity, not by label.
+    (the library constructors bake their parameters in).
     """
 
     __slots__ = ("label", "oracle", "smooth_bound")
@@ -135,18 +134,17 @@ def character_twist(psi, y: int) -> MultFnSpec:
 # evaluation
 
 
-def evaluate(f: MultFnSpec, n: int, table: SieveTable) -> complex:
+def evaluate(f: MultFnSpec, n: int) -> complex:
     """f(n) as the oracle product over the factorization of n.
 
-    n is factored by trial division by the primes <= sqrt(x_max); the
-    factors are multiplied in largest prime first, as in the support walk.
+    n is factored by trial division by the primes <= sqrt(n); the factors
+    are multiplied in largest prime first, as in the support walk.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if n > table.x_max:
-        raise RangeError(f"n={n} exceeds table x_max={table.x_max}")
+    _check_query(n)
     factors = []
-    for p in primes_upto(math.isqrt(table.x_max)):
+    for p in primes_upto(math.isqrt(X_MAX_CAP)):
         if p * p > n:
             break
         k = 0
@@ -165,16 +163,19 @@ def evaluate(f: MultFnSpec, n: int, table: SieveTable) -> complex:
     return val
 
 
-def _support_values(f: MultFnSpec, table: SieveTable, x: int):
+# perfbench/tracer.py reads x at position 2 or as the keyword x, so every
+# call in the package passes x by keyword
+def get_support(f: MultFnSpec, x: int):
     """(ns, vs): the n in 1..x with f(n) != 0, ascending int32, and f there.
 
     Only n with P(n) <= y can be nonzero (y = x for unbounded f), so the
     support is the walk over the primes <= y, in ascending order
-    (sieve.smooth_ascending), in O(Psi(x,y)) work and memory.  A product
-    of nonzero values can underflow to 0, and such zeros are masked out.
+    (sieve.smooth_ascending), in O(Psi(x,y)) work and memory: the residue
+    sums downstream only ever touch it.  A product of nonzero values can
+    underflow to 0, and such zeros are masked out.  Nothing is kept: each
+    call walks again.
     """
-    if x > table.x_max:
-        raise RangeError(f"x={x} exceeds table x_max={table.x_max}")
+    _check_query(x)
     bound = x if f.smooth_bound is None else min(x, f.smooth_bound)
     try:
         ns, vs = smooth_ascending(x, bound, f.at)
@@ -189,36 +190,13 @@ def _support_values(f: MultFnSpec, table: SieveTable, x: int):
     return ns, vs
 
 
-def get_support(f: MultFnSpec, table: SieveTable, x: int):
-    """(positions n <= x with f(n) != 0, values there), as read-only arrays.
-
-    Smooth-supported f vanishes off the Psi(x,y) smooth integers, so the
-    residue-wise sums downstream only ever need to touch this support.  The
-    table keeps the support of the last spec asked for (compared by
-    identity) at the largest x asked for, and answers smaller x from its
-    prefix.
-    """
-    entry = table._support
-    if entry is None or entry[0] is not f or entry[1] < x:
-        table._support = None  # free the old support before building the next
-        ns, vs = _support_values(f, table, x)
-        ns.setflags(write=False)
-        vs.setflags(write=False)
-        entry = (f, x, ns, vs)
-        table._support = entry
-    _, _, ns, vs = entry
-    # a needle of the positions' dtype: any other makes numpy copy ns to it
-    hi = int(np.searchsorted(ns, ns.dtype.type(x), side="right"))
-    return ns[:hi], vs[:hi]
-
-
-def values_array(f: MultFnSpec, table: SieveTable, x: int) -> np.ndarray:
+def values_array(f: MultFnSpec, x: int) -> np.ndarray:
     """f(n) for n = 0..x as a fresh read-only complex array (f[0] = 0).
 
     The support from get_support scattered into zeros: the dense form, kept
     for unbounded f (the Dirichlet-inverse check convolves it).
     """
-    ns, vs = get_support(f, table, x)
+    ns, vs = get_support(f, x=x)
     vals = np.zeros(x + 1, dtype=np.complex128)
     vals[ns] = vs
     vals.setflags(write=False)

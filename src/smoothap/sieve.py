@@ -8,24 +8,27 @@ progression counts (a gcd or a residue per walked number), and
 as ascending arrays.  Their order comes from a bitmap over 0..x and an
 int32 rank per 64-bit word, not from a sort: each walked n is written at
 its rank.  `smooth_numbers` is the y-smooth set of the large-sieve
-experiments (a count Psi(t,y) is a searchsorted on it), and the support
-of a multiplicative function (`multfn.get_support`) is the walk with
-values.
+experiments, a `SmoothSet` that carries its (x, y) (a count Psi(t,y) is a
+searchsorted on it), and the support of a multiplicative function
+(`multfn.get_support`) is the walk with values.  Every query checks its
+x against X_MAX_CAP first (`_check_query`).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .arith import residues
-from .errors import DomainError, OracleError, RangeError, SizingError
+from .errors import DomainError, OracleError, SizingError
 
 # The cap bounds the one dense array over 0..x left, multfn.values_array
 # (16 bytes per integer, 800 MB at the cap), which verify-identities builds
 # for its Dirichlet-inverse check; every other query is sized by Psi(x,y).
+# _check_query raises it for every query, before anything is allocated.
 X_MAX_CAP = 50_000_000
 
 # points per chunk of the batched large-prime step and of the bit setter, to
@@ -52,22 +55,16 @@ def _prime_mask(limit: int) -> np.ndarray:
     return is_p
 
 
-class SieveTable:
-    """The range 1..x_max that smooth-number queries may ask about.
+@dataclass(frozen=True, eq=False)
+class SmoothSet:
+    """The y-smooth n <= x as a read-only ascending int32 array, with its (x, y).
 
-    Rejects x_max = 0 and anything past X_MAX_CAP with a sizing error, before
-    allocating anything.  Holds no table over the range: the only state is
-    the support of the last multiplicative function asked for, cached by
-    `multfn.get_support`.
+    Built by `smooth_numbers`; Psi(t, y) for t <= x is the count of ns <= t.
     """
 
-    def __init__(self, x_max: int):
-        if x_max < 1 or x_max > X_MAX_CAP:
-            raise SizingError(
-                f"x_max must be in [1, {X_MAX_CAP}], got {x_max}"
-            )
-        self.x_max = x_max
-        self._support = None  # (f, x, ns, vs) of the last multfn.get_support build
+    x: int
+    y: int
+    ns: np.ndarray
 
 
 def smooth_pieces(x: int, y: int, fpk=None, values: bool = True):
@@ -165,43 +162,45 @@ def _large_prime_pieces(x, big, ns, vs, fpk):
         lo = hi
 
 
-def psi(table: SieveTable, x: int, y: int) -> int:
+def psi(x: int, y: int) -> int:
     """Psi(x,y) = #{n <= x : P(n) <= y}, counting n = 1.
 
     Counts the pieces of the walk over the primes <= min(y, sqrt x) without
     keeping them; each prime p in (sqrt x, y] adds its floor(x/p) cofactors.
     """
-    _check_query(table, x, y)
+    _check_query(x, y)
     r = math.isqrt(x)
     count = sum(ns.size for ns, _ in smooth_pieces(x, min(y, r)))
     big = np.flatnonzero(_prime_mask(min(x, y)))
     return count + int(np.sum(x // big[big > r]))
 
 
-def psi_coprime(table: SieveTable, x: int, y: int, q: int) -> int:
+def psi_coprime(x: int, y: int, q: int) -> int:
     """Psi_q(x,y) = #{n <= x : P(n) <= y, gcd(n,q) = 1}."""
-    _check_query(table, x, y)
+    _check_query(x, y)
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     if q == 1:
-        return psi(table, x, y)
+        return psi(x, y)
     return sum(int(np.count_nonzero(np.gcd(ns, q) == 1))
                for ns, _ in smooth_pieces(x, y))
 
 
-def psi_progression(table: SieveTable, x: int, y: int, a: int, q: int) -> int:
+def psi_progression(x: int, y: int, a: int, q: int) -> int:
     """Psi(x,y;a,q) = #{n <= x : P(n) <= y, n = a mod q} (raw count, no gcd filter)."""
-    _check_query(table, x, y)
+    _check_query(x, y)
     if q < 1 or not 0 <= a < q:
         raise DomainError(f"need q >= 1 and 0 <= a < q, got a={a}, q={q}")
     return sum(int(np.count_nonzero(residues(ns, q) == a))
                for ns, _ in smooth_pieces(x, y))
 
 
-def smooth_numbers(table: SieveTable, x: int, y: int) -> np.ndarray:
-    """The n <= x with P(n) <= y, ascending int32, from one walk (n = 1 included)."""
-    _check_query(table, x, y)
-    return smooth_ascending(x, y)[0]
+def smooth_numbers(x: int, y: int) -> SmoothSet:
+    """The n <= x with P(n) <= y (n = 1 included) as a SmoothSet, read-only int32."""
+    _check_query(x, y)
+    ns = smooth_ascending(x, y)[0]
+    ns.setflags(write=False)
+    return SmoothSet(x, y, ns)
 
 
 def smooth_ascending(x: int, y: int, fpk=None):
@@ -269,9 +268,11 @@ def _set_bits(words: np.ndarray, ns: np.ndarray):
         np.add.at(words, n >> 6, np.left_shift(np.uint64(1), (n & 63).astype(np.uint64)))
 
 
-def _check_query(table: SieveTable, x: int, y: int):
-    if x > table.x_max:
-        raise RangeError(f"x={x} exceeds table x_max={table.x_max}")
+def _check_query(x: int, y: int = 2):
+    """Reject a query past the cap (SizingError) or outside its domain, before
+    anything is allocated; y defaults to 2 for a query with no smoothness bound."""
+    if x > X_MAX_CAP:
+        raise SizingError(f"x must be <= {X_MAX_CAP}, got {x}")
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     if y < 2:
@@ -313,14 +314,11 @@ def alpha_saddle(x: int, y: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def smooth_short_interval(table: SieveTable, x: int, y: int, T: float) -> int:
+def smooth_short_interval(x: int, y: int, T: float) -> int:
     """Count of y-smooth n in (x, x + floor(x/T)] = Psi(x + floor(x/T), y) - Psi(x, y)."""
     hi = x + math.floor(x / T)
-    if hi > table.x_max:
-        raise RangeError(
-            f"x + x/T = {hi} exceeds table x_max={table.x_max}"
-        )
-    return psi(table, hi, y) - psi(table, x, y)
+    _check_query(hi, y)
+    return psi(hi, y) - psi(x, y)
 
 
 def dyadic_partition(x: int, T: float, eps: float) -> list[int]:

@@ -5,8 +5,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
 
-from smoothap.sieve import SieveTable
-
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -20,16 +18,6 @@ def no_tmp_file_left(request):
     yield
     left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.tmp"))
     assert not left, f"temporary files left behind: {left}"
-
-
-@pytest.fixture(scope="session")
-def table_1e4():
-    return SieveTable(10**4)
-
-
-@pytest.fixture(scope="session")
-def table_1e6():
-    return SieveTable(10**6)
 
 
 @pytest.fixture(scope="session")

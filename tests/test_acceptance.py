@@ -102,7 +102,7 @@ def test_criterion_1_kernel_identity_suite():
                   f"{worst:.3g}, bound+vanishing hold, {elapsed:.1f}s (< 60s)")
 
 
-def test_criterion_2_transfer_identity_suite(table_1e4):
+def test_criterion_2_transfer_identity_suite():
     import random
     t0 = time.time()
     rng = random.Random(2024)
@@ -119,7 +119,7 @@ def test_criterion_2_transfer_identity_suite(table_1e4):
         f = multfn.random_unit_circle(seed=trials, smooth_bound=rng.choice([20, 50, 10**4]))
         mem = [c for c in fam10.members if c.q <= D]
         xi = ExceptionalSet.from_characters(rng.sample(mem, rng.randrange(len(mem) + 1)))
-        chk = verify_transfer_identity(f, x, q, a1, a2, xi, D, table_1e4)
+        chk = verify_transfer_identity(f, x, q, a1, a2, xi, D)
         worst = max(worst, chk.residual / (1 + abs(chk.lhs)))
         trials += 1
     elapsed = time.time() - t0
@@ -128,14 +128,14 @@ def test_criterion_2_transfer_identity_suite(table_1e4):
                   f"residual {worst:.3g} (tol 1e-8), {elapsed:.1f}s (< 120s)")
 
 
-def test_criterion_3_inverse_and_class_c_suite(table_1e4):
+def test_criterion_3_inverse_and_class_c_suite():
     N = 10**4
     worst = 0.0
     for seed in range(50):
         f = multfn.random_unit_circle(seed=3000 + seed)
         g = dirichlet_inverse(f, N)
-        fv = values_array(f, table_1e4, N)
-        gv = values_array(g, table_1e4, N)
+        fv = values_array(f, N)
+        gv = values_array(g, N)
         conv = np.zeros(N + 1, dtype=np.complex128)
         for d in range(1, N + 1):
             conv[d::d] += fv[d] * gv[1 : N // d + 1]
@@ -148,23 +148,23 @@ def test_criterion_3_inverse_and_class_c_suite(table_1e4):
                   f"unit-circle f, n<=1e4; class membership holds for every f and inverse")
 
 
-def test_criterion_4_smooth_count_oracle_suite(table_1e4):
+def test_criterion_4_smooth_count_oracle_suite():
     from smoothap.sieve import psi_coprime, psi_progression
     x_samples = (1, 7, 99, 100, 999, 1234, 5000, 9999, 10**4)
     checked = 0
     for y in (2, 3, 5, 7, 20, 50):
         flags = oracles.smooth_flags(10**4, y)
         # the smooth sets agree at every n, so every count derived from them does too
-        assert smooth_numbers(table_1e4, 10**4, y).tolist() == [
+        assert smooth_numbers(10**4, y).ns.tolist() == [
             n for n in range(1, 10**4 + 1) if flags[n]]
         for x in x_samples:
-            assert psi(table_1e4, x, y) == oracles.psi_count(flags, x)
+            assert psi(x, y) == oracles.psi_count(flags, x)
             checked += 1
             for q in (1, 2, 3, 7, 12, 29, 30):
-                assert psi_coprime(table_1e4, x, y, q) == oracles.psi_count(
+                assert psi_coprime(x, y, q) == oracles.psi_count(
                     flags, x, coprime_to=q)
                 for a in range(min(q, 4)):
-                    assert psi_progression(table_1e4, x, y, a, q) == \
+                    assert psi_progression(x, y, a, q) == \
                         oracles.psi_count(flags, x, q=q, a=a)
                 checked += 5
     # y at and above sqrt(x) (the batched large-prime step), every class a
@@ -172,50 +172,50 @@ def test_criterion_4_smooth_count_oracle_suite(table_1e4):
         P = [0] + [oracles.largest_prime_factor(n) for n in range(1, x + 1)]
         for y in (math.isqrt(x), math.isqrt(x) + 1, x):
             smooth = [n for n in range(1, x + 1) if P[n] <= y]
-            assert psi(table_1e4, x, y) == len(smooth)
+            assert psi(x, y) == len(smooth)
             for q in (1, 2, 7, 30, 210):
                 by_class = Counter(n % q for n in smooth)
                 for a in range(q):
-                    assert psi_progression(table_1e4, x, y, a, q) == by_class[a]
-                assert psi_coprime(table_1e4, x, y, q) == sum(
+                    assert psi_progression(x, y, a, q) == by_class[a]
+                assert psi_coprime(x, y, q) == sum(
                     1 for n in smooth if math.gcd(n, q) == 1)
                 checked += q + 1
-    assert psi(table_1e4, 100, 5) == 34
-    assert psi_coprime(table_1e4, 100, 5, 3) == 15
-    assert psi_progression(table_1e4, 100, 5, 1, 3) == 8
+    assert psi(100, 5) == 34
+    assert psi_coprime(100, 5, 3) == 15
+    assert psi_progression(100, 5, 1, 3) == 8
     report(4, True, f"psi/psi_coprime/psi_progression match trial-division "
                     f"enumeration exactly ({checked} parameter points; smooth sets "
                     f"agree at every n <= 1e4 for all six y); fixed points 34/15/8 hold")
 
 
-def test_criterion_5_sharpness_duality_goldens(table_1e4, table_1e6, golden_dir):
+def test_criterion_5_sharpness_duality_goldens(golden_dir):
     t0 = time.time()
     # sharpness: a_n = 1 gives ratio >= 1 at every grid point
-    grid = ((10**4, 20, 10, table_1e4), (10**5, 50, 15, table_1e6),
-            (10**6, 10**3, 20, table_1e6))
+    grid = ((10**4, 20, 10), (10**5, 50, 15), (10**6, 10**3, 20))
     fam = family_A(20)
-    for x, y, Q, table in grid:
-        a = np.ones(psi(table, x, y), dtype=np.complex128)
-        exp = ls_primal(x, y, Q, a, "unweighted", table, fam)
+    for x, y, Q in grid:
+        a = np.ones(psi(x, y), dtype=np.complex128)
+        exp = ls_primal(smooth_numbers(x, y), Q, a, "unweighted", fam)
         assert exp.ratio >= 1.0
 
     # duality at x <= 2000 by independent power iterations (>= 200 steps)
-    r_primal = max_ratio_power_iteration(2000, 20, 8, table_1e4, fam, "primal",
+    r_primal = max_ratio_power_iteration(smooth_numbers(2000, 20), 8, fam, "primal",
                                          iters=200, seed=11)
-    r_dual = max_ratio_power_iteration(2000, 20, 8, table_1e4, fam, "dual",
+    r_dual = max_ratio_power_iteration(smooth_numbers(2000, 20), 8, fam, "dual",
                                        iters=200, seed=22)
     dual_gap = abs(r_primal - r_dual)
     assert dual_gap <= 1e-4
 
     # golden maximal ratios over 100 random +-1 coefficient vectors
     details = []
-    for x, y, Q, table in grid:
-        P = psi(table, x, y)
+    for x, y, Q in grid:
+        P = psi(x, y)
+        smooth = smooth_numbers(x, y)
         best = 0.0
         for trial in range(100):
             rng = np.random.RandomState(90_000 + trial)
             a = (rng.randint(0, 2, size=P) * 2.0 - 1.0).astype(np.complex128)
-            exp = ls_primal(x, y, Q, a, "unweighted", table, fam)
+            exp = ls_primal(smooth, Q, a, "unweighted", fam)
             best = max(best, exp.ratio)
         pinned, fresh = pin_golden(golden_dir, f"ls_primal_max_{x}_{y}_{Q}",
                                    best, tol=1e-6)
@@ -227,7 +227,7 @@ def test_criterion_5_sharpness_duality_goldens(table_1e4, table_1e6, golden_dir)
                   f"{elapsed:.1f}s (< 600s)")
 
 
-def test_criterion_6_bv_decay_trend(table_1e6, golden_dir):
+def test_criterion_6_bv_decay_trend(golden_dir):
     xi = ExceptionalSet.from_characters([trivial_character()])
     normalized = []
     per_q_checked = 0
@@ -235,8 +235,8 @@ def test_criterion_6_bv_decay_trend(table_1e6, golden_dir):
         y = round(x ** (1.0 / 3))
         Q = int(x**0.55)
         f = multfn.smooth_indicator(y)
-        total, records = bv_average(f, x, Q, 1, 1, xi, table_1e6)
-        p = psi(table_1e6, x, y)
+        total, records = bv_average(f, x, Q, 1, 1, xi)
+        p = psi(x, y)
         norm = total / p
         normalized.append(norm)
         pin_golden(golden_dir, f"bv_normalized_{x}", norm, tol=1e-9 * (1 + norm))
@@ -256,14 +256,14 @@ def test_criterion_6_bv_decay_trend(table_1e6, golden_dir):
                   f"{per_q_checked} sampled moduli match brute force exactly")
 
 
-def test_criterion_7_exceptional_detection_suite(table_1e4, golden_dir):
+def test_criterion_7_exceptional_detection_suite(golden_dir):
     x, y, Q, B, eps = 10**4, 50, 20, 1.0, 0.5
     fams = family_A(20)
     # self-correlation plants: every primitive psi of conductor <= 20 is found
     planted_found = 0
     for psi0 in fams.members:
         f = multfn.character_twist(psi0, y)
-        found = detect_exceptional(f, x, y, Q, B, eps, table_1e4, fams)
+        found = detect_exceptional(f, x, y, Q, B, eps, fams)
         wit = next((w for w in found.members if w.character == psi0), None)
         assert wit is not None, f"plant not found for conductor {psi0.q}"
         assert wit.value >= wit.threshold
@@ -271,11 +271,11 @@ def test_criterion_7_exceptional_detection_suite(table_1e4, golden_dir):
 
     # grid scan is a superset of the brute-force full-X oracle at Psi/T
     f = multfn.smooth_indicator(y)
-    found = detect_exceptional(f, x, y, Q, B, eps, table_1e4, fams)
+    found = detect_exceptional(f, x, y, Q, B, eps, fams)
     got = {(w.character.q, w.character.rank) for w in found.members}
     T = detection_scale(x, y, B)
     prefix = np.cumsum(oracles.smooth_flags(x, y), dtype=np.int64)  # Psi(t, y) at 0..x
-    fv = values_array(f, table_1e4, x)
+    fv = values_array(f, x)
     x0 = math.ceil(x**0.25)
     oracle_hits = 0
     for chi in fams.members:
@@ -327,14 +327,14 @@ def test_criterion_8_thread_determinism(tmp_path):
            f"{len(suites)} suites" + (f"; MISMATCH in {mismatches}" if mismatches else ""))
 
 
-def test_psi_growth_golden_constant(table_1e6, golden_dir):
+def test_psi_growth_golden_constant(golden_dir):
     # recorded constant C for psi(x/l, y) <= C psi(x,y) / l^alpha, l <= 100
     x, y = 10**6, 10**3
     a = alpha_saddle(x, y)
-    p_x = psi(table_1e6, x, y)
+    p_x = psi(x, y)
     worst = 0.0
     for ell in range(1, 101):
-        ratio = psi(table_1e6, x // ell, y) * ell**a / p_x
+        ratio = psi(x // ell, y) * ell**a / p_x
         worst = max(worst, ratio)
     C, fresh = pin_golden(golden_dir, "psi_growth_C", worst, tol=1e-9 * (1 + worst))
     assert worst <= C + 1e-9
@@ -342,21 +342,21 @@ def test_psi_growth_golden_constant(table_1e6, golden_dir):
           + (" (recorded)" if fresh else ""))
 
 
-def test_ls_dual_golden(table_1e4, golden_dir):
+def test_ls_dual_golden(golden_dir):
     fam = family_A(10)
     members = fam.up_to(10)
     rng = np.random.RandomState(777)
     b = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
-    exp = ls_dual(10**4, 20, 10, b, table_1e4, fam)
+    exp = ls_dual(smooth_numbers(10**4, 20), 10, b, fam)
     pin_golden(golden_dir, "ls_dual_ratio_10000_20_10", exp.ratio,
                tol=1e-9 * (1 + exp.ratio))
 
 
-def test_bv_golden_regression(table_1e4, golden_dir):
+def test_bv_golden_regression(golden_dir):
     # regression baseline at x=1e4, y=50, Q=x^0.55
     xi = ExceptionalSet.from_characters([trivial_character()])
     f = multfn.smooth_indicator(50)
-    total, records = bv_average(f, 10**4, int((10**4) ** 0.55), 1, 1, xi, table_1e4)
+    total, records = bv_average(f, 10**4, int((10**4) ** 0.55), 1, 1, xi)
     pin_golden(golden_dir, "bv_total_10000_50", total, tol=1e-9 * (1 + total))
     # spot-check three moduli by brute-force enumeration
     flags = oracles.smooth_flags(10**4, 50)

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import oracles
-from smoothap import characters, cli, discrepancy, multfn
+from smoothap import characters, cli, discrepancy, multfn, sieve
 from smoothap.characters import family_A
 from smoothap.cli import _dirichlet_convolution, _kernel_worst, main
 from smoothap.reports import DISCREPANCY_COLUMNS, emit_reports, fmt_number
-from smoothap.sieve import SieveTable
 
 
 def run_cli(args, out):
@@ -109,10 +108,9 @@ def test_dirichlet_convolution_equals_strided_loop():
     # the blocked np.add.at route against the loop of strided adds it
     # replaced: each (f*g)(n) is the same sum in ascending d, so bitwise
     for N in (1, 2, 3, 10, cli._CONV_BLOCK, 3 * cli._CONV_BLOCK + 7):
-        table = SieveTable(max(N, 2))
         f = multfn.random_unit_circle(seed=N)
-        fv = multfn.values_array(f, table, N)
-        gv = multfn.values_array(multfn.dirichlet_inverse(f, N), table, N)
+        fv = multfn.values_array(f, N)
+        gv = multfn.values_array(multfn.dirichlet_inverse(f, N), N)
         want = np.zeros(N + 1, dtype=np.complex128)
         for d in range(1, N + 1):
             want[d::d] += fv[d] * gv[1 : N // d + 1]
@@ -169,21 +167,71 @@ EVERY_COMMAND = {
 }
 
 
-def test_no_command_builds_a_table(tmp_path, monkeypatch):
-    tables = []
-    init = SieveTable.__init__
+def test_large_sieve_walks_once_and_no_command_allocates_over_0_to_x(tmp_path, monkeypatch):
+    # large-sieve builds its smooth set once, before the trials
+    walks = []
+    pieces = sieve.smooth_pieces
 
-    def recorded_init(self, x_max):
-        init(self, x_max)
-        tables.append(self)
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return pieces(*args, **kwargs)
 
-    monkeypatch.setattr(SieveTable, "__init__", recorded_init)
-    for name, args in EVERY_COMMAND.items():
-        tables.clear()
-        assert run_cli(args, tmp_path / name) == 0, name
-        assert len(tables) == 1, name
-        # only the range and the cached support: no array over 0..x_max
-        assert set(vars(tables[0])) == {"x_max", "_support"}, name
+    monkeypatch.setattr(sieve, "smooth_pieces", counted)
+    counts = []
+    for trials in ("1", "3"):
+        walks.clear()
+        assert run_cli(["large-sieve", "--x", "100000", "--y", "30", "--Q", "3",
+                        "--trials", trials], tmp_path / trials) == 0
+        counts.append(len(walks))
+    assert counts[0] == counts[1], counts
+    # one byte per integer over 0..x would be x bytes; the bitmap and rank
+    # index of a walk placed in ascending order take 3x/16.  verify-identities
+    # is left out: its Dirichlet-inverse check convolves dense arrays over
+    # 0..xmax by design
+    x = 4_000_000
+    args = ["--x", str(x), "--y", "7"]
+    for name, argv in {
+        "psi": ["psi", *args],
+        "psi-coprime": ["psi", *args, "--q", "30"],
+        "psi-progression": ["psi", *args, "--q", "30", "--a", "7"],
+        "delta": ["delta", *args, "--q", "7", "--a", "3", "--f", "moebius-smooth"],
+        "bv": ["bv-average", *args, "--Q", "30"],
+        "large-sieve": ["large-sieve", *args, "--Q", "5", "--trials", "2", "--coeffs", "pm1"],
+        "exceptional": ["exceptional", *args, "--Q", "5", "--B", "-3"],
+    }.items():
+        tracemalloc.start()
+        try:
+            assert run_cli(argv, tmp_path / name) == 0, name
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x // 2, (name, peak)
+
+
+def test_large_sieve_trials_hold_one_coefficient_vector(tmp_path):
+    # the previous trial's coefficients are dropped before the next are built
+    argv = ["large-sieve", "--x", "200000", "--y", "60", "--Q", "3", "--coeffs", "pm1"]
+    assert run_cli(argv, tmp_path) == 0  # character tables and other caches
+    peaks = []
+    for trials in ("1", "3"):
+        tracemalloc.start()
+        try:
+            assert run_cli([*argv, "--trials", trials], tmp_path) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.03 * peaks[0], peaks
+
+
+def test_bv_average_checks_every_x_before_building_a_support(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("get_support called")
+
+    monkeypatch.setattr(discrepancy, "get_support", forbidden)
+    assert run_cli(["bv-average", "--xs", "1000,50000001", "--y", "5", "--Q", "3"],
+                   tmp_path) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "SizingError" and "50000001" in err["error"]
 
 
 def test_oversize_x_is_a_typed_error_without_allocation(tmp_path, capsys):
@@ -214,8 +262,14 @@ def test_usage_error_exit_2(tmp_path, capsys):
              delta + ["twist:7:x"],
              ["bv-average", "--x", "100", "--y", "5", "--Q", "3", "--xi", "A:x"],
              ["bv-average", "--xs", "1000,zz", "--y", "5", "--Q", "3"],
+             # summed over no modulus and reported total 0 (exit 0)
+             ["bv-average", "--x", "1000", "--y", "10", "--Q", "0"],
+             ["bv-average", "--x", "1000", "--y", "10", "--Q", "-3"],
+             # no command takes x < 1
+             ["psi", "--x", "0", "--y", "5"],
              # inputs that ended in a traceback (exit 1) before they were checked
              ["large-sieve", "--x", "1", "--y", "2"],
+             ["exceptional", "--x", "0", "--y", "5", "--Q", "3"],
              # ran no trial and reported max_ratio 0 (exit 0)
              ["large-sieve", "--x", "1000", "--y", "10", "--Q", "3", "--trials", "0"],
              ["exceptional", "--x", "100", "--y", "1", "--Q", "5"],

@@ -6,11 +6,11 @@ import pytest
 import oracles
 from smoothap import multfn
 from smoothap.characters import enumerate_characters
-from smoothap.errors import OracleError, RangeError
+from smoothap.errors import OracleError
 from smoothap.multfn import (check_class_c, completely_multiplicative,
                              dirichlet_inverse, evaluate, from_prime_powers,
                              get_support, lambda_f, restrict_smooth, values_array)
-from smoothap.sieve import SieveTable, psi, primes_upto
+from smoothap.sieve import psi, primes_upto
 
 
 def convolution(fv, gv, N):
@@ -20,24 +20,22 @@ def convolution(fv, gv, N):
     return conv
 
 
-def test_evaluate_basics(table_1e4):
+def test_evaluate_basics():
     f = multfn.one()
     for n in (1, 2, 64, 9999):
-        assert evaluate(f, n, table_1e4) == 1
+        assert evaluate(f, n) == 1
     ind5 = multfn.smooth_indicator(5)
-    assert evaluate(ind5, 12, table_1e4) == 1
-    assert evaluate(ind5, 14, table_1e4) == 0  # 7 > 5
+    assert evaluate(ind5, 12) == 1
+    assert evaluate(ind5, 14) == 0  # 7 > 5
     fi = from_prime_powers("i-at-2", {(2, 1): 1j, (3, 1): 1.0, (5, 1): 1.0, (7, 1): 1.0})
-    assert evaluate(fi, 8, table_1e4) == 1j**3 == -1j
+    assert evaluate(fi, 8) == 1j**3 == -1j
 
 
-def test_evaluate_errors(table_1e4):
+def test_evaluate_errors():
     partial = from_prime_powers("partial", {(3, 1): 1.0})
     with pytest.raises(OracleError) as err:
-        evaluate(partial, 8, table_1e4)
+        evaluate(partial, 8)
     assert "p=2" in str(err.value)
-    with pytest.raises(RangeError):
-        evaluate(multfn.one(), 10**5, table_1e4)
 
 
 def dense_values_oracle(f, x):
@@ -97,10 +95,10 @@ ORACLE_SPECS = [
 ]
 
 
-def assert_support_matches_oracle(f, table, x):
+def assert_support_matches_oracle(f, x):
     dense = dense_values_oracle(f, x)
     want_ns = np.flatnonzero(dense)
-    ns, vs = get_support(f, table, x)
+    ns, vs = get_support(f, x)
     assert np.array_equal(ns, want_ns)
     assert np.array_equal(vs.view(np.float64), dense[want_ns].view(np.float64))
 
@@ -111,28 +109,28 @@ def spec_id(f):
 
 @pytest.mark.parametrize("x", [0, 1, 2, 2000, 20000])
 @pytest.mark.parametrize("f", ORACLE_SPECS, ids=spec_id)
-def test_support_bitwise_matches_dense_oracle(table_1e6, f, x):
-    assert_support_matches_oracle(f, table_1e6, x)
+def test_support_bitwise_matches_dense_oracle(f, x):
+    assert_support_matches_oracle(f, x)
 
 
 @pytest.mark.parametrize("f", [multfn.moebius_smooth(100),
                                multfn.random_unit_circle(7, smooth_bound=63),
                                multfn.random_unit_circle(7)],
                          ids=spec_id)
-def test_support_bitwise_matches_dense_oracle_large(table_1e6, f):
+def test_support_bitwise_matches_dense_oracle_large(f):
     # well past numpy's 256 KB temporary-elision threshold
-    assert_support_matches_oracle(f, table_1e6, 250_000)
-    # a later, smaller x is answered from the prefix of the cached support
-    assert_support_matches_oracle(f, table_1e6, 30_000)
+    assert_support_matches_oracle(f, 250_000)
+    # and again at a smaller x
+    assert_support_matches_oracle(f, 30_000)
 
 
 @pytest.mark.parametrize("f", [multfn.random_unit_circle(3, smooth_bound=200),
                                multfn.moebius_smooth(200), multfn.random_unit_circle(3)],
                          ids=spec_id)
-def test_support_bitwise_at_square_x(table_1e6, f):
+def test_support_bitwise_at_square_x(f):
     # x = p^2 for a prime p: p itself is the last prime walked, not a large one
     for x in (4, 9, 25, 49, 121, 169, 10201, 22201):
-        assert_support_matches_oracle(f, table_1e6, x)
+        assert_support_matches_oracle(f, x)
 
 
 JOIN_SPECS = [
@@ -148,16 +146,16 @@ JOIN_SPECS = [
 
 @pytest.mark.parametrize("x", [0, 1, 2, 63, 64, 65, 2000, 65535, 65536, 65537, 250_000])
 @pytest.mark.parametrize("f", JOIN_SPECS, ids=spec_id)
-def test_support_values_bitwise_equals_join_oracle(table_1e6, f, x):
+def test_support_values_bitwise_equals_join_oracle(f, x):
     # placing the values by rank gives the sorted join of the pieces
-    ns, vs = multfn._support_values(f, table_1e6, x)
+    ns, vs = multfn.get_support(f, x)
     want_ns, want_vs = oracles.joined_support(f, x)
     assert ns.dtype == np.int32 and vs.dtype == np.complex128
     assert np.array_equal(ns, want_ns)
     assert vs.tobytes() == want_vs.tobytes()
 
 
-def test_support_values_rejects_an_oracle_that_changes_between_walks(table_1e6):
+def test_support_values_rejects_an_oracle_that_changes_between_walks():
     # past x = 2^16 the values are placed by the ranks of the first walk
     calls = {}
 
@@ -166,10 +164,10 @@ def test_support_values_rejects_an_oracle_that_changes_between_walks(table_1e6):
         return 1.0 if (p, k) != (3, 1) or calls[p, k] == 1 else 0.0
 
     with pytest.raises(OracleError):
-        multfn._support_values(multfn.MultFnSpec("fickle", fickle, 50), table_1e6, 100_000)
+        multfn.get_support(multfn.MultFnSpec("fickle", fickle, 50), 100_000)
 
 
-def test_support_values_rejects_a_second_walk_of_the_same_size(table_1e6):
+def test_support_values_rejects_a_second_walk_of_the_same_size():
     # 66 of the 50-smooth n <= 100,000 have 37^2 || n and 66 have 2^9 || n:
     # f(37^2) vanishes on the first walk only, f(2^9) on the second only
     calls = {}
@@ -179,17 +177,17 @@ def test_support_values_rejects_a_second_walk_of_the_same_size(table_1e6):
         return 0.0 if (p, k) == ((37, 2) if calls[p, k] == 1 else (2, 9)) else 1.0
 
     with pytest.raises(OracleError, match="swap: the oracle gave another support"):
-        multfn._support_values(multfn.MultFnSpec("swap", swap, 50), table_1e6, 100_000)
+        multfn.get_support(multfn.MultFnSpec("swap", swap, 50), 100_000)
 
 
 def test_unbounded_support_peak_bytes_per_point():
     # f with no smoothness bound: every n <= x is walked, most of them in the
     # batched large-prime step, whose temporaries sit next to the values
     x = 250_000
-    table, f = SieveTable(x), multfn.random_unit_circle(0)
+    f = multfn.random_unit_circle(0)
     tracemalloc.start()
     try:
-        ns, _ = get_support(f, table, x)
+        ns, _ = get_support(f, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,53 +206,53 @@ def largest_prime_first_product(f, n):
 
 
 @pytest.mark.parametrize("f", ORACLE_SPECS, ids=spec_id)
-def test_evaluate_bitwise_matches_largest_prime_first_oracle(table_1e4, f):
-    got = np.array([evaluate(f, n, table_1e4) for n in range(1, 10**4 + 1)])
+def test_evaluate_bitwise_matches_largest_prime_first_oracle(f):
+    got = np.array([evaluate(f, n) for n in range(1, 10**4 + 1)])
     want = np.array([largest_prime_first_product(f, n) for n in range(1, 10**4 + 1)])
     assert got.dtype == want.dtype == np.complex128
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
-def test_support_cache_keys_on_spec_identity(table_1e4):
+def test_support_cache_keys_on_spec_identity():
     a = completely_multiplicative("g", lambda p: 1.0)
     b = completely_multiplicative("g", lambda p: -1.0 if p == 67 else 1.0)
     # same label, different functions: they differ only at p = 67
-    assert values_array(a, table_1e4, 100)[67] == 1.0
-    assert values_array(b, table_1e4, 100)[67] == evaluate(b, 67, table_1e4) == -1.0
+    assert values_array(a, 100)[67] == 1.0
+    assert values_array(b, 100)[67] == evaluate(b, 67) == -1.0
 
 
-def test_inverse_built_to_n_is_not_answered_past_n(table_1e4):
+def test_inverse_built_to_n_is_not_answered_past_n():
     f = multfn.random_unit_circle(9)
     g200, g100 = dirichlet_inverse(f, 200), dirichlet_inverse(f, 100)
     assert g200.label != g100.label
-    values_array(g200, table_1e4, 200)
+    values_array(g200, 200)
     with pytest.raises(OracleError):
-        evaluate(g100, 199, table_1e4)
+        evaluate(g100, 199)
     with pytest.raises(OracleError):
-        values_array(g100, table_1e4, 199)
+        values_array(g100, 199)
 
 
-def test_values_array_matches_evaluate(table_1e4):
+def test_values_array_matches_evaluate():
     for f in (multfn.one(), multfn.smooth_indicator(7), multfn.moebius_smooth(20),
               multfn.random_unit_circle(3)):
-        fv = values_array(f, table_1e4, 2000)
+        fv = values_array(f, 2000)
         assert fv[0] == 0 and fv[1] == 1
         for n in (2, 3, 4, 30, 64, 97, 500, 1998, 1999, 2000):
-            assert fv[n] == pytest.approx(evaluate(f, n, table_1e4), abs=1e-12)
+            assert fv[n] == pytest.approx(evaluate(f, n), abs=1e-12)
 
 
-def test_get_support_is_nonzero_positions(table_1e4):
+def test_get_support_is_nonzero_positions():
     f = multfn.moebius_smooth(10)
-    ns, vs = get_support(f, table_1e4, 500)
-    fv = values_array(f, table_1e4, 500)
+    ns, vs = get_support(f, 500)
+    fv = values_array(f, 500)
     assert list(ns) == [n for n in range(501) if fv[n] != 0]
     assert np.all(fv[ns] == vs)
 
 
-def test_smooth_indicator_sums_to_psi(table_1e4):
+def test_smooth_indicator_sums_to_psi():
     f = multfn.smooth_indicator(7)
-    fv = values_array(f, table_1e4, 3000)
-    assert int(fv.real.sum()) == psi(table_1e4, 3000, 7)
+    fv = values_array(f, 3000)
+    assert int(fv.real.sum()) == psi(3000, 7)
 
 
 def test_lambda_von_mangoldt():
@@ -302,24 +300,24 @@ def test_class_c_examples():
     assert not cert.valid
 
 
-def test_inverse_is_moebius_for_one(table_1e4):
+def test_inverse_is_moebius_for_one():
     g = dirichlet_inverse(multfn.one(), 100)
-    assert evaluate(g, 6, table_1e4) == 1
-    assert evaluate(g, 4, table_1e4) == 0
+    assert evaluate(g, 6) == 1
+    assert evaluate(g, 4) == 0
     for n in (2, 3, 5, 30, 64, 97):
         mu = 0 if any(e > 1 for _, e in oracles.trial_division_factor(n)) else \
             (-1) ** len(oracles.trial_division_factor(n))
-        assert evaluate(g, n, table_1e4) == mu
+        assert evaluate(g, n) == mu
 
 
-def test_inverse_completely_multiplicative(table_1e4):
+def test_inverse_completely_multiplicative():
     f = multfn.random_unit_circle(17)
     g = dirichlet_inverse(f, 10**4)
     for p in (2, 3, 13):
         assert g.at(p, 1) == pytest.approx(-f.at(p, 1))
         assert g.at(p, 2) == pytest.approx(0.0, abs=1e-14)
-    fv = values_array(f, table_1e4, 10**4)
-    gv = values_array(g, table_1e4, 10**4)
+    fv = values_array(f, 10**4)
+    gv = values_array(g, 10**4)
     conv = convolution(fv, gv, 10**4)
     assert conv[1] == pytest.approx(1.0)
     assert float(np.max(np.abs(conv[2:]))) <= 1e-10
@@ -333,27 +331,27 @@ def test_class_c_closed_under_inversion():
         assert check_class_c(g, 2000).valid
 
 
-def test_certified_f_is_one_bounded(table_1e4):
+def test_certified_f_is_one_bounded():
     f = multfn.random_unit_circle(23)
     assert check_class_c(f, 10**4).valid
-    fv = values_array(f, table_1e4, 10**4)
+    fv = values_array(f, 10**4)
     assert float(np.max(np.abs(fv))) <= 1 + 1e-9
 
 
-def test_restrict_smooth(table_1e4):
+def test_restrict_smooth():
     f = restrict_smooth(multfn.one(), 5)
-    assert evaluate(f, 7, table_1e4) == 0
+    assert evaluate(f, 7) == 0
     full = multfn.one()
     for n in range(1, 200):
         if oracles.largest_prime_factor(n) <= 5:
-            assert evaluate(f, n, table_1e4) == evaluate(full, n, table_1e4)
-    fv = values_array(f, table_1e4, 2500)
-    assert int(fv.real.sum()) == psi(table_1e4, 2500, 5)
+            assert evaluate(f, n) == evaluate(full, n)
+    fv = values_array(f, 2500)
+    assert int(fv.real.sum()) == psi(2500, 5)
 
 
-def test_character_twist_self_correlation(table_1e4):
+def test_character_twist_self_correlation():
     psi7 = [c for c in enumerate_characters(7) if c.primitive][0]
     f = multfn.character_twist(psi7, 50)
     for n in (3, 10, 48):
         expect = psi7.cvalue(n) if oracles.largest_prime_factor(n) <= 50 else 0
-        assert evaluate(f, n, table_1e4) == pytest.approx(expect)
+        assert evaluate(f, n) == pytest.approx(expect)
