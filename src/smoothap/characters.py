@@ -24,9 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import factorize, unit_mask
-from .errors import DomainError
+from .errors import DomainError, SizingError
 
 MODULUS_CAP = 1_000_000  # dlog tables are O(q); raise deliberately if needed
+
+# bytes of the complex_table of every member of family_A(D), 16 per residue,
+# that family_A accepts: a command keeps every table it reads for its whole
+# run, and the sum grows about as D^3 (D = 514 is the largest under the cap)
+FAMILY_TABLE_CAP = 1 << 28
 
 
 class RootSumStructureError(ArithmeticError):
@@ -354,10 +359,21 @@ class CharacterFamily:
         return [chi for chi in self.members if chi.q <= bound]
 
 
+def _primitive_count(r: int) -> int:
+    """The number of primitive characters mod r: multiplicative, p - 2 at a
+    prime p and p^(k-2) (p-1)^2 at p^k for k >= 2."""
+    return math.prod(p - 2 if k == 1 else p ** (k - 2) * (p - 1) ** 2
+                     for p, k in factorize(r))
+
+
 def family_A(D: int) -> CharacterFamily:
     """Primitive characters of conductor <= D, ordered by conductor then rank."""
     if D < 1:
         raise DomainError(f"need D >= 1, got {D}")
+    tables = itertools.accumulate(16 * r * _primitive_count(r) for r in range(1, D + 1))
+    if any(t > FAMILY_TABLE_CAP for t in tables):  # stops at the cap, even for a huge D
+        raise SizingError(f"the primitive characters of conductor <= {D} need more "
+                          f"than {FAMILY_TABLE_CAP} bytes of tables")
     members = []
     for r in range(1, D + 1):
         if r % 4 == 2:

@@ -70,12 +70,10 @@ def _parse_xi(spec: str):
     raise DomainError(f"unknown Xi spec {spec!r}")
 
 
-def _check_x(*xs: int):
-    """Each x >= 1 and within the cap, checked before a command builds anything."""
-    for x in xs:
-        if x < 1:
-            raise DomainError(f"x must be >= 1, got {x}")
-        _check_query(x)
+def _config(args, **extra) -> dict:
+    """The command and every argument of its subparser, as parsed (and derived)."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("out", "format", "threads", "fn")} | extra
 
 
 def _emit(args, name: str, columns, rows, config, summary=None):
@@ -84,35 +82,27 @@ def _emit(args, name: str, columns, rows, config, summary=None):
 
 
 def cmd_psi(args):
-    _check_x(args.x)
-    rows = []
-    if args.q is None:
-        rows.append({"kind": "psi", "x": args.x, "y": args.y, "q": "", "a": "",
-                     "count": psi(args.x, args.y)})
-    elif args.a is None:
-        rows.append({"kind": "psi_coprime", "x": args.x, "y": args.y,
-                     "q": args.q, "a": "",
-                     "count": psi_coprime(args.x, args.y, args.q)})
+    _check_query(args.x, args.y, least=1)
+    x, y, q, a = args.x, args.y, args.q, args.a
+    if q is None:
+        kind, count, q, a = "psi", psi(x, y), "", ""
+    elif a is None:
+        kind, count, a = "psi_coprime", psi_coprime(x, y, q), ""
     else:
-        rows.append({"kind": "psi_progression", "x": args.x, "y": args.y,
-                     "q": args.q, "a": args.a,
-                     "count": psi_progression(args.x, args.y, args.a, args.q)})
-    config = {"command": "psi", "x": args.x, "y": args.y, "q": args.q, "a": args.a}
-    for row in rows:
-        print(f"{row['kind']} = {row['count']}")
-    _emit(args, "psi", PSI_COLUMNS, rows, config)
+        kind, count = "psi_progression", psi_progression(x, y, a, q)
+    print(f"{kind} = {count}")
+    _emit(args, "psi", PSI_COLUMNS,
+          [{"kind": kind, "x": x, "y": y, "q": q, "a": a, "count": count}], _config(args))
     return 0
 
 
 def cmd_delta(args):
-    _check_x(args.x)
+    _check_query(args.x, args.y, least=1)
     f = _parse_function(args.f, args.y, args.f_seed)
     rec = discrepancy_record(f, args.x, args.q, args.a, 1)
     rec.a1 %= rec.q  # the report names the residue class of a
-    config = {"command": "delta", "x": args.x, "y": args.y, "q": args.q,
-              "a": args.a, "f": args.f, "f_seed": args.f_seed}
     print(f"delta = {fmt_number(rec.delta.real)} + {fmt_number(rec.delta.imag)}i")
-    _emit(args, "delta", DISCREPANCY_COLUMNS, [discrepancy_row(rec)], config)
+    _emit(args, "delta", DISCREPANCY_COLUMNS, [discrepancy_row(rec)], _config(args))
     return 0
 
 
@@ -120,16 +110,19 @@ def cmd_bv_average(args):
     xs = [_int(v, "--xs entry") for v in args.xs.split(",")] if args.xs else [args.x]
     if any(v is None for v in xs):
         raise DomainError("bv-average needs --x or --xs")
-    xi = _parse_xi(args.xi)
-    _check_x(*xs)
-    decay_rows = []
-    config = {"command": "bv-average", "x": args.x, "xs": args.xs, "y": args.y,
-              "Q": args.Q, "a1": args.a1, "a2": args.a2, "xi": args.xi,
-              "f": args.f, "f_seed": args.f_seed,
-              "y_rule": args.y_rule, "Q_exp": args.Q_exp}
+    runs = []  # (x, y, Q) for every x, each checked before anything is built
     for x in xs:
         y = args.y if args.y_rule == "fixed" else max(2, round(x ** (1.0 / 3)))
+        if y is None:
+            raise DomainError("bv-average needs --y, or --y-rule cuberoot")
+        _check_query(x, y, least=1)
         Q = args.Q if args.Q is not None else int(x**args.Q_exp)
+        if not 1 <= Q <= x:
+            raise DomainError(f"need 1 <= Q <= x, got Q={Q} at x={x}")
+        runs.append((x, y, Q))
+    xi = _parse_xi(args.xi)
+    decay_rows = []
+    for x, y, Q in runs:
         f = _parse_function(args.f, y, args.f_seed)
         total, records = bv_average(f, x, Q, args.a1, args.a2, xi,
                                     threads=args.threads)
@@ -139,11 +132,11 @@ def cmd_bv_average(args):
               f"psi={psi_x} normalized={fmt_number(normalized)}")
         decay_rows.append({"x": x, "y": y, "Q": Q, "total": total,
                            "psi": psi_x, "normalized": normalized})
-    if len(xs) == 1:
+    if len(runs) == 1:
         _emit(args, "bv-average", DISCREPANCY_COLUMNS, map(discrepancy_row, records),
-              config, summary=decay_rows[0])
+              _config(args), summary=decay_rows[0])
     else:
-        _emit(args, "bv-average-decay", DECAY_COLUMNS, decay_rows, config)
+        _emit(args, "bv-average-decay", DECAY_COLUMNS, decay_rows, _config(args))
     return 0
 
 
@@ -153,7 +146,7 @@ def cmd_large_sieve(args):
     if args.Q is None:  # pick the range the inequality is stated for
         args.Q = modulus_range_Q(args.x, args.y, args.c,
                                  weighted=args.weight_mode == "sqrt")
-    _check_x(args.x)
+    _check_query(args.x, args.y, least=1)
     families = family_A(args.Q)
     smooth = smooth_numbers(args.x, args.y)  # built once: every trial reads it
     Psi = len(smooth.ns)
@@ -163,12 +156,10 @@ def cmd_large_sieve(args):
         # a[i] is the coefficient at the i-th smooth n, as ls_primal reads it
         if args.coeffs == "ones":
             a = np.ones(Psi, dtype=np.complex128)
-        elif args.coeffs == "pm1":
+        else:  # pm1, the only other choice the parser takes
             rng = random.Random(args.seed * 100003 + trial)
             a = np.array([1.0 if rng.random() < 0.5 else -1.0 for _ in range(Psi)],
                          dtype=np.complex128)
-        else:
-            raise DomainError(f"unknown coefficient family {args.coeffs!r}")
         exp = ls_primal(smooth, args.Q, a, args.weight_mode, families,
                         threads=args.threads)
         del a  # before the next trial builds its own
@@ -176,17 +167,14 @@ def cmd_large_sieve(args):
         rows.append({"trial": trial, "x": exp.x, "y": exp.y, "Q": exp.Q,
                      "weight_mode": exp.weight_mode, "lhs": exp.lhs,
                      "rhs": exp.rhs, "ratio": exp.ratio})
-    config = {"command": "large-sieve", "x": args.x, "y": args.y, "Q": args.Q,
-              "coeffs": args.coeffs, "trials": args.trials,
-              "weight_mode": args.weight_mode, "seed": args.seed, "c": args.c}
     print(f"max ratio = {fmt_number(best)}")
-    _emit(args, "large-sieve", SIEVE_COLUMNS, rows, config,
+    _emit(args, "large-sieve", SIEVE_COLUMNS, rows, _config(args),
           summary={"max_ratio": best})
     return 0
 
 
 def cmd_exceptional(args):
-    _check_x(args.x)
+    _check_query(args.x, args.y, least=1)
     bound = context_bound(args.x, args.B)
     families = family_A(args.Q)
     f = _parse_function(args.f, args.y, args.f_seed)
@@ -198,9 +186,7 @@ def cmd_exceptional(args):
              "threshold": w.threshold, "kind": kind}
             for kind, wits in (("member", found.members), ("near_miss", found.near_misses))
             for w in wits)
-    config = {"command": "exceptional", "x": args.x, "y": args.y, "Q": args.Q,
-              "B": args.B, "eps": args.eps, "f": args.f, "f_seed": args.f_seed,
-              "f_record": f.to_record()}
+    config = _config(args, f_record=f.to_record())
     print(f"|Xi(B)| = {count}, weighted = {fmt_number(weighted)}, "
           f"(log x)^(3B+13) = {fmt_number(bound)} [context only]")
     _emit(args, "exceptional", EXCEPTIONAL_COLUMNS, rows, config,
@@ -251,7 +237,7 @@ def cmd_verify_identities(args):
     if args.tuples > 0 and args.xmax < 50:
         raise DomainError(f"the transfer tuples draw x from 50..xmax, so need --xmax >= 50, "
                           f"got {args.xmax}")
-    _check_x(args.xmax)
+    _check_query(args.xmax, least=1)
     rng = random.Random(args.seed)
     rows = []
 
@@ -290,15 +276,12 @@ def cmd_verify_identities(args):
         worst = max(worst, float(np.max(np.abs(conv[2:]))))
     add("dirichlet-inverse", f"n<={args.xmax}", worst, 1e-10)
 
-    config = {"command": "verify-identities", "qmax": args.qmax,
-              "tuples": args.tuples, "xmax": args.xmax,
-              "Dset": list(args.Dset), "seed": args.seed}
     ok = all(r["ok"] for r in rows)
     for r in rows:
         status = "ok" if r["ok"] else "FAIL"
         print(f"{r['check']:20s} {r['params']:20s} residual={fmt_number(r['residual'])} "
               f"tol={fmt_number(r['tolerance'])} {status}")
-    _emit(args, "verify-identities", IDENTITY_COLUMNS, rows, config,
+    _emit(args, "verify-identities", IDENTITY_COLUMNS, rows, _config(args),
           summary={"all_ok": ok})
     return 0 if ok else 1
 

@@ -3,15 +3,14 @@
 The y-smooth n <= x (every prime factor <= y) are generated directly from
 the primes p <= y (`smooth_pieces`), in O(Psi(x,y)) work and memory for
 y <= sqrt(x).  Every query here reads that walk: `psi`, the coprime and
-progression counts (a gcd or a residue per walked number), and
-`smooth_ascending`, the walk (and the values of a multiplicative f on it)
-as ascending arrays.  Their order comes from a bitmap over 0..x and an
-int32 rank per 64-bit word, not from a sort: each walked n is written at
-its rank.  `smooth_numbers` is the y-smooth set of the large-sieve
-experiments, a `SmoothSet` that carries its (x, y) (a count Psi(t,y) is a
-searchsorted on it), and the support of a multiplicative function
-(`multfn.get_support`) is the walk with values.  Every query checks its
-x against X_MAX_CAP first (`_check_query`).
+progression counts (a gcd or a residue per walked number), `smooth_numbers`
+and `smooth_ascending`.  `smooth_numbers` is the y-smooth set of the
+large-sieve experiments, a `SmoothSet` that carries its (x, y) (a count
+Psi(t,y) is a searchsorted on it): psi(x, y) slots, filled by one walk and
+sorted in place.  `smooth_ascending` is the support of a multiplicative f
+with its values (`multfn.get_support`), in ascending order without a sort:
+a bitmap over 0..x and an int32 rank per 64-bit word give each walked n its
+place.  Every query checks its x against X_MAX_CAP first (`_check_query`).
 """
 
 from __future__ import annotations
@@ -196,17 +195,29 @@ def psi_progression(x: int, y: int, a: int, q: int) -> int:
 
 
 def smooth_numbers(x: int, y: int) -> SmoothSet:
-    """The n <= x with P(n) <= y (n = 1 included) as a SmoothSet, read-only int32."""
-    _check_query(x, y)
-    ns = smooth_ascending(x, y)[0]
+    """The n <= x with P(n) <= y (n = 1 included) as a SmoothSet, read-only int32.
+
+    Count, fill, sort.  A walk that fills other than psi(x, y) slots raises
+    RuntimeError, never a partial set (psi counts the primes above sqrt(x)
+    without walking them, so for y > sqrt(x) that is an independent check).
+    """
+    ns = np.empty(psi(x, y), dtype=np.int32)  # psi checks the query
+    filled = 0
+    for piece, _ in smooth_pieces(x, y):
+        if filled + piece.size <= ns.size:
+            ns[filled:filled + piece.size] = piece
+        filled += piece.size
+    if filled != ns.size:
+        raise RuntimeError(f"the walk gave {filled} numbers, Psi({x}, {y}) = {ns.size}")
+    ns.sort()
     ns.setflags(write=False)
     return SmoothSet(x, y, ns)
 
 
-def smooth_ascending(x: int, y: int, fpk=None):
+def smooth_ascending(x: int, y: int, fpk):
     """The walk of smooth_pieces(x, y, fpk) as ascending arrays (ns, vs).
 
-    ns is int32; vs is the complex f(n) at each n, or None without fpk.
+    ns is int32, the support of the f that the oracle fpk defines; vs is f(ns).
     The walked n set bit n & 63 of word n >> 6 of a bitmap over 0..x, and
     rank[w] counts the set bits in the words before w, so n goes to
     rank[n >> 6] + popcount(words[n >> 6] & ((1 << (n & 63)) - 1)) with its
@@ -221,7 +232,7 @@ def smooth_ascending(x: int, y: int, fpk=None):
     words = np.zeros(x // 64 + 1, dtype=np.uint64)
     if x <= _ONE_WALK_X:
         parts_n, parts_v = zip(*smooth_pieces(x, y, fpk))
-        pieces = [(np.concatenate(parts_n), None if fpk is None else np.concatenate(parts_v))]
+        pieces = [(np.concatenate(parts_n), np.concatenate(parts_v))]
         del parts_n, parts_v
         _set_bits(words, pieces[0][0])
     else:
@@ -232,7 +243,7 @@ def smooth_ascending(x: int, y: int, fpk=None):
     np.cumsum(np.bitwise_count(words[:-1]), dtype=np.int32, out=rank[1:])
     total = int(rank[-1]) + int(np.bitwise_count(words[-1]))
     ns = np.empty(total, dtype=np.int32)
-    vs = None if fpk is None else np.empty(total, dtype=np.complex128)
+    vs = np.empty(total, dtype=np.complex128)
     batch = max(_PLACE_BATCH, total >> 5)
     walked = 0
     for piece_n, piece_v in pieces:
@@ -250,8 +261,7 @@ def smooth_ascending(x: int, y: int, fpk=None):
             at = np.take(rank, w)
             at += np.bitwise_count(bit)
             np.put(ns, at, n)
-            if vs is not None:
-                np.put(vs, at, piece_v[lo:lo + batch])
+            np.put(vs, at, piece_v[lo:lo + batch])
     if walked != total:
         raise OracleError("the oracle gave another support on a second walk")
     return ns, vs
@@ -268,13 +278,14 @@ def _set_bits(words: np.ndarray, ns: np.ndarray):
         np.add.at(words, n >> 6, np.left_shift(np.uint64(1), (n & 63).astype(np.uint64)))
 
 
-def _check_query(x: int, y: int = 2):
-    """Reject a query past the cap (SizingError) or outside its domain, before
-    anything is allocated; y defaults to 2 for a query with no smoothness bound."""
+def _check_query(x: int, y: int = 2, least: int = 0):
+    """Reject a query past the cap (SizingError) or outside its domain (x < least
+    or y < 2), before anything is allocated; y defaults to 2 for a query with no
+    smoothness bound, and every command takes x >= 1."""
     if x > X_MAX_CAP:
         raise SizingError(f"x must be <= {X_MAX_CAP}, got {x}")
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
+    if x < least:
+        raise DomainError(f"x must be >= {least}, got {x}")
     if y < 2:
         raise DomainError(f"smoothness bound must be >= 2, got {y}")
 

@@ -6,11 +6,11 @@ import pytest
 
 import oracles
 from smoothap.arith import euler_phi
-from smoothap.characters import (UnitGroup, decompose,
+from smoothap.characters import (FAMILY_TABLE_CAP, UnitGroup, _primitive_count, decompose,
                                  enumerate_characters, exact_root_counts_sum,
                                  exact_unit_sum, family_A, induce, multiply,
                                  principal_character, trivial_character)
-from smoothap.errors import DomainError
+from smoothap.errors import DomainError, SizingError
 
 
 def units(q):
@@ -159,6 +159,21 @@ def test_family_sizes():
     assert len(family_A(5).members) == 6  # conductors 1,3,4,5 give 1+1+1+3
 
 
+def test_family_table_bytes_come_from_the_primitive_counts():
+    # family_A sizes its tables by sum_r 16 r * #primitive characters mod r;
+    # test_primitive_decomposition_count checks that count against enumeration
+    fam = family_A(60)
+    assert sum(chi.complex_table().nbytes for chi in fam.members) == 16 * 26445
+    tables, D = 0, 0
+    while tables <= FAMILY_TABLE_CAP:
+        D += 1
+        tables += 16 * D * _primitive_count(D)
+    assert D == 515  # 514 is the largest D under the cap
+    for bound in (D, 10**9):
+        with pytest.raises(SizingError):
+            family_A(bound)
+
+
 def test_family_conjugation_closure():
     fam = family_A(40)
     members = set(fam.members)
@@ -176,6 +191,7 @@ def test_primitive_decomposition_count():
     for q in range(1, 501):
         total = sum(prim_count[s] for s in range(1, q + 1) if q % s == 0)
         assert total == euler_phi(q)
+        assert prim_count[q] == _primitive_count(q), q  # the formula family_A sizes by
 
 
 def test_product_uniqueness_claim():

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -234,6 +236,96 @@ def test_bv_average_checks_every_x_before_building_a_support(tmp_path, monkeypat
     assert err["type"] == "SizingError" and "50000001" in err["error"]
 
 
+# bv-average argv whose y or Q is wrong at some x: no --y under the default
+# --y-rule fixed (it walked every n <= x as an unbounded f, then ended in a
+# TypeError, exit 1), y < 2, and Q outside 1..x, at the second x of --xs
+# (after all of the first was computed)
+BV_AVERAGE_BAD_Y_OR_Q = [
+    ["bv-average", "--x", "100", "--Q", "3"],
+    ["bv-average", "--xs", "1000,2000", "--Q", "3", "--f", "random-unit"],
+    ["bv-average", "--x", "100", "--y", "1", "--Q", "3"],
+    ["bv-average", "--x", "100", "--y", "5", "--Q", "101"],
+    ["bv-average", "--xs", "100000,50", "--y", "10", "--Q", "100"],
+    ["bv-average", "--xs", "1000,2000", "--y-rule", "cuberoot", "--Q-exp", "-1"],
+]
+
+
+def test_bv_average_resolves_y_and_Q_for_every_x_before_building(tmp_path, monkeypatch,
+                                                                  capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("get_support called")
+
+    monkeypatch.setattr(discrepancy, "get_support", forbidden)
+    for args in BV_AVERAGE_BAD_Y_OR_Q:
+        assert run_cli(args, tmp_path) == 2, args
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "DomainError", args
+
+
+def test_a_family_past_the_table_cap_is_a_typed_error_without_allocation(tmp_path, capsys):
+    # 515 is the first Q whose primitive characters need more than
+    # characters.FAMILY_TABLE_CAP bytes of complex tables
+    for Q in ("515", "1000000000"):
+        for args in (["large-sieve", "--x", "1000", "--y", "10", "--Q", Q],
+                     ["exceptional", "--x", "1000", "--y", "10", "--Q", Q],
+                     ["bv-average", "--x", "1000", "--y", "10", "--Q", "5", "--xi", f"A:{Q}"]):
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            try:
+                code = run_cli(args, tmp_path)
+                elapsed = time.perf_counter() - t0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2, args
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err["type"] == "SizingError", args
+            assert peak < 1 << 20, (args, peak)  # the cap is 268 MB
+            assert elapsed < 1.0, (args, elapsed)
+
+
+def test_every_report_config_holds_exactly_its_subcommand_arguments(tmp_path):
+    # "command" plus every argument of the subcommand's own parser, and the
+    # scanned f's record in exceptional's; never --out, --format or --threads
+    subparsers, = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    for cmd, args in EVERY_COMMAND.items():
+        out = tmp_path / cmd
+        assert run_cli(args, out) == 0, cmd
+        want = {"command"} | {a.dest for a in subparsers.choices[args[0]]._actions
+                              if a.dest != "help"}
+        if args[0] == "exceptional":
+            want.add("f_record")
+        configs = [json.loads(p.read_text())["config"] for p in out.glob("*.json")]
+        configs += [json.loads(p.read_text().splitlines()[0].removeprefix("# config: "))
+                    for p in out.glob("*.csv")]
+        assert len(configs) >= 2, cmd
+        for config in configs:
+            assert set(config) == want, cmd
+            assert config["command"] == args[0]
+
+
+def test_readme_command_examples_run(tmp_path, capsys):
+    # every `smoothap ...` line of README "Command line", with the values
+    # its comments state
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = re.findall(r"^smoothap (.*)$", section, flags=re.M)
+    assert len(lines) == 9
+    checked = 0
+    for i, line in enumerate(lines):
+        argv, _, comment = line.partition("#")
+        assert run_cli(argv.split(), tmp_path / str(i)) == 0, line
+        stdout = capsys.readouterr().out
+        if m := re.search(r"Psi\(\d+,\d+\) = (\d+)", comment):
+            assert f"psi = {m[1]}\n" in stdout, line
+            checked += 1
+        if m := re.search(r"Delta = (\S+)", comment):
+            assert f"delta = {m[1]} + 0i\n" in stdout, line
+            checked += 1
+    assert checked == 2
+
+
 def test_oversize_x_is_a_typed_error_without_allocation(tmp_path, capsys):
     for args in (["bv-average", "--x", "50000001", "--y", "368", "--Q", "10"],
                  ["psi", "--x", "50000001", "--y", "2"]):
@@ -275,7 +367,11 @@ def test_usage_error_exit_2(tmp_path, capsys):
              ["exceptional", "--x", "100", "--y", "1", "--Q", "5"],
              ["exceptional", "--x", "100", "--y", "5", "--Q", "3", "--B", "400"],
              ["verify-identities", "--qmax", "0"],
-             ["verify-identities", "--xmax", "10"]]
+             ["verify-identities", "--xmax", "10"],
+             # delta took y < 2 and exited 0, while psi, bv-average and
+             # large-sieve reject it
+             ["delta", "--x", "100", "--y", "1", "--q", "3", "--a", "1"],
+             *BV_AVERAGE_BAD_Y_OR_Q]
     for args in cases:
         assert run_cli(args, tmp_path) == 2, args
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from smoothap import multfn
+from smoothap import multfn, sieve
 from smoothap.characters import enumerate_characters, family_A, trivial_character
 from smoothap.discrepancy import (ExceptionalSet, bv_average, character_sum, delta, delta_A,
                                   delta_xi, discrepancy_record, verify_transfer_identity)
@@ -84,6 +84,46 @@ def test_smooth_pieces_and_prefix_match_lpf(x, y):
     # Psi(t, y) as a count of smooth numbers <= t, at every t in 0..x
     pre = np.cumsum(mask.astype(np.int64))
     assert np.array_equal(np.searchsorted(smooth, np.arange(x + 1), side="right"), pre)
+
+
+def test_smooth_numbers_equals_trial_division_at_the_old_fork():
+    # x = 2^16 was where the bitmap builder switched from one walk to two; at
+    # y >= sqrt(x) the walk takes its batched large-prime step, whose primes
+    # psi counts without walking
+    lpf = np.array([0] + [oracles.largest_prime_factor(n) for n in range(1, 65538)])
+    for x in (65535, 65536, 65537):
+        r = math.isqrt(x)
+        for y in (r, r + 1, 1000, x):
+            want = np.flatnonzero(lpf[1 : x + 1] <= y) + 1
+            smooth = smooth_numbers(x, y)
+            assert (smooth.x, smooth.y) == (x, y)
+            assert smooth.ns.dtype == np.int32 and not smooth.ns.flags.writeable
+            assert np.array_equal(smooth.ns, want), (x, y)
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_smooth_numbers_rejects_a_walk_that_disagrees_with_the_count(monkeypatch, off):
+    # a count one short or one over raises; no partial set is returned
+    psi_walked = sieve.psi
+    monkeypatch.setattr(sieve, "psi", lambda x, y: psi_walked(x, y) + off)
+    for x, y in ((1000, 7), (10**5, 400)):
+        with pytest.raises(RuntimeError, match="Psi"):
+            smooth_numbers(x, y)
+
+
+def test_smooth_numbers_peak_bytes_per_point_at_low_density():
+    # Psi(2e6, 20) = 11,368: a bitmap over 0..x alone would be 22 bytes a
+    # point, and the rank-placed build peaked at 49
+    x, y = 2_000_000, 20
+    smooth_numbers(1000, 7)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        smooth = smooth_numbers(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert smooth.ns.size == psi(x, y) == 11368
+    assert peak < 16 * smooth.ns.size, peak / smooth.ns.size
 
 
 def test_psi_fixed_points():
