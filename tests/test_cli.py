@@ -239,7 +239,9 @@ def test_bv_average_checks_every_x_before_building_a_support(tmp_path, monkeypat
 # bv-average argv whose y or Q is wrong at some x: no --y under the default
 # --y-rule fixed (it walked every n <= x as an unbounded f, then ended in a
 # TypeError, exit 1), y < 2, and Q outside 1..x, at the second x of --xs
-# (after all of the first was computed)
+# (after all of the first was computed); then argv that exited 0: an --x
+# beside --xs and a --y beside --y-rule cuberoot (both recorded in the
+# config but not used), and a1*a2 = 0 (gcd(0, q) = q left q = 1 alone)
 BV_AVERAGE_BAD_Y_OR_Q = [
     ["bv-average", "--x", "100", "--Q", "3"],
     ["bv-average", "--xs", "1000,2000", "--Q", "3", "--f", "random-unit"],
@@ -247,6 +249,10 @@ BV_AVERAGE_BAD_Y_OR_Q = [
     ["bv-average", "--x", "100", "--y", "5", "--Q", "101"],
     ["bv-average", "--xs", "100000,50", "--y", "10", "--Q", "100"],
     ["bv-average", "--xs", "1000,2000", "--y-rule", "cuberoot", "--Q-exp", "-1"],
+    ["bv-average", "--x", "5", "--xs", "1000,2000", "--y", "10", "--Q", "3"],
+    ["bv-average", "--x", "1000", "--y", "50", "--y-rule", "cuberoot", "--Q", "3"],
+    ["bv-average", "--x", "1000", "--y", "10", "--Q", "5", "--a1", "0"],
+    ["bv-average", "--x", "1000", "--y", "10", "--Q", "5", "--a2", "0"],
 ]
 
 
@@ -371,6 +377,8 @@ def test_usage_error_exit_2(tmp_path, capsys):
              # delta took y < 2 and exited 0, while psi, bv-average and
              # large-sieve reject it
              ["delta", "--x", "100", "--y", "1", "--q", "3", "--a", "1"],
+             # counted psi(x, y) and exited 0, ignoring an --a with no --q
+             ["psi", "--x", "100", "--y", "5", "--a", "1"],
              *BV_AVERAGE_BAD_Y_OR_Q]
     for args in cases:
         assert run_cli(args, tmp_path) == 2, args
@@ -427,16 +435,18 @@ def test_exceptional_twist_outside_the_scanned_family(tmp_path):
     assert doc["config"]["f_record"]["label"] == "twist[q=7,rank=1,y=20]"
 
 
-def test_seed0_reports_match_pinned_digests(tmp_path):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_seed0_reports_match_pinned_digests(tmp_path, threads):
     # the nine report digests the benchmark pins, exceptional-characters.json
-    # (the to_record output) among them; the manifest is only read here
+    # (the to_record output) among them; the manifest is only read here.  The
+    # benchmark also runs a traced child at --threads 2, so check that too
     manifest = json.loads((Path(__file__).parents[1] / "perfbench" / "manifest.json")
                           .read_text(encoding="utf-8"))
     seed = str(manifest["pin_seed"])
     for name, spec in manifest["workloads"].items():
         out = tmp_path / name
         argv = [a.replace("{seed}", seed) for a in spec["argv"]]
-        assert main(["--out", str(out), "--threads", "1", *manifest["global_argv"],
+        assert main(["--out", str(out), "--threads", threads, *manifest["global_argv"],
                      *argv]) == 0, name
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == spec["reports"], name

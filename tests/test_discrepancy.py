@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from smoothap import multfn
+from smoothap import discrepancy, multfn
 from smoothap.arith import euler_phi, factorize, residues, unit_mask
 from smoothap.characters import (enumerate_characters, family_A, induce,
                                  trivial_character)
@@ -240,6 +240,17 @@ def test_delta_A_equals_scalar_kernel_cells():
 def test_bv_average_rejects_Q_above_x():
     with pytest.raises(DomainError):
         bv_average(multfn.smooth_indicator(20), 100, 200, 1, 1, XI_TRIVIAL)
+
+
+def test_bv_average_rejects_a1_a2_zero(monkeypatch):
+    # gcd(0, q) = q, so a1*a2 = 0 averaged over q = 1 alone and reported total 0
+    def forbidden(*args, **kwargs):
+        raise AssertionError("get_support called")
+
+    monkeypatch.setattr(discrepancy, "get_support", forbidden)
+    for a1, a2 in ((0, 1), (1, 0), (0, 0)):
+        with pytest.raises(DomainError):
+            bv_average(multfn.smooth_indicator(20), 1000, 10, a1, a2, XI_TRIVIAL)
 
 
 def test_bv_average_edges():

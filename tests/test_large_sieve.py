@@ -108,7 +108,6 @@ def test_character_sums_and_combination_match_dense_gather(x, y, Q):
     b = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
     groups = _by_modulus(members)
     for got, want in ((_character_sums(ns, a, groups), M @ a),
-                      (_character_sums(ns, a, groups, threads=2), M @ a),
                       (_character_combination(ns, b, groups), M.T @ b)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
