@@ -240,6 +240,8 @@ def _dirichlet_convolution(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
 def cmd_verify_identities(args):
     if args.qmax < 1:
         raise DomainError(f"need --qmax >= 1, got {args.qmax}")
+    if args.tuples < 0:
+        raise DomainError(f"need --tuples >= 0, got {args.tuples}")
     if args.tuples > 0 and args.xmax < 50:
         raise DomainError(f"the transfer tuples draw x from 50..xmax, so need --xmax >= 50, "
                           f"got {args.xmax}")
@@ -297,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default="reports", help="output directory")
     ap.add_argument("--format", choices=["csv", "json", "both"], default="both")
     ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for bv-average and exceptional; others run serially")
+                    help="worker threads (>= 1) for bv-average and exceptional; "
+                         "others run serially")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psi", help="smooth counting queries")
@@ -370,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise DomainError(f"need --threads >= 1, got {args.threads}")
         return args.fn(args)
     except (DomainError, SizingError, OracleError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}),

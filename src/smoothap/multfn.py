@@ -11,11 +11,15 @@ plain |c| <= 1 comparison.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # hashlib loads OpenSSL (about 3.5 MB RSS) and never uses it for blake2
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .errors import DomainError, OracleError
 from .sieve import X_MAX_CAP, _check_query, primes_upto, smooth_ascending
@@ -105,7 +109,7 @@ def moebius_smooth(y: int) -> MultFnSpec:
 
 
 def _unit_angle(seed: int, p: int) -> float:
-    h = hashlib.blake2b(f"{seed}:{p}".encode(), digest_size=8).digest()
+    h = blake2b(f"{seed}:{p}".encode(), digest_size=8).digest()
     return int.from_bytes(h, "big") / 2**64
 
 

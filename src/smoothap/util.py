@@ -1,8 +1,10 @@
-"""Shared plumbing: deterministic parallel mapping."""
+"""Shared plumbing: deterministic parallel mapping.
+
+The thread pool module (and the logging it pulls in) loads only when a
+call actually fans out, so serial commands do not pay for it.
+"""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 
 def ordered_map(fn, items, threads: int = 1) -> list:
@@ -15,5 +17,7 @@ def ordered_map(fn, items, threads: int = 1) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

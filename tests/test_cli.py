@@ -24,6 +24,14 @@ def run_cli(args, out):
     return main(["--out", str(out)] + args)
 
 
+def run_child(*args):
+    """Run a fresh interpreter that finds smoothap where this process imported it from."""
+    src = str(Path(smoothap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_psi_command(tmp_path):
     assert run_cli(["psi", "--x", "100", "--y", "5"], tmp_path) == 0
     rows = (tmp_path / "psi.csv").read_text().splitlines()
@@ -72,6 +80,14 @@ def test_verify_identities_command(tmp_path):
     doc = json.loads((tmp_path / "verify-identities.json").read_text())
     assert doc["summary"]["all_ok"] == "true"
     assert all(r["ok"] == "true" for r in doc["records"])
+
+
+def test_verify_identities_zero_tuples_reads_tuples_0(tmp_path):
+    # --tuples 0 checks no transfer tuple and says so; --xmax may then be < 50
+    assert run_cli(["verify-identities", "--qmax", "5", "--tuples", "0", "--xmax", "10"],
+                   tmp_path) == 0
+    rows = (tmp_path / "verify-identities.csv").read_text().splitlines()
+    assert "transfer-identity,tuples=0,0,1e-08,true" in rows
 
 
 def test_verify_identities_kernel_rows_pinned(tmp_path):
@@ -137,18 +153,30 @@ def test_verify_identities_calls_no_scalar_kernel(tmp_path, monkeypatch):
 
 def test_verify_identities_does_not_import_numpy_ma(tmp_path):
     # numpy.ma costs about 1 MB of peak RSS; np.unique is one way to pull it in
-    src = str(Path(smoothap.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys\n"
             "from smoothap.cli import main\n"
             f"assert main(['--out', {str(tmp_path)!r}, 'verify-identities', '--qmax', '20',"
             " '--tuples', '3', '--xmax', '300']) == 0\n"
             "print('numpy.ma' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+    proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_serial_commands_load_neither_openssl_nor_the_thread_pool(tmp_path):
+    # _hashlib maps OpenSSL's libcrypto (about 3.5 MB RSS) and
+    # concurrent.futures pulls in logging; a --threads 1 run needs neither
+    code = ("import sys\n"
+            "from smoothap.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert main(['--out', out, '--threads', '1', 'bv-average', '--x', '3000',"
+            " '--y', '20', '--Q', '5', '--f', 'random-unit']) == 0\n"
+            "assert main(['--out', out, '--threads', '1', 'verify-identities', '--qmax', '10',"
+            " '--tuples', '2', '--xmax', '200']) == 0\n"
+            "print(sorted({'_hashlib', 'concurrent.futures'} & set(sys.modules)))\n")
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 EVERY_COMMAND = {
@@ -374,6 +402,11 @@ def test_usage_error_exit_2(tmp_path, capsys):
              ["exceptional", "--x", "100", "--y", "5", "--Q", "3", "--B", "400"],
              ["verify-identities", "--qmax", "0"],
              ["verify-identities", "--xmax", "10"],
+             # checked nothing and wrote an ok transfer-identity row (exit 0)
+             ["verify-identities", "--tuples", "-1"],
+             # ran serially (exit 0)
+             ["--threads", "0", "bv-average", "--x", "1000", "--y", "10", "--Q", "5"],
+             ["--threads", "-3", "exceptional", "--x", "1000", "--y", "10", "--Q", "3"],
              # delta took y < 2 and exited 0, while psi, bv-average and
              # large-sieve reject it
              ["delta", "--x", "100", "--y", "1", "--q", "3", "--a", "1"],
@@ -524,14 +557,8 @@ def test_number_formatting():
 
 
 def test_console_script_entry_point(tmp_path):
-    # the child finds the package where this process imported it from
-    src = str(Path(smoothap.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "smoothap.cli", "--out", str(tmp_path),
-         "psi", "--x", "50", "--y", "3"],
-        capture_output=True, text=True, env=env)
+    proc = run_child("-m", "smoothap.cli", "--out", str(tmp_path),
+                     "psi", "--x", "50", "--y", "3")
     assert proc.returncode == 0
     assert "psi = " in proc.stdout
 

@@ -1,4 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +183,33 @@ def test_support_values_rejects_a_second_walk_of_the_same_size():
 
     with pytest.raises(OracleError, match="swap: the oracle gave another support"):
         multfn.get_support(multfn.MultFnSpec("swap", swap, 50), 100_000)
+
+
+def test_unit_angle_matches_hashlib_blake2b():
+    for seed in range(4):
+        for p in primes_upto(1000):
+            h = hashlib.blake2b(f"{seed}:{p}".encode(), digest_size=8).digest()
+            assert multfn._unit_angle(seed, p) == int.from_bytes(h, "big") / 2**64
+
+
+def test_blake2b_fallback_gives_the_same_support():
+    # hashlib takes its own blake2b from _blake2, so it is imported before
+    # _blake2 is blocked; multfn's import of _blake2 then fails and it falls
+    # back to hashlib
+    ns, vs = get_support(multfn.random_unit_circle(3, smooth_bound=50), x=10**4)
+    src = str(Path(multfn.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import hashlib, sys\n"
+            "sys.modules['_blake2'] = None\n"
+            "from smoothap import multfn\n"
+            "ns, vs = multfn.get_support(multfn.random_unit_circle(3, smooth_bound=50),"
+            " x=10**4)\n"
+            "print((ns.tobytes() + vs.tobytes()).hex())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (ns.tobytes() + vs.tobytes()).hex()
 
 
 def test_unbounded_support_peak_bytes_per_point():
