@@ -7,17 +7,18 @@ and a factor 2^e contributes nothing (e = 1), the order-2 group <-1>
 (e = 2), or the pair <-1> x <5> (e >= 3).  Every value is the exact root
 of unity e^{2 pi i k/M}, read as the integer exponent k mod M (M = the
 exponent of the group) from the discrete logs of n, one component at a
-time.  Induction and decomposition rescale generator exponents, so they
-never read a value.  Exact fractions k/m appear only where a caller asks
-for them, in `value()` and `exact_unit_sum`; complex floats only in
-`cvalue()` and the cached `complex_table()`.
+time.  No command builds an induced character: a sum against the
+character mod q induced by psi reads psi's own table at the units of q.
+Exact fractions k/m appear only where a caller asks for them, in
+`value()`; complex floats only in `cvalue()` and the cached
+`complex_table()`.  Induction, decomposition, products and exact
+root-of-unity sums are the test suite's references (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,10 +35,6 @@ MODULUS_CAP = 1_000_000  # dlog tables are O(q); raise deliberately if needed
 FAMILY_TABLE_CAP = 1 << 28
 
 
-class RootSumStructureError(ArithmeticError):
-    """A root-of-unity multiset lacked the uniform-subgroup shape."""
-
-
 @dataclass
 class _Component:
     """One cyclic factor of (Z/qZ)*: generator, order, discrete logs.
@@ -45,7 +42,7 @@ class _Component:
     (p, slot) names the factor whatever the power of p: slot 0 is the cyclic
     group of an odd p or <-1> on the 2-part, slot 1 is <5>.  The generator
     of a slot mod p^e reduces mod p^f (f <= e) to the generator of the same
-    slot mod p^f, which is what `_carry` relies on.
+    slot mod p^f, which is what induction by rescaled exponents relies on.
     """
 
     p: int
@@ -257,9 +254,6 @@ class DirichletCharacter:
             tuple((-c) % comp.order for c, comp in zip(self.exps, self.group.components)),
         )
 
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        return multiply(self, other)
-
     def __eq__(self, other):
         return (
             isinstance(other, DirichletCharacter)
@@ -304,50 +298,6 @@ def trivial_character() -> DirichletCharacter:
     return principal_character(1)
 
 
-def _carry(chi: DirichletCharacter, q: int) -> DirichletCharacter:
-    """chi's exponents carried to the generators mod q, where q | chi.q or chi.q | q.
-
-    Generators reduce to generators (see `_Component`), so an exponent
-    scales by the ratio of the two orders, and a factor with no partner
-    carries exponent 0.  Going down, the ratio divides the exponent
-    exactly when chi factors through q, which is what `decompose` asks.
-    """
-    src = {(comp.p, comp.slot): (c, comp.order)
-           for c, comp in zip(chi.exps, chi.group.components)}
-    group = UnitGroup.get(q)
-    exps = []
-    for comp in group.components:
-        c, order = src.get((comp.p, comp.slot), (0, 1))
-        exps.append(c * comp.order // order)
-    return DirichletCharacter(group, tuple(exps))
-
-
-def induce(psi: DirichletCharacter, q: int) -> DirichletCharacter:
-    """The character mod q equal to psi on units of q, zero elsewhere."""
-    r = psi.conductor
-    if q % r:
-        raise DomainError(f"conductor {r} does not divide target modulus {q}")
-    return _carry(decompose(psi), q)
-
-
-def decompose(chi: DirichletCharacter) -> DirichletCharacter:
-    """The unique primitive character inducing chi."""
-    return chi if chi.primitive else _carry(chi, chi.conductor)
-
-
-def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
-    """Pointwise product chi1*chi2 as a character mod lcm(q1, q2)."""
-    L = math.lcm(chi1.q, chi2.q)
-    a = induce(chi1, L)
-    b = induce(chi2, L)
-    group = a.group
-    exps = tuple(
-        (c1 + c2) % comp.order
-        for c1, c2, comp in zip(a.exps, b.exps, group.components)
-    )
-    return DirichletCharacter(group, exps)
-
-
 @dataclass
 class CharacterFamily:
     """All primitive characters of conductor <= D, the trivial one included."""
@@ -382,36 +332,3 @@ def family_A(D: int) -> CharacterFamily:
             if chi.primitive:
                 members.append(chi)
     return CharacterFamily(D, members)
-
-
-def exact_root_counts_sum(counts, M: int) -> int:
-    """Exact integer value of sum_k counts[k] * e^{2 pi i k/M}, group-shaped input.
-
-    The multiset must be uniform over the cyclic subgroup it spans (the
-    shape produced by summing a character over a group, or a group of
-    characters at a point): either all mass sits at 1, or every element of
-    some mu_m (m > 1) appears equally often, making the sum exactly 0.
-    Anything else raises RootSumStructureError rather than guessing.
-    """
-    counts = {k % M: c for k, c in dict(counts).items() if c}
-    support = sorted(counts)
-    if not support:
-        return 0
-    if support == [0]:
-        return counts[0]
-    g = math.gcd(M, *support)
-    m = M // g
-    if len(counts) != m or set(support) != {j * g for j in range(m)}:
-        raise RootSumStructureError("support is not a full cyclic subgroup")
-    if len(set(counts.values())) != 1:
-        raise RootSumStructureError("non-uniform multiplicities over the subgroup")
-    return 0  # c * (full sum over mu_m) with m > 1
-
-
-def exact_unit_sum(values) -> int:
-    """exact_root_counts_sum for values given as k/m fractions."""
-    fracs = [Fraction(v) if not isinstance(v, Fraction) else v for v in values]
-    if not fracs:
-        return 0
-    M = math.lcm(*(f.denominator for f in fracs))
-    return exact_root_counts_sum(Counter(int(f * M) % M for f in fracs), M)

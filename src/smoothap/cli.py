@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -123,7 +124,16 @@ def cmd_bv_average(args):
         if y is None:
             raise DomainError("bv-average needs --y, or --y-rule cuberoot")
         _check_query(x, y, least=1)
-        Q = args.Q if args.Q is not None else int(x**args.Q_exp)
+        if args.Q is not None:
+            Q = args.Q
+        elif not math.isfinite(args.Q_exp):
+            raise DomainError(f"need a finite --Q-exp, got {args.Q_exp}")
+        else:
+            try:
+                Q = int(x**args.Q_exp)
+            except OverflowError:
+                raise DomainError(f"x^Q-exp overflows a float at x={x}, "
+                                  f"Q-exp={args.Q_exp}") from None
         if not 1 <= Q <= x:
             raise DomainError(f"need 1 <= Q <= x, got Q={Q} at x={x}")
         runs.append((x, y, Q))
@@ -150,10 +160,10 @@ def cmd_bv_average(args):
 def cmd_large_sieve(args):
     if args.trials < 1:
         raise DomainError(f"need --trials >= 1, got {args.trials}")
+    _check_query(args.x, args.y, least=1)  # before x^c or y^c is taken
     if args.Q is None:  # pick the range the inequality is stated for
         args.Q = modulus_range_Q(args.x, args.y, args.c,
                                  weighted=args.weight_mode == "sqrt")
-    _check_query(args.x, args.y, least=1)
     families = family_A(args.Q)
     smooth = smooth_numbers(args.x, args.y)  # built once: every trial reads it
     Psi = len(smooth.ns)

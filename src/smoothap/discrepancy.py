@@ -13,7 +13,10 @@ through the kernel
     u_D(n; q) = [n=1 mod q] - (1/phi(q)) sum_{chi mod q, cond(chi)<=D} chi(n),
 
 which also has an exact rational divisor-sum form (Moebius route).  Both
-routes are implemented and cross-checked.
+forms are computed a row (every residue mod q) at a time, and
+verify-identities checks that they agree; their one-cell-at-a-time forms,
+and the scalar Delta, Delta_Xi, Delta_A and S_f(x, chi), are the test
+suite's references (tests/oracles.py).
 
 All complex sums reduce residue-wise first (np.add.at in ascending n, a
 fixed order), then combine over at most q terms with numpy's pairwise
@@ -119,12 +122,6 @@ def residue_sums(ns: np.ndarray, vs: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def character_sum(f: MultFnSpec, X: int, chi: DirichletCharacter) -> complex:
-    """S_f(X, chi) = sum_{n<=X} f(n) * conj(chi(n))."""
-    rs = residue_sums(*get_support(f, x=X), chi.q)
-    return complex((np.conj(chi.complex_table()) * rs).sum())
-
-
 def _sum_induced(rs_units: np.ndarray, units: np.ndarray, psi: DirichletCharacter) -> complex:
     """sum over the units u mod q of rs[u] * conj(psi(u)), given rs_units = rs[units].
 
@@ -183,22 +180,6 @@ def _record(rs: np.ndarray, q: int, a1: int, a2: int, xi: ExceptionalSet | None,
     return rec
 
 
-def delta(f: MultFnSpec, x: int, q: int, a: int) -> complex:
-    """Delta(f,x;q,a): progression sum minus the coprime average."""
-    return discrepancy_record(f, x, q, a, 1).delta
-
-
-def delta_xi(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
-             xi: ExceptionalSet) -> complex:
-    """Delta_Xi(f,x;q,a1*conj(a2)): main terms only from characters induced by Xi."""
-    return discrepancy_record(f, x, q, a1, a2, xi=xi).delta_xi
-
-
-def delta_A(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int) -> complex:
-    """Delta_A(f,x;q,a1*conj(a2)) = sum_{n<=x} f(n) u_D(n*conj(a1)*a2; q)."""
-    return discrepancy_record(f, x, q, a1, a2, D=D).delta_a
-
-
 # ---------------------------------------------------------------------------
 # the conductor-truncated kernel, both exact forms
 
@@ -218,26 +199,12 @@ def _kernel_divisor_sum(g: int, q: int, D: int) -> int:
     return total
 
 
-def u_kernel_moebius(n: int, q: int, D: int) -> Fraction:
-    """Divisor-sum form of the kernel, exact rational.
+def u_kernel_moebius_row(q: int, D: int) -> np.ndarray:
+    """The divisor-sum form of the kernel at every residue n mod q at once.
 
-    0 when gcd(n,q) > 1; otherwise
+    Exact rationals rounded to float: 0 when gcd(n,q) > 1; otherwise
     [n=1 mod q] - (1/phi(q)) * sum_{d<=D, d | (q, n-1)} phi(d) *
                                sum_{b<=D/d, b | q/d} mu(b).
-    """
-    if q < 1 or D < 1:
-        raise DomainError(f"need q >= 1 and D >= 1, got q={q}, D={D}")
-    n %= q
-    if math.gcd(n, q) != 1:
-        return Fraction(0)
-    ind = 1 if n % q == 1 % q else 0
-    phi = euler_phi(q)
-    return Fraction(ind * phi - _kernel_divisor_sum(math.gcd(q, n - 1), q, D), phi)
-
-
-def u_kernel_moebius_row(q: int, D: int) -> np.ndarray:
-    """float(u_kernel_moebius(n, q, D)) at every residue n mod q at once.
-
     The value at a unit n depends only on g = gcd(q, n-1), and n = 1 (mod q)
     exactly when g = q, so the divisor sum and the Fraction are formed once
     per distinct g.

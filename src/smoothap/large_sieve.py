@@ -5,22 +5,23 @@ The inequality under study bounds
     sum_{q<=Q} w(q) sum*_{chi mod q} |sum_{n<=x, P(n)<=y} a_n chi(n)|^2
 
 (sum* over primitive characters, w = 1 or q^{-1/2}) by a constant times
-Psi(x,y) * sum |a_n|^2.  This module evaluates both sides of the primal,
-dual, and weighted forms, classifies characters by the size of their
-smooth character sum, and detects exceptional characters by a dyadic scan
-over scales.
+Psi(x,y) * sum |a_n|^2.  This module evaluates both sides of the primal
+form, unweighted or weighted, and detects exceptional characters by a
+dyadic scan over scales.  The dual form, the largest ratio by power
+iteration and the dyadic classes of characters by the size of their
+smooth character sum are the test suite's references (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import residues
-from .characters import CharacterFamily, DirichletCharacter, decompose, enumerate_characters
+from .characters import CharacterFamily, DirichletCharacter
 from .discrepancy import ExceptionalSet, ExceptionalWitness, residue_sums
 from .errors import DomainError
 from .multfn import MultFnSpec, get_support
@@ -51,11 +52,17 @@ def modulus_range_Q(x: int, y: int, c: float = 0.2, weighted: bool = False) -> i
     The exponent c is a free knob (default 0.2) and is recorded in every
     report so explored ranges stay reproducible.
     """
-    if weighted:
-        return max(1, int(x**c))
-    if x < 2:
+    if not math.isfinite(c):
+        raise DomainError(f"need a finite exponent c, got {c}")
+    if not weighted and x < 2:
         raise DomainError(f"the unweighted range takes log log x, so needs x >= 2, got {x}")
-    return max(1, int(min(y**c, math.exp(c * math.log(x) / math.log(math.log(x))))))
+    try:
+        if weighted:
+            return max(1, int(x**c))
+        return max(1, int(min(y**c, math.exp(c * math.log(x) / math.log(math.log(x))))))
+    except OverflowError:
+        raise DomainError(f"the modulus range overflows a float at x={x}, y={y}, "
+                          f"c={c}") from None
 
 
 def _by_modulus(chars: list[DirichletCharacter]) -> list[list[DirichletCharacter]]:
@@ -75,21 +82,6 @@ def _character_sums(ns: np.ndarray, a: np.ndarray,
         rs = residue_sums(ns, a, chars[0].q)
         sums += [complex((chi.complex_table() * rs).sum()) for chi in chars]
     return np.array(sums, dtype=np.complex128)
-
-
-def _character_combination(ns: np.ndarray, b: np.ndarray,
-                           groups: list[list[DirichletCharacter]]) -> np.ndarray:
-    """(M^T b)_i = sum_chi b_chi chi(ns[i]), the transpose of `_character_sums`.
-
-    b is indexed by the characters of groups in order.  Each modulus builds
-    one length-q row sum_chi b_chi chi(r) and gathers it once at ns mod q.
-    """
-    out = np.zeros(ns.size, dtype=np.complex128)
-    coefs = iter(b)
-    for chars in groups:  # zip stops at the end of chars, taking one coef per chi
-        row = sum(coef * chi.complex_table() for chi, coef in zip(chars, coefs))
-        out += row[residues(ns, chars[0].q)]
-    return out
 
 
 def _nonzero_coefficients(v: np.ndarray, n: int, what: str) -> np.ndarray:
@@ -124,97 +116,6 @@ def ls_primal(smooth: SmoothSet, Q: int, a: np.ndarray, weight_mode: str,
         lhs += sub
     rhs = float(ns.size) * float(np.sum(np.abs(a) ** 2))
     return SieveExperiment(smooth.x, smooth.y, Q, weight_mode, lhs, rhs)
-
-
-def ls_dual(smooth: SmoothSet, Q: int, b: np.ndarray,
-            families: CharacterFamily) -> SieveExperiment:
-    """Dual form: lhs = sum_{smooth n<=x} |sum_{q<=Q} sum*_chi b_chi chi(n)|^2.
-
-    b is indexed by families.up_to(Q) in family order.
-    """
-    members = families.up_to(Q)
-    b = _nonzero_coefficients(b, len(members), "primitive character")
-    ns = smooth.ns
-    G = _character_combination(ns, b, _by_modulus(members))
-    lhs = float(np.sum(np.abs(G) ** 2))
-    rhs = float(ns.size) * float(np.sum(np.abs(b) ** 2))
-    return SieveExperiment(smooth.x, smooth.y, Q, "unweighted", lhs, rhs)
-
-
-def max_ratio_power_iteration(smooth: SmoothSet, Q: int,
-                              families: CharacterFamily, side: str,
-                              iters: int = 200, seed: int = 0) -> float:
-    """Largest primal (or dual) ratio via power iteration on the Gram operator.
-
-    With M the characters-by-smooth-n matrix (`_character_sums`, and
-    `_character_combination` for M^T), the primal side iterates M^H M and
-    the dual side conj(M) M^T: the side only picks the order.  The two share
-    their nonzero eigenvalues, so running them independently makes their
-    agreement an actual check rather than a tautology.
-    """
-    members = families.up_to(Q)
-    groups = _by_modulus(members)
-    ns = smooth.ns
-    if side == "primal":
-        first, second, size = _character_sums, _character_combination, ns.size
-    elif side == "dual":
-        first, second, size = _character_combination, _character_sums, len(members)
-    else:
-        raise DomainError(f"side must be 'primal' or 'dual', got {side!r}")
-    rng = np.random.RandomState(seed)
-    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        u = np.conj(second(ns, np.conj(first(ns, v, groups)), groups))
-        v = u / np.linalg.norm(u)
-    w = first(ns, v, groups)
-    return float(np.vdot(w, w).real / np.vdot(v, v).real / float(ns.size))
-
-
-# ---------------------------------------------------------------------------
-# eta classification
-
-
-@dataclass
-class EtaClass:
-    """Non-principal chi mod q <= Q^2 with eta*Psi < |sum_{smooth n} chi(n)| <= 2*eta*Psi."""
-
-    eta: float
-    members: list[DirichletCharacter] = field(default_factory=list)
-    sums: list[float] = field(default_factory=list)
-    xi_star: list[DirichletCharacter] = field(default_factory=list)
-
-
-def classify_eta(smooth: SmoothSet, Q: int,
-                 families: CharacterFamily | None = None,
-                 levels: int = 16) -> list[EtaClass]:
-    """Assign every non-principal character mod q <= Q^2 to its dyadic class.
-
-    Characters whose smooth character sum is <= Psi * 2^-levels fall in no
-    class.  xi_star collects the distinct primitive characters inducing the
-    members of each class; when a family covering conductor Q^2 is supplied,
-    xi_star reuses its member instances so callers can match by identity.
-    """
-    if families is not None and families.D < Q * Q:
-        raise DomainError(f"family covers conductors <= {families.D}, need {Q * Q}")
-    canonical = {chi: chi for chi in families.members} if families is not None else {}
-    ns = smooth.ns
-    Psi = float(ns.size)
-    chars = [chi for q in range(1, Q * Q + 1) for chi in enumerate_characters(q)
-             if not chi.is_principal]
-    sums = _character_sums(ns, np.ones(ns.size, dtype=np.complex128), _by_modulus(chars))
-    classes = [EtaClass(eta=2.0 ** -(k + 1)) for k in range(levels)]
-    for chi, S in zip(chars, np.abs(sums).tolist()):
-        k, thr = 1, Psi / 2.0
-        while S <= thr and k <= levels:
-            k += 1
-            thr /= 2.0
-        if k <= levels:  # S > Psi*2^-k and S <= Psi*2^-(k-1)
-            classes[k - 1].members.append(chi)
-            classes[k - 1].sums.append(S)
-    for cl in classes:  # distinct inducing characters, in order of first appearance
-        cl.xi_star = list(dict.fromkeys(canonical.get(p, p) for p in map(decompose, cl.members)))
-    return classes
 
 
 # ---------------------------------------------------------------------------

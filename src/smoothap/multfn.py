@@ -3,16 +3,15 @@
 A MultFnSpec is a label, an oracle (p, k) -> f(p^k), and an optional
 smoothness bound y; the function it denotes vanishes at every n with a
 prime factor above y (enforced at evaluation on integers, never by
-rewriting oracle values).  Log-derivative coefficients Lambda_f are kept
-as multiples of log p so the class test |Lambda_f(p^k)| <= log p is a
-plain |c| <= 1 comparison.
+rewriting oracle values).  No command reads the log-derivative
+coefficients Lambda_f or the class test |Lambda_f(p^k)| <= log p: they
+are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +22,6 @@ except ImportError:
 
 from .errors import DomainError, OracleError
 from .sieve import X_MAX_CAP, _check_query, primes_upto, smooth_ascending
-
-CLASS_C_SLACK = 1e-12
 
 
 class MultFnSpec:
@@ -64,23 +61,6 @@ class MultFnSpec:
         return f"MultFnSpec({self.label!r}, y={self.smooth_bound})"
 
 
-def from_prime_powers(label: str, values: dict, smooth_bound: int | None = None) -> MultFnSpec:
-    """Oracle backed by an explicit {(p, k): value} dict.
-
-    A missing (p, k) falls back to the completely multiplicative extension
-    f(p)^k when (p, 1) is present, and errors otherwise.
-    """
-
-    def oracle(p, k):
-        if (p, k) in values:
-            return values[(p, k)]
-        if (p, 1) in values:
-            return values[(p, 1)] ** k
-        raise OracleError(f"{label}: no oracle value at (p={p}, k={k})")
-
-    return MultFnSpec(label, oracle, smooth_bound)
-
-
 def completely_multiplicative(label: str, prime_value, smooth_bound: int | None = None) -> MultFnSpec:
     """f(p^k) = prime_value(p)^k."""
     return MultFnSpec(label, lambda p, k: prime_value(p) ** k, smooth_bound)
@@ -88,10 +68,6 @@ def completely_multiplicative(label: str, prime_value, smooth_bound: int | None 
 
 # ---------------------------------------------------------------------------
 # built-in function library
-
-
-def one() -> MultFnSpec:
-    return MultFnSpec("one", lambda p, k: 1.0)
 
 
 def smooth_indicator(y: int) -> MultFnSpec:
@@ -207,74 +183,6 @@ def values_array(f: MultFnSpec, x: int) -> np.ndarray:
     return vals
 
 
-# ---------------------------------------------------------------------------
-# log-derivative coefficients and class membership
-
-
-@dataclass
-class LambdaTable:
-    """Lambda_f on prime powers <= N, stored as coefficients c with value c*log p."""
-
-    N: int
-    coeffs: dict  # p^k -> (p, c)
-
-    def value(self, n: int) -> complex:
-        """Lambda_f(n) as a complex number (0 off prime powers)."""
-        if n in self.coeffs:
-            p, c = self.coeffs[n]
-            return c * math.log(p)
-        return 0j
-
-    def coefficient(self, n: int):
-        """(p, c) with Lambda_f(n) = c*log p, or None off prime powers."""
-        return self.coeffs.get(n)
-
-
-def lambda_f(f: MultFnSpec, N: int) -> LambdaTable:
-    """Coefficients of -F'/F: k f(p^k) = sum_{j<=k} c_j f(p^{k-j}), solved upward."""
-    coeffs = {}
-    for p in primes_upto(N):
-        kmax = 0
-        pe = p
-        while pe <= N:
-            kmax += 1
-            pe *= p
-        fvals = [1.0 + 0j]
-        for k in range(1, kmax + 1):
-            if f.smooth_bound is not None and p > f.smooth_bound:
-                fvals.append(0j)
-            else:
-                fvals.append(complex(f.at(p, k)))
-        cs = [0j]
-        pe = p
-        for k in range(1, kmax + 1):
-            c_k = k * fvals[k] - sum(cs[j] * fvals[k - j] for j in range(1, k))
-            cs.append(c_k)
-            coeffs[pe] = (p, c_k)
-            pe *= p
-    return LambdaTable(N, coeffs)
-
-
-@dataclass
-class ClassCCertificate:
-    """max |Lambda_f(p^k)| / Lambda(p^k) over p^k <= N; valid iff <= 1 (+ slack)."""
-
-    checked_up_to: int
-    max_ratio: float
-
-    @property
-    def valid(self) -> bool:
-        return self.max_ratio <= 1.0 + CLASS_C_SLACK
-
-
-def check_class_c(f: MultFnSpec, N: int) -> ClassCCertificate:
-    table = lambda_f(f, N)
-    worst = 0.0
-    for p, c in table.coeffs.values():
-        worst = max(worst, abs(c))
-    return ClassCCertificate(N, worst)
-
-
 def dirichlet_inverse(f: MultFnSpec, N: int) -> MultFnSpec:
     """The g with (f*g)(n) = [n=1], built on prime powers p^k <= N.
 
@@ -307,11 +215,3 @@ def dirichlet_inverse(f: MultFnSpec, N: int) -> MultFnSpec:
             ) from None
 
     return MultFnSpec(f"inverse[{f.label},N={N}]", oracle, smooth_bound=y)
-
-
-def restrict_smooth(f: MultFnSpec, y: int) -> MultFnSpec:
-    """Same oracle, support cut to y-smooth integers at evaluation time."""
-    if y < 2:
-        raise DomainError(f"need y >= 2, got {y}")
-    bound = y if f.smooth_bound is None else min(y, f.smooth_bound)
-    return MultFnSpec(f"{f.label}|smooth[{bound}]", f.oracle, smooth_bound=bound)

@@ -295,43 +295,6 @@ def primes_upto(y: int) -> tuple:
     return tuple(int(p) for p in np.nonzero(_prime_mask(y))[0])
 
 
-def alpha_saddle(x: int, y: int) -> float:
-    """Saddle-point exponent: the alpha > 0 with sum_{p<=y} log p/(p^alpha - 1) = log x.
-
-    Solved by bisection on [1e-6, 4]; the bracket covers every x >= 2, y >= 2
-    at desk scale.  Governs the decay Psi(x/l, y) ~ Psi(x,y) / l^alpha.
-    """
-    if y < 2:
-        raise DomainError(f"need y >= 2 for a nonempty prime sum, got y={y}")
-    if x < y:
-        raise DomainError(f"need 2 <= y <= x, got x={x}, y={y}")
-    ps = np.array(primes_upto(y), dtype=np.float64)
-    logs = np.log(ps)
-    target = math.log(x)
-
-    def h(alpha: float) -> float:
-        return float(np.sum(logs / (np.power(ps, alpha) - 1.0))) - target
-
-    lo, hi = 1e-6, 4.0
-    if h(lo) < 0 or h(hi) > 0:
-        raise DomainError(f"saddle equation not bracketed for x={x}, y={y}")
-    # bisect well past the 1e-9 contract so the residual stays < 1e-6
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def smooth_short_interval(x: int, y: int, T: float) -> int:
-    """Count of y-smooth n in (x, x + floor(x/T)] = Psi(x + floor(x/T), y) - Psi(x, y)."""
-    hi = x + math.floor(x / T)
-    _check_query(hi, y)
-    return psi(hi, y) - psi(x, y)
-
-
 def dyadic_partition(x: int, T: float, eps: float) -> list[int]:
     """Geometric grid ceil(x^(1/4)) = X_0 < ... < X_J = x with steps ~ eps*X_j/T.
 

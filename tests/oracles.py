@@ -1,7 +1,7 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent brute-force oracles for the test suite, and the package's second routes.
 
-Nothing here touches the package's sieves, character values, or kernel
-routines: factorizations come from raw trial division or a dense
+Nothing in the first part touches the package's sieves, character values,
+or kernel routines: factorizations come from raw trial division or a dense
 largest-prime-factor sieve, characters from exhaustive homomorphism search,
 conductors from the definitional divisor scan, and root-of-unity sums from
 exact cyclotomic polynomial division.  The lifted-generator character route
@@ -9,27 +9,48 @@ reads only a unit group's generators and discrete-log tables: it values a
 character as a sum of per-component fractions, and it induces and
 decomposes by reading those values at CRT-lifted generators.  The
 exceptions are the kernel u_D(n; q) summed cell by cell from its definition
-(it induces each character with the package's `induce` and reads `cvalue`,
-the per-cell route that the one-gather row form must equal bit for bit),
-and the support joined from the package's `smooth_pieces` by one argsort,
-the route that the rank placement of `multfn.get_support` must equal.  The
-report texts at the end are formed whole, with the package's `fmt_number`,
+(it induces each character with `induce` of the second part and reads
+`cvalue`, the per-cell route that the one-gather row form must equal bit
+for bit), and the support joined from the package's `smooth_pieces` by one
+argsort, the route that the rank placement of `multfn.get_support` must
+equal.  The report texts are formed whole, with the package's `fmt_number`,
 as one `"\n".join` and one `json.dumps`: the streaming writer must equal
 them byte for byte.
+
+The second part holds the routes that no command runs, moved out of the
+package with their bodies, docstrings and input checks, one section per
+module: induction, decomposition, products and exact root sums of
+characters; the scalar S_f(X, chi), Delta, Delta_Xi, Delta_A and
+divisor-sum kernel; the dual large sieve, its power-iteration maximum and
+the eta classes; dict-backed oracles, smooth restriction, Lambda_f and the
+class-C test; the saddle exponent and short-interval counts.  They are
+built on what the package keeps (unit groups, residue sums, supports,
+discrepancy records), and the tests hold the package's one route to them.
 """
+
+from __future__ import annotations
 
 import itertools
 import json
 import math
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from smoothap.characters import DirichletCharacter, UnitGroup, induce
-from smoothap.errors import DomainError
+from smoothap.arith import euler_phi, residues
+from smoothap.characters import (CharacterFamily, DirichletCharacter, UnitGroup,
+                                 enumerate_characters)
+from smoothap.discrepancy import (ExceptionalSet, _kernel_divisor_sum, discrepancy_record,
+                                  residue_sums)
+from smoothap.errors import DomainError, OracleError
+from smoothap.large_sieve import (SieveExperiment, _by_modulus, _character_sums,
+                                  _nonzero_coefficients)
+from smoothap.multfn import MultFnSpec, get_support
 from smoothap.reports import fmt_number
-from smoothap.sieve import smooth_pieces
+from smoothap.sieve import SmoothSet, _check_query, primes_upto, psi, smooth_pieces
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +395,385 @@ def json_report_text(rows, config, summary=None):
     if summary is not None:
         doc["summary"] = {k: fmt_number(v) for k, v in summary.items()}
     return json_text(doc)
+
+
+# ===========================================================================
+# Second routes of the package's quantities.  No command runs them, so they
+# live here, one section per smoothap module, each definition with the body,
+# docstring and input checks it had in the package.  They are built on the
+# package's own tables and sums, unlike the oracles above.
+
+
+# ---------------------------------------------------------------------------
+# smoothap.characters: induction, decomposition, products, exact root sums
+
+
+class RootSumStructureError(ArithmeticError):
+    """A root-of-unity multiset lacked the uniform-subgroup shape."""
+
+
+def _carry(chi: DirichletCharacter, q: int) -> DirichletCharacter:
+    """chi's exponents carried to the generators mod q, where q | chi.q or chi.q | q.
+
+    Generators reduce to generators (see `smoothap.characters._Component`),
+    so an exponent scales by the ratio of the two orders, and a factor with
+    no partner carries exponent 0.  Going down, the ratio divides the exponent
+    exactly when chi factors through q, which is what `decompose` asks.
+    """
+    src = {(comp.p, comp.slot): (c, comp.order)
+           for c, comp in zip(chi.exps, chi.group.components)}
+    group = UnitGroup.get(q)
+    exps = []
+    for comp in group.components:
+        c, order = src.get((comp.p, comp.slot), (0, 1))
+        exps.append(c * comp.order // order)
+    return DirichletCharacter(group, tuple(exps))
+
+
+def induce(psi: DirichletCharacter, q: int) -> DirichletCharacter:
+    """The character mod q equal to psi on units of q, zero elsewhere."""
+    r = psi.conductor
+    if q % r:
+        raise DomainError(f"conductor {r} does not divide target modulus {q}")
+    return _carry(decompose(psi), q)
+
+
+def decompose(chi: DirichletCharacter) -> DirichletCharacter:
+    """The unique primitive character inducing chi."""
+    return chi if chi.primitive else _carry(chi, chi.conductor)
+
+
+def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
+    """Pointwise product chi1*chi2 as a character mod lcm(q1, q2)."""
+    L = math.lcm(chi1.q, chi2.q)
+    a = induce(chi1, L)
+    b = induce(chi2, L)
+    group = a.group
+    exps = tuple(
+        (c1 + c2) % comp.order
+        for c1, c2, comp in zip(a.exps, b.exps, group.components)
+    )
+    return DirichletCharacter(group, exps)
+
+
+def exact_root_counts_sum(counts, M: int) -> int:
+    """Exact integer value of sum_k counts[k] * e^{2 pi i k/M}, group-shaped input.
+
+    The multiset must be uniform over the cyclic subgroup it spans (the
+    shape produced by summing a character over a group, or a group of
+    characters at a point): either all mass sits at 1, or every element of
+    some mu_m (m > 1) appears equally often, making the sum exactly 0.
+    Anything else raises RootSumStructureError rather than guessing.
+    """
+    counts = {k % M: c for k, c in dict(counts).items() if c}
+    support = sorted(counts)
+    if not support:
+        return 0
+    if support == [0]:
+        return counts[0]
+    g = math.gcd(M, *support)
+    m = M // g
+    if len(counts) != m or set(support) != {j * g for j in range(m)}:
+        raise RootSumStructureError("support is not a full cyclic subgroup")
+    if len(set(counts.values())) != 1:
+        raise RootSumStructureError("non-uniform multiplicities over the subgroup")
+    return 0  # c * (full sum over mu_m) with m > 1
+
+
+def exact_unit_sum(values) -> int:
+    """exact_root_counts_sum for values given as k/m fractions."""
+    fracs = [Fraction(v) if not isinstance(v, Fraction) else v for v in values]
+    if not fracs:
+        return 0
+    M = math.lcm(*(f.denominator for f in fracs))
+    return exact_root_counts_sum(Counter(int(f * M) % M for f in fracs), M)
+
+
+# ---------------------------------------------------------------------------
+# smoothap.discrepancy: S_f(X, chi), the scalar discrepancies and kernel
+
+
+def character_sum(f: MultFnSpec, X: int, chi: DirichletCharacter) -> complex:
+    """S_f(X, chi) = sum_{n<=X} f(n) * conj(chi(n))."""
+    rs = residue_sums(*get_support(f, x=X), chi.q)
+    return complex((np.conj(chi.complex_table()) * rs).sum())
+
+
+def delta(f: MultFnSpec, x: int, q: int, a: int) -> complex:
+    """Delta(f,x;q,a): progression sum minus the coprime average."""
+    return discrepancy_record(f, x, q, a, 1).delta
+
+
+def delta_xi(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
+             xi: ExceptionalSet) -> complex:
+    """Delta_Xi(f,x;q,a1*conj(a2)): main terms only from characters induced by Xi."""
+    return discrepancy_record(f, x, q, a1, a2, xi=xi).delta_xi
+
+
+def delta_A(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int) -> complex:
+    """Delta_A(f,x;q,a1*conj(a2)) = sum_{n<=x} f(n) u_D(n*conj(a1)*a2; q)."""
+    return discrepancy_record(f, x, q, a1, a2, D=D).delta_a
+
+
+def u_kernel_moebius(n: int, q: int, D: int) -> Fraction:
+    """Divisor-sum form of the kernel, exact rational.
+
+    0 when gcd(n,q) > 1; otherwise
+    [n=1 mod q] - (1/phi(q)) * sum_{d<=D, d | (q, n-1)} phi(d) *
+                               sum_{b<=D/d, b | q/d} mu(b).
+    """
+    if q < 1 or D < 1:
+        raise DomainError(f"need q >= 1 and D >= 1, got q={q}, D={D}")
+    n %= q
+    if math.gcd(n, q) != 1:
+        return Fraction(0)
+    ind = 1 if n % q == 1 % q else 0
+    phi = euler_phi(q)
+    return Fraction(ind * phi - _kernel_divisor_sum(math.gcd(q, n - 1), q, D), phi)
+
+
+# ---------------------------------------------------------------------------
+# smoothap.large_sieve: the dual form, power iteration, eta classes
+
+
+def _character_combination(ns: np.ndarray, b: np.ndarray,
+                           groups: list[list[DirichletCharacter]]) -> np.ndarray:
+    """(M^T b)_i = sum_chi b_chi chi(ns[i]), the transpose of `_character_sums`.
+
+    b is indexed by the characters of groups in order.  Each modulus builds
+    one length-q row sum_chi b_chi chi(r) and gathers it once at ns mod q.
+    """
+    out = np.zeros(ns.size, dtype=np.complex128)
+    coefs = iter(b)
+    for chars in groups:  # zip stops at the end of chars, taking one coef per chi
+        row = sum(coef * chi.complex_table() for chi, coef in zip(chars, coefs))
+        out += row[residues(ns, chars[0].q)]
+    return out
+
+
+def ls_dual(smooth: SmoothSet, Q: int, b: np.ndarray,
+            families: CharacterFamily) -> SieveExperiment:
+    """Dual form: lhs = sum_{smooth n<=x} |sum_{q<=Q} sum*_chi b_chi chi(n)|^2.
+
+    b is indexed by families.up_to(Q) in family order.
+    """
+    members = families.up_to(Q)
+    b = _nonzero_coefficients(b, len(members), "primitive character")
+    ns = smooth.ns
+    G = _character_combination(ns, b, _by_modulus(members))
+    lhs = float(np.sum(np.abs(G) ** 2))
+    rhs = float(ns.size) * float(np.sum(np.abs(b) ** 2))
+    return SieveExperiment(smooth.x, smooth.y, Q, "unweighted", lhs, rhs)
+
+
+def max_ratio_power_iteration(smooth: SmoothSet, Q: int,
+                              families: CharacterFamily, side: str,
+                              iters: int = 200, seed: int = 0) -> float:
+    """Largest primal (or dual) ratio via power iteration on the Gram operator.
+
+    With M the characters-by-smooth-n matrix (`_character_sums`, and
+    `_character_combination` for M^T), the primal side iterates M^H M and
+    the dual side conj(M) M^T: the side only picks the order.  The two share
+    their nonzero eigenvalues, so running them independently makes their
+    agreement an actual check rather than a tautology.
+    """
+    members = families.up_to(Q)
+    groups = _by_modulus(members)
+    ns = smooth.ns
+    if side == "primal":
+        first, second, size = _character_sums, _character_combination, ns.size
+    elif side == "dual":
+        first, second, size = _character_combination, _character_sums, len(members)
+    else:
+        raise DomainError(f"side must be 'primal' or 'dual', got {side!r}")
+    rng = np.random.RandomState(seed)
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        u = np.conj(second(ns, np.conj(first(ns, v, groups)), groups))
+        v = u / np.linalg.norm(u)
+    w = first(ns, v, groups)
+    return float(np.vdot(w, w).real / np.vdot(v, v).real / float(ns.size))
+
+
+@dataclass
+class EtaClass:
+    """Non-principal chi mod q <= Q^2 with eta*Psi < |sum_{smooth n} chi(n)| <= 2*eta*Psi."""
+
+    eta: float
+    members: list[DirichletCharacter] = field(default_factory=list)
+    sums: list[float] = field(default_factory=list)
+    xi_star: list[DirichletCharacter] = field(default_factory=list)
+
+
+def classify_eta(smooth: SmoothSet, Q: int,
+                 families: CharacterFamily | None = None,
+                 levels: int = 16) -> list[EtaClass]:
+    """Assign every non-principal character mod q <= Q^2 to its dyadic class.
+
+    Characters whose smooth character sum is <= Psi * 2^-levels fall in no
+    class.  xi_star collects the distinct primitive characters inducing the
+    members of each class; when a family covering conductor Q^2 is supplied,
+    xi_star reuses its member instances so callers can match by identity.
+    """
+    if families is not None and families.D < Q * Q:
+        raise DomainError(f"family covers conductors <= {families.D}, need {Q * Q}")
+    canonical = {chi: chi for chi in families.members} if families is not None else {}
+    ns = smooth.ns
+    Psi = float(ns.size)
+    chars = [chi for q in range(1, Q * Q + 1) for chi in enumerate_characters(q)
+             if not chi.is_principal]
+    sums = _character_sums(ns, np.ones(ns.size, dtype=np.complex128), _by_modulus(chars))
+    classes = [EtaClass(eta=2.0 ** -(k + 1)) for k in range(levels)]
+    for chi, S in zip(chars, np.abs(sums).tolist()):
+        k, thr = 1, Psi / 2.0
+        while S <= thr and k <= levels:
+            k += 1
+            thr /= 2.0
+        if k <= levels:  # S > Psi*2^-k and S <= Psi*2^-(k-1)
+            classes[k - 1].members.append(chi)
+            classes[k - 1].sums.append(S)
+    for cl in classes:  # distinct inducing characters, in order of first appearance
+        cl.xi_star = list(dict.fromkeys(canonical.get(p, p) for p in map(decompose, cl.members)))
+    return classes
+
+
+# ---------------------------------------------------------------------------
+# smoothap.multfn: dict oracles, restriction, Lambda_f and class C
+
+
+CLASS_C_SLACK = 1e-12
+
+
+def from_prime_powers(label: str, values: dict, smooth_bound: int | None = None) -> MultFnSpec:
+    """Oracle backed by an explicit {(p, k): value} dict.
+
+    A missing (p, k) falls back to the completely multiplicative extension
+    f(p)^k when (p, 1) is present, and errors otherwise.
+    """
+
+    def oracle(p, k):
+        if (p, k) in values:
+            return values[(p, k)]
+        if (p, 1) in values:
+            return values[(p, 1)] ** k
+        raise OracleError(f"{label}: no oracle value at (p={p}, k={k})")
+
+    return MultFnSpec(label, oracle, smooth_bound)
+
+
+def one() -> MultFnSpec:
+    return MultFnSpec("one", lambda p, k: 1.0)
+
+
+@dataclass
+class LambdaTable:
+    """Lambda_f on prime powers <= N, stored as coefficients c with value c*log p."""
+
+    N: int
+    coeffs: dict  # p^k -> (p, c)
+
+    def value(self, n: int) -> complex:
+        """Lambda_f(n) as a complex number (0 off prime powers)."""
+        if n in self.coeffs:
+            p, c = self.coeffs[n]
+            return c * math.log(p)
+        return 0j
+
+    def coefficient(self, n: int):
+        """(p, c) with Lambda_f(n) = c*log p, or None off prime powers."""
+        return self.coeffs.get(n)
+
+
+def lambda_f(f: MultFnSpec, N: int) -> LambdaTable:
+    """Coefficients of -F'/F: k f(p^k) = sum_{j<=k} c_j f(p^{k-j}), solved upward."""
+    coeffs = {}
+    for p in primes_upto(N):
+        kmax = 0
+        pe = p
+        while pe <= N:
+            kmax += 1
+            pe *= p
+        fvals = [1.0 + 0j]
+        for k in range(1, kmax + 1):
+            if f.smooth_bound is not None and p > f.smooth_bound:
+                fvals.append(0j)
+            else:
+                fvals.append(complex(f.at(p, k)))
+        cs = [0j]
+        pe = p
+        for k in range(1, kmax + 1):
+            c_k = k * fvals[k] - sum(cs[j] * fvals[k - j] for j in range(1, k))
+            cs.append(c_k)
+            coeffs[pe] = (p, c_k)
+            pe *= p
+    return LambdaTable(N, coeffs)
+
+
+@dataclass
+class ClassCCertificate:
+    """max |Lambda_f(p^k)| / Lambda(p^k) over p^k <= N; valid iff <= 1 (+ slack)."""
+
+    checked_up_to: int
+    max_ratio: float
+
+    @property
+    def valid(self) -> bool:
+        return self.max_ratio <= 1.0 + CLASS_C_SLACK
+
+
+def check_class_c(f: MultFnSpec, N: int) -> ClassCCertificate:
+    table = lambda_f(f, N)
+    worst = 0.0
+    for p, c in table.coeffs.values():
+        worst = max(worst, abs(c))
+    return ClassCCertificate(N, worst)
+
+
+def restrict_smooth(f: MultFnSpec, y: int) -> MultFnSpec:
+    """Same oracle, support cut to y-smooth integers at evaluation time."""
+    if y < 2:
+        raise DomainError(f"need y >= 2, got {y}")
+    bound = y if f.smooth_bound is None else min(y, f.smooth_bound)
+    return MultFnSpec(f"{f.label}|smooth[{bound}]", f.oracle, smooth_bound=bound)
+
+
+# ---------------------------------------------------------------------------
+# smoothap.sieve: the saddle exponent and short-interval counts
+
+
+def alpha_saddle(x: int, y: int) -> float:
+    """Saddle-point exponent: the alpha > 0 with sum_{p<=y} log p/(p^alpha - 1) = log x.
+
+    Solved by bisection on [1e-6, 4]; the bracket covers every x >= 2, y >= 2
+    at desk scale.  Governs the decay Psi(x/l, y) ~ Psi(x,y) / l^alpha.
+    """
+    if y < 2:
+        raise DomainError(f"need y >= 2 for a nonempty prime sum, got y={y}")
+    if x < y:
+        raise DomainError(f"need 2 <= y <= x, got x={x}, y={y}")
+    ps = np.array(primes_upto(y), dtype=np.float64)
+    logs = np.log(ps)
+    target = math.log(x)
+
+    def h(alpha: float) -> float:
+        return float(np.sum(logs / (np.power(ps, alpha) - 1.0))) - target
+
+    lo, hi = 1e-6, 4.0
+    if h(lo) < 0 or h(hi) > 0:
+        raise DomainError(f"saddle equation not bracketed for x={x}, y={y}")
+    # bisect well past the 1e-9 contract so the residual stays < 1e-6
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if h(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def smooth_short_interval(x: int, y: int, T: float) -> int:
+    """Count of y-smooth n in (x, x + floor(x/T)] = Psi(x + floor(x/T), y) - Psi(x, y)."""
+    hi = x + math.floor(x / T)
+    _check_query(hi, y)
+    return psi(hi, y) - psi(x, y)

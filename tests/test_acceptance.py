@@ -16,17 +16,16 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import (alpha_saddle, check_class_c, ls_dual, max_ratio_power_iteration,
+                     u_kernel_moebius)
 from smoothap import multfn
 from smoothap.arith import euler_phi
 from smoothap.characters import family_A, trivial_character
-from smoothap.discrepancy import (ExceptionalSet, bv_average,
-                                  u_kernel_chardef_row, u_kernel_moebius,
+from smoothap.discrepancy import (ExceptionalSet, bv_average, u_kernel_chardef_row,
                                   verify_transfer_identity)
-from smoothap.large_sieve import (context_bound, detect_exceptional,
-                                  detection_scale, ls_dual,
-                                  ls_primal, max_ratio_power_iteration)
-from smoothap.multfn import check_class_c, dirichlet_inverse, values_array
-from smoothap.sieve import alpha_saddle, psi, smooth_numbers
+from smoothap.large_sieve import context_bound, detect_exceptional, detection_scale, ls_primal
+from smoothap.multfn import dirichlet_inverse, values_array
+from smoothap.sieve import psi, smooth_numbers
 from smoothap.cli import main as cli_main
 
 GOLDEN_FILE = "acceptance.json"

@@ -1,10 +1,10 @@
 """The integer-exponent character route against the lifted-generator oracle.
 
 Values, records and complex values are read one way in the package (the
-exponent k(n) mod M); induction and decomposition rescale generator
-exponents.  The oracle in `oracles` values a character as a sum of
-per-component fractions and induces and decomposes through CRT-lifted
-generators.
+exponent k(n) mod M); induction and decomposition, second routes kept in
+`oracles`, rescale generator exponents.  The lifted-generator oracle values
+a character as a sum of per-component fractions and induces and decomposes
+through CRT-lifted generators.
 """
 
 import time
@@ -13,8 +13,8 @@ import tracemalloc
 import numpy as np
 
 import oracles
-from smoothap.characters import (DirichletCharacter, UnitGroup, decompose,
-                                 enumerate_characters, induce)
+from oracles import decompose, induce
+from smoothap.characters import DirichletCharacter, UnitGroup, enumerate_characters
 
 
 def test_values_and_records_match_fraction_route():

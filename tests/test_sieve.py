@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import alpha_saddle, character_sum, delta, delta_A, delta_xi, smooth_short_interval
 from smoothap import multfn, sieve
 from smoothap.characters import enumerate_characters, family_A, trivial_character
-from smoothap.discrepancy import (ExceptionalSet, bv_average, character_sum, delta, delta_A,
-                                  delta_xi, discrepancy_record, verify_transfer_identity)
+from smoothap.discrepancy import (ExceptionalSet, bv_average, discrepancy_record,
+                                  verify_transfer_identity)
 from smoothap.errors import DomainError, SizingError
 from smoothap.large_sieve import detect_exceptional
-from smoothap.sieve import (X_MAX_CAP, alpha_saddle, dyadic_partition,
-                            psi, psi_coprime, psi_progression, smooth_numbers,
-                            smooth_pieces, smooth_short_interval)
+from smoothap.sieve import (X_MAX_CAP, dyadic_partition, psi, psi_coprime,
+                            psi_progression, smooth_numbers, smooth_pieces)
 
 
 def test_every_query_rejects_x_past_the_cap():
