@@ -124,16 +124,13 @@ def cmd_bv_average(args):
         if y is None:
             raise DomainError("bv-average needs --y, or --y-rule cuberoot")
         _check_query(x, y, least=1)
-        if args.Q is not None:
-            Q = args.Q
-        elif not math.isfinite(args.Q_exp):
+        if args.Q is None and not math.isfinite(args.Q_exp):
             raise DomainError(f"need a finite --Q-exp, got {args.Q_exp}")
-        else:
-            try:
-                Q = int(x**args.Q_exp)
-            except OverflowError:
-                raise DomainError(f"x^Q-exp overflows a float at x={x}, "
-                                  f"Q-exp={args.Q_exp}") from None
+        try:
+            Q = args.Q if args.Q is not None else int(x**args.Q_exp)
+        except OverflowError:
+            raise DomainError(f"x^Q-exp overflows a float at x={x}, "
+                              f"Q-exp={args.Q_exp}") from None
         if not 1 <= Q <= x:
             raise DomainError(f"need 1 <= Q <= x, got Q={Q} at x={x}")
         runs.append((x, y, Q))
