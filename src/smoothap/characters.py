@@ -6,17 +6,21 @@ contributes its cyclic group with the least primitive root as generator,
 and a factor 2^e contributes nothing (e = 1), the order-2 group <-1>
 (e = 2), or the pair <-1> x <5> (e >= 3).  Every value is the exact root
 of unity e^{2 pi i k/M}, read as the integer exponent k mod M (M = the
-exponent of the group) from the discrete logs of n, one component at a
-time.  No command builds an induced character: a sum against the
-character mod q induced by psi reads psi's own table at the units of q.
-Exact fractions k/m appear only where a caller asks for them, in
-`value()`; complex floats only in `cvalue()` and the cached
-`complex_table()`.  Induction, decomposition, products and exact
-root-of-unity sums are the test suite's references (tests/oracles.py).
+exponent of the group) from the discrete logs of n: one residue in Python
+ints, an array of residues for several characters of one group at once
+(`exponent_rows`, an integer matmul over the components).  No command
+builds an induced character: a sum against the character mod q induced by
+psi reads psi's own table at the units of q.  Exact fractions k/m appear
+only where a caller asks for them, in `value()`; complex floats only in
+`cvalue()` and the cached `complex_table()`, which `fill_tables` builds
+for the characters of one modulus at once.  Induction, decomposition,
+products and exact root-of-unity sums are the test suite's references
+(tests/oracles.py).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, unit_mask
+from .arith import factorize, residues, unit_mask
 from .errors import DomainError, SizingError
 
 MODULUS_CAP = 1_000_000  # dlog tables are O(q); raise deliberately if needed
@@ -165,37 +169,21 @@ class DirichletCharacter:
             r = r * comp.order + c
         return r
 
-    def _exponent(self, n):
+    def _exponent(self, n: int) -> int:
         """k with chi(n) = e^{2 pi i k/M} (M = group.M, 0 <= k < M), -1 off the units.
 
-        n is one residue mod q (a Python int) or an int array of them.  The
-        sum runs over the components, so a read allocates nothing of length
-        q.  One residue is summed in Python ints, which costs less than
-        numpy scalars; an array read accumulates in place: besides k it
-        holds at most two int arrays of n's length, n mod p^e and its dlog
-        gather.
+        n is one residue mod q.  It is summed in Python ints, which costs
+        less than numpy scalars, and allocates nothing of length q; arrays
+        of residues are read by `exponent_rows`.
         """
         g = self.group
-        if isinstance(n, int):
-            if not g.unit_mask.item(n):
-                return -1
-            k = 0
-            for c, comp in zip(self.exps, g.components):
-                if c:
-                    k += comp.dlog.item(n % comp.pe) * c * (g.M // comp.order)
-            return k % g.M
+        if not g.unit_mask.item(n):
+            return -1
         k = 0
         for c, comp in zip(self.exps, g.components):
             if c:
-                t = comp.dlog[n % comp.pe]
-                t *= c * (g.M // comp.order)
-                k += t
-                del t
-        k %= g.M
-        k += 1
-        k *= g.unit_mask[n]
-        k -= 1  # -1 off the units
-        return k
+                k += comp.dlog.item(n % comp.pe) * c * (g.M // comp.order)
+        return k % g.M
 
     def value(self, n: int) -> Fraction | None:
         """chi(n) as the reduced fraction k/m meaning e^{2 pi i k/m}; None when chi(n)=0."""
@@ -209,11 +197,7 @@ class DirichletCharacter:
     def complex_table(self) -> np.ndarray:
         """Length-q complex array of chi over residues (0 off units); cached."""
         if self._table is None:
-            k = self._exponent(np.arange(self.q))
-            tab = np.exp(2j * np.pi * (k / self.group.M))
-            tab[k < 0] = 0
-            tab.setflags(write=False)
-            self._table = tab
+            fill_tables([self])
         return self._table
 
     @property
@@ -270,12 +254,60 @@ class DirichletCharacter:
     def to_record(self) -> dict:
         """Serializable form: modulus, conductor, and the k/m value list."""
         o = self.order  # every exponent is a multiple of M/o, and -1 reads the "0"
-        names = np.array([f"{j // math.gcd(j, o)}/{o // math.gcd(j, o)}"
-                          for j in range(o)] + ["0"], dtype=object)
-        steps = self._exponent(np.arange(self.q))
+        steps = exponent_rows([self], np.arange(self.q))[0]
         steps //= self.group.M // o  # in place: -1 stays -1
         return {"q": self.q, "conductor": self.conductor,
-                "values": names[steps].tolist()}
+                "values": _value_names(o)[steps].tolist()}
+
+
+@functools.lru_cache(maxsize=None)
+def _value_names(o: int) -> np.ndarray:
+    """The names "j/o" (reduced) of e^{2 pi i j/o} for j < o, then "0" at -1."""
+    names = np.array([f"{j // math.gcd(j, o)}/{o // math.gcd(j, o)}" for j in range(o)]
+                     + ["0"], dtype=object)
+    names.setflags(write=False)
+    return names
+
+
+def exponent_rows(chars: list[DirichletCharacter], n: np.ndarray) -> np.ndarray:
+    """k[i, j] with chars[i](n[j]) = e^{2 pi i k/M}, 0 <= k < M, -1 off the units.
+
+    chars share one unit group (M = group.M) and n is an int array of
+    residues mod q.  Row i is sum_c exps_i[c] * (M/ord_c) * dlog_c[n mod p_c^e_c]
+    mod M: the integer matmul of the characters' weights by the components'
+    discrete logs, summed one component (one outer product) at a time, so
+    that besides k it holds one int64 array of n's length and one of k's
+    shape, not a (components x n) one.
+    """
+    g = chars[0].group
+    k = np.zeros((len(chars), len(n)), dtype=np.int64)
+    if g.components:
+        weights = np.array([[c * (g.M // comp.order) for c, comp in zip(chi.exps, g.components)]
+                            for chi in chars], dtype=np.int64)
+        for w, comp in zip(weights.T, g.components):
+            k += np.multiply.outer(w, comp.dlog[residues(n, comp.pe)])
+        k %= g.M
+    k += 1
+    k *= g.unit_mask[n]
+    k -= 1  # -1 off the units
+    return k
+
+
+def fill_tables(chars: list[DirichletCharacter]) -> None:
+    """Build and cache the complex_table of each character of chars (one modulus).
+
+    The tables are the rows of one read-only (characters x q) array, from
+    one `exponent_rows` call; a character whose table is cached is skipped.
+    """
+    todo = [chi for chi in chars if chi._table is None]
+    if not todo:
+        return
+    k = exponent_rows(todo, np.arange(todo[0].q))
+    tabs = np.exp(2j * np.pi * (k / todo[0].group.M))
+    tabs[k < 0] = 0
+    tabs.setflags(write=False)
+    for chi, tab in zip(todo, tabs):
+        chi._table = tab
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:

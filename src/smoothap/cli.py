@@ -115,6 +115,8 @@ def cmd_bv_average(args):
         raise DomainError("--y-rule cuberoot derives y from x, so it takes no --y")
     if args.a1 * args.a2 == 0:
         raise DomainError("need a1*a2 != 0: gcd(0, q) = q leaves only q = 1")
+    if not math.isfinite(args.Q_exp):  # even beside --Q: the report records it
+        raise DomainError(f"need a finite --Q-exp, got {args.Q_exp}")
     xs = [_int(v, "--xs entry") for v in args.xs.split(",")] if args.xs else [args.x]
     if any(v is None for v in xs):
         raise DomainError("bv-average needs --x or --xs")
@@ -124,8 +126,6 @@ def cmd_bv_average(args):
         if y is None:
             raise DomainError("bv-average needs --y, or --y-rule cuberoot")
         _check_query(x, y, least=1)
-        if args.Q is None and not math.isfinite(args.Q_exp):
-            raise DomainError(f"need a finite --Q-exp, got {args.Q_exp}")
         try:
             Q = args.Q if args.Q is not None else int(x**args.Q_exp)
         except OverflowError:
@@ -157,6 +157,8 @@ def cmd_bv_average(args):
 def cmd_large_sieve(args):
     if args.trials < 1:
         raise DomainError(f"need --trials >= 1, got {args.trials}")
+    if not math.isfinite(args.c):  # even beside --Q: the report records it
+        raise DomainError(f"need a finite --c, got {args.c}")
     _check_query(args.x, args.y, least=1)  # before x^c or y^c is taken
     if args.Q is None:  # pick the range the inequality is stated for
         args.Q = modulus_range_Q(args.x, args.y, args.c,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from json.encoder import encode_basestring_ascii
 
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=1)
 
@@ -54,8 +55,31 @@ def discrepancy_row(rec) -> dict:
 
 def _encode(value, level: int) -> str:
     """`value` as json.dumps(..., sort_keys=True, indent=1) renders it nested
-    `level` deep: its own text with each newline followed by `level` spaces."""
+    `level` deep: its own text with each newline followed by `level` spaces.
+
+    str, int, lists and dicts with str keys are joined here (json's indented
+    encoder is pure Python and builds its closures again on every call);
+    any other value, floats, bools and None among them, goes to that encoder.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list:
+        return _join("[", [_encode(v, level + 1) for v in value], "]", level)
+    if kind is dict and all(type(k) is str for k in value):
+        return _join("{", [encode_basestring_ascii(k) + ": " + _encode(v, level + 1)
+                           for k, v in sorted(value.items())], "}", level)
     return _ENCODER.encode(value).replace("\n", "\n" + " " * level)
+
+
+def _join(opening: str, items: list[str], closing: str, level: int) -> str:
+    """A container's rendered items, one per line at level + 1, as json's indent=1."""
+    if not items:
+        return opening + closing
+    pad = "\n" + " " * (level + 1)
+    return opening + pad + ("," + pad).join(items) + "\n" + " " * level + closing
 
 
 def write_json(fh, doc: dict, key: str, items) -> None:

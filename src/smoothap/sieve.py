@@ -34,6 +34,9 @@ X_MAX_CAP = 50_000_000
 # bound their temporaries (about 20 bytes a point each)
 _BATCH = 1 << 14
 
+# candidate points of one constant-step run of dyadic_partition laid out at once
+_RUN_WINDOW = 1 << 16
+
 # points placed at their ranks at once: at least this many, and at least
 # 1/32 of the walk, so a large build places about 32 times.  The placement's
 # temporaries take about 40 bytes a point, about 1.3 bytes per walked point.
@@ -320,17 +323,32 @@ def dyadic_partition(x: int, T: float, eps: float) -> list[int]:
         raise SizingError(
             f"dyadic partition of [{x0}, {x}] at T={T}, eps={eps} needs ~{est:.2g} points"
         )
-    points = [x0]
-    while points[-1] < x:
-        cur = points[-1]
+    # The step is floor(eps*X/T) (at least 1) at the current point X, so it
+    # never decreases: from X the points X + step*j (j = 1, 2, ...) follow
+    # until the first of them whose own step differs, which starts the next
+    # run.  Each run is laid out at once, in windows reaching about where
+    # eps*X/T = step + 1.
+    pieces, count, cur = [np.array([x0], dtype=np.int64)], 1, x0
+    while count <= 10_000_000:
         step = max(1, int(eps * cur / T))
-        nxt = min(cur + step, x)
-        if nxt == x and x - cur < 0.5 * eps * cur / T and len(points) > 1:
-            points[-1] = x  # merge the short final step into its predecessor
-        else:
-            points.append(nxt)
-        if len(points) > 10_000_000:
-            raise SizingError(
-                f"dyadic partition of [{x0}, {x}] at T={T}, eps={eps} exceeds 1e7 points"
-            )
+        if cur + step >= x:
+            break
+        k = int(min((x - 1 - cur) // step, _RUN_WINDOW,
+                    ((step + 1) * T / eps - cur) / step + 2))
+        run = cur + step * np.arange(1, k + 1, dtype=np.int64)
+        changed = np.flatnonzero(np.maximum(1, (eps * run / T).astype(np.int64)) != step)
+        if changed.size:
+            run = run[:changed[0] + 1]
+        pieces.append(run)
+        count += run.size
+        cur = int(run[-1])
+    points = np.concatenate(pieces).tolist()
+    if x - cur < 0.5 * eps * cur / T and len(points) > 1:
+        points[-1] = x  # merge the short final step into its predecessor
+    else:
+        points.append(x)
+    if len(points) > 10_000_000:
+        raise SizingError(
+            f"dyadic partition of [{x0}, {x}] at T={T}, eps={eps} exceeds 1e7 points"
+        )
     return points

@@ -26,6 +26,12 @@ the eta classes; dict-backed oracles, smooth restriction, Lambda_f and the
 class-C test; the saddle exponent and short-interval counts.  They are
 built on what the package keeps (unit groups, residue sums, supports,
 discrepancy records), and the tests hold the package's one route to them.
+Beside them are the loops that the package's batched forms replaced, each
+the bitwise reference of its replacement: one character's exponent row,
+table and record (`exponent_rows`, `fill_tables`, `to_record`), the
+exceptional scan one character at a time (`detect_exceptional`, which
+scans one modulus at a time), and the grids built one point or one step
+at a time (`dyadic_partition`, `refine_grid`).
 """
 
 from __future__ import annotations
@@ -43,14 +49,15 @@ import numpy as np
 from smoothap.arith import euler_phi, residues
 from smoothap.characters import (CharacterFamily, DirichletCharacter, UnitGroup,
                                  enumerate_characters)
-from smoothap.discrepancy import (ExceptionalSet, _kernel_divisor_sum, discrepancy_record,
-                                  residue_sums)
+from smoothap.discrepancy import (ExceptionalSet, ExceptionalWitness, _kernel_divisor_sum,
+                                  discrepancy_record, residue_sums)
 from smoothap.errors import DomainError, OracleError
 from smoothap.large_sieve import (SieveExperiment, _by_modulus, _character_sums,
-                                  _nonzero_coefficients)
+                                  _nonzero_coefficients, detection_scale)
 from smoothap.multfn import MultFnSpec, get_support
 from smoothap.reports import fmt_number
-from smoothap.sieve import SmoothSet, _check_query, primes_upto, psi, smooth_pieces
+from smoothap.sieve import (SmoothSet, _check_query, primes_upto, psi, smooth_numbers,
+                            smooth_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +412,8 @@ def json_report_text(rows, config, summary=None):
 
 
 # ---------------------------------------------------------------------------
-# smoothap.characters: induction, decomposition, products, exact root sums
+# smoothap.characters: induction, decomposition, products, exact root sums,
+# and one character's exponent row, table and record
 
 
 class RootSumStructureError(ArithmeticError):
@@ -454,6 +462,47 @@ def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCha
         for c1, c2, comp in zip(a.exps, b.exps, group.components)
     )
     return DirichletCharacter(group, exps)
+
+
+def exponent_row(chi: DirichletCharacter, n: np.ndarray) -> np.ndarray:
+    """k with chi(n) = e^{2 pi i k/M} (M = group.M, 0 <= k < M), -1 off the units.
+
+    n is an int array of residues mod q.  The sum runs over the components,
+    one character at a time, accumulating in place: the package's array
+    read before `exponent_rows` took several characters at once.
+    """
+    g = chi.group
+    k = 0
+    for c, comp in zip(chi.exps, g.components):
+        if c:
+            t = comp.dlog[n % comp.pe]
+            t *= c * (g.M // comp.order)
+            k += t
+            del t
+    k %= g.M
+    k += 1
+    k *= g.unit_mask[n]
+    k -= 1  # -1 off the units
+    return k
+
+
+def complex_table_one(chi: DirichletCharacter) -> np.ndarray:
+    """Length-q complex array of chi over residues (0 off units), one character."""
+    k = exponent_row(chi, np.arange(chi.q))
+    tab = np.exp(2j * np.pi * (k / chi.group.M))
+    tab[k < 0] = 0
+    return tab
+
+
+def to_record_one(chi: DirichletCharacter) -> dict:
+    """Serializable form: modulus, conductor, and the k/m value list."""
+    o = chi.order  # every exponent is a multiple of M/o, and -1 reads the "0"
+    names = np.array([f"{j // math.gcd(j, o)}/{o // math.gcd(j, o)}"
+                      for j in range(o)] + ["0"], dtype=object)
+    steps = exponent_row(chi, np.arange(chi.q))
+    steps //= chi.group.M // o  # in place: -1 stays -1
+    return {"q": chi.q, "conductor": chi.conductor,
+            "values": names[steps].tolist()}
 
 
 def exact_root_counts_sum(counts, M: int) -> int:
@@ -533,7 +582,8 @@ def u_kernel_moebius(n: int, q: int, D: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# smoothap.large_sieve: the dual form, power iteration, eta classes
+# smoothap.large_sieve: the dual form, one-step grid refinement, the
+# per-character scan, power iteration, eta classes
 
 
 def _character_combination(ns: np.ndarray, b: np.ndarray,
@@ -548,6 +598,58 @@ def _character_combination(ns: np.ndarray, b: np.ndarray,
     for chars in groups:  # zip stops at the end of chars, taking one coef per chi
         row = sum(coef * chi.complex_table() for chi, coef in zip(chars, coefs))
         out += row[residues(ns, chars[0].q)]
+    return out
+
+
+def refine_grid_one_step(grid: list[int], smooth: np.ndarray, T: float) -> list[int]:
+    """`refine_grid` splitting one step at a time, left to right.
+
+    A failing step is bisected and its left half checked again before the
+    scan moves right, with one searchsorted per inserted point.
+    """
+    out = list(grid)
+    # needles of smooth's dtype: any other makes numpy copy smooth to it
+    needle = smooth.dtype.type
+    counts = np.searchsorted(smooth, np.array(out, dtype=smooth.dtype), side="right").tolist()
+    i = 0
+    while i + 1 < len(out):
+        a, b = out[i], out[i + 1]
+        if b - a >= 2 and counts[i + 1] - counts[i] > counts[i] / (2.0 * T):
+            mid = (a + b) // 2
+            out.insert(i + 1, mid)
+            counts.insert(i + 1, int(np.searchsorted(smooth, needle(mid), side="right")))
+        else:
+            i += 1
+    return out
+
+
+def detect_exceptional_per_character(f: MultFnSpec, x: int, y: int, Q: int, B: float,
+                                     eps: float, families: CharacterFamily) -> ExceptionalSet:
+    """`detect_exceptional` one character at a time, with the grid loops above.
+
+    Each character takes its own residues of the support, a fresh
+    cumulative-sum buffer, its one-character table (`complex_table_one`),
+    and reads the sums at every grid point.
+    """
+    ns, vs = get_support(f, x=x)
+    T = detection_scale(x, y, B)
+    smooth = smooth_numbers(x, y).ns
+    grid = refine_grid_one_step(dyadic_partition_point_by_point(x, T, eps), smooth, T)
+    gx = np.array(grid, dtype=ns.dtype)
+    thresholds = np.searchsorted(smooth, gx, side="right") / (2.0 * T)
+    at = np.searchsorted(ns, gx, side="right")
+    out = ExceptionalSet()
+    for chi in families.up_to(Q):
+        csum = np.zeros(ns.size + 1, dtype=np.complex128)
+        np.cumsum(vs * np.conj(complex_table_one(chi))[residues(ns, chi.q)], out=csum[1:])
+        svals = np.abs(csum[at])
+        margins = svals / thresholds
+        j = int(np.argmax(margins))
+        wit = ExceptionalWitness(chi, int(gx[j]), float(svals[j]), float(thresholds[j]))
+        if margins[j] >= 1.0:
+            out.members.append(wit)
+        elif margins[j] >= 0.5:
+            out.near_misses.append(wit)
     return out
 
 
@@ -739,7 +841,8 @@ def restrict_smooth(f: MultFnSpec, y: int) -> MultFnSpec:
 
 
 # ---------------------------------------------------------------------------
-# smoothap.sieve: the saddle exponent and short-interval counts
+# smoothap.sieve: the saddle exponent, short-interval counts and the
+# point-by-point dyadic partition
 
 
 def alpha_saddle(x: int, y: int) -> float:
@@ -777,3 +880,24 @@ def smooth_short_interval(x: int, y: int, T: float) -> int:
     hi = x + math.floor(x / T)
     _check_query(hi, y)
     return psi(hi, y) - psi(x, y)
+
+
+def dyadic_partition_point_by_point(x: int, T: float, eps: float) -> list[int]:
+    """`dyadic_partition` one point at a time (its input checks and sizing
+    guard apart): the step floor(eps*X/T), at least 1, taken afresh at every
+    point, and a final step shorter than half its target merged."""
+    x0 = int(x**0.25)
+    while x0**4 < x:
+        x0 += 1
+    while x0 > 1 and (x0 - 1) ** 4 >= x:
+        x0 -= 1
+    points = [x0]
+    while points[-1] < x:
+        cur = points[-1]
+        step = max(1, int(eps * cur / T))
+        nxt = min(cur + step, x)
+        if nxt == x and x - cur < 0.5 * eps * cur / T and len(points) > 1:
+            points[-1] = x  # merge the short final step into its predecessor
+        else:
+            points.append(nxt)
+    return points

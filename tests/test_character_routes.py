@@ -14,7 +14,8 @@ import numpy as np
 
 import oracles
 from oracles import decompose, induce
-from smoothap.characters import DirichletCharacter, UnitGroup, enumerate_characters
+from smoothap.characters import (DirichletCharacter, UnitGroup, enumerate_characters,
+                                 exponent_rows, fill_tables)
 
 
 def test_values_and_records_match_fraction_route():
@@ -34,6 +35,26 @@ def test_cvalue_bitwise_equals_complex_table():
             points = np.array([chi.cvalue(n) for n in range(q)], dtype=np.complex128)
             assert np.array_equal(points.view(np.uint64),
                                   chi.complex_table().view(np.uint64)), chi
+
+
+def test_batched_rows_and_tables_equal_the_per_character_route():
+    # every primitive character of conductor <= 200, one modulus per call
+    count = 0
+    for q in range(1, 201):
+        prims = [chi for chi in enumerate_characters(q) if chi.primitive]
+        if not prims:
+            continue
+        count += len(prims)
+        n = np.arange(q)
+        rows = exponent_rows(prims, n)
+        assert rows.shape == (len(prims), q)
+        fill_tables(prims)
+        for chi, row in zip(prims, rows):
+            assert np.array_equal(row, oracles.exponent_row(chi, n)), chi
+            assert np.array_equal(chi.complex_table().view(np.uint64),
+                                  oracles.complex_table_one(chi).view(np.uint64)), chi
+            assert chi.to_record() == oracles.to_record_one(chi), chi
+    assert count == 7517
 
 
 def test_induce_and_decompose_match_lifted_generators():

@@ -407,6 +407,12 @@ def test_usage_error_exit_2(tmp_path, capsys):
              ["large-sieve", "--x", "10000", "--y", "20", "--c", "inf", "--weight-mode", "sqrt"],
              ["large-sieve", "--x", "-5", "--y", "20", "--weight-mode", "sqrt"],
              ["large-sieve", "--x", "100", "--y", "-20"],
+             # ignored beside --Q, yet written as NaN or Infinity into the
+             # reports (not valid JSON), and exited 0
+             ["large-sieve", "--x", "1000", "--y", "10", "--Q", "3", "--c", "nan"],
+             ["large-sieve", "--x", "1000", "--y", "10", "--Q", "3", "--c", "inf"],
+             ["bv-average", "--x", "1000", "--y", "10", "--Q", "3", "--Q-exp", "nan"],
+             ["bv-average", "--x", "1000", "--y", "10", "--Q", "3", "--Q-exp", "inf"],
              # ran no trial and reported max_ratio 0 (exit 0)
              ["large-sieve", "--x", "1000", "--y", "10", "--Q", "3", "--trials", "0"],
              ["exceptional", "--x", "100", "--y", "1", "--Q", "5"],

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import oracles
 from oracles import (_character_combination, character_sum, classify_eta, decompose,
                      ls_dual, max_ratio_power_iteration)
-from smoothap import multfn
+from smoothap import cli, multfn
 from smoothap.characters import enumerate_characters, family_A
 from smoothap.errors import DomainError
 from smoothap.large_sieve import (_by_modulus, _character_sums, context_bound,
@@ -207,6 +208,22 @@ def test_refine_grid_controls_smooth_increments():
             assert prefix[b] - prefix[a] <= prefix[a] / (2 * T)
 
 
+def test_refine_grid_equals_the_one_step_loop():
+    rng = random.Random(0)
+    split = 0
+    for _ in range(40):
+        x = rng.randrange(16, 200_000)
+        y = rng.randrange(2, 120)
+        T = detection_scale(x, y, rng.choice([0.0, 0.5, 1.0, 2.0]))
+        eps = rng.choice([1.0, 0.5, rng.uniform(0.05, 1)])
+        smooth = smooth_numbers(x, y).ns
+        grid = dyadic_partition(x, T, eps)
+        want = oracles.refine_grid_one_step(grid, smooth, T)
+        assert refine_grid(grid, smooth, T) == want
+        split += len(want) > len(grid)
+    assert split >= 10, split
+
+
 def test_detect_exceptional_finds_plants():
     fams = family_A(20)
     x, y, Q, B = 10**4, 50, 20, 1.0
@@ -298,6 +315,28 @@ def test_detect_exceptional_support_scan_matches_dense_scan(name, B):
                 assert g[3] == r[3]  # real f: every product is exact
             else:
                 assert g[3] == pytest.approx(r[3], rel=1e-12)
+
+
+def _witness_rows(wits):
+    return [(w.character.q, w.character.rank, w.X, w.value.hex(), w.threshold.hex())
+            for w in wits]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_detect_exceptional_equals_the_per_character_scan(threads):
+    # bit for bit: the same members, near-misses, witness X, value and threshold
+    fams = family_A(30)
+    for x, y, Q in ((100, 5, 8), (3000, 20, 12), (10**4, 50, 20), (50_000, 50, 30)):
+        for spec in ("smooth-indicator", "moebius-smooth", "random-unit", "twist:7:1",
+                     "twist:16:5"):
+            f = cli._parse_function(spec, y, 3)
+            for B, eps in ((1.0, 0.5), (-1.0, 1.0)):
+                got = detect_exceptional(f, x, y, Q, B, eps, families=fams,
+                                         threads=threads)
+                want = oracles.detect_exceptional_per_character(f, x, y, Q, B, eps, fams)
+                assert got.members or got.near_misses
+                assert _witness_rows(got.members) == _witness_rows(want.members)
+                assert _witness_rows(got.near_misses) == _witness_rows(want.near_misses)
 
 
 @pytest.mark.parametrize("x", [0, 15])

@@ -1,11 +1,14 @@
 import io
+import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from smoothap import multfn
-from smoothap.reports import emit_reports, write_json
+from smoothap.reports import _encode, emit_reports, write_json
 
 RECORD_KEYS = ["q", "a1", "a2", "delta_re", "delta_im", "delta_abs"]
 
@@ -40,6 +43,24 @@ WRITE_JSON_CASES = {
 def test_write_json_equals_whole_document_dumps(case):
     doc, key, items = WRITE_JSON_CASES[case]
     assert _streamed(doc, key, items) == oracles.json_text({**doc, key: list(items)})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.just(-0.0),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES, st.integers(0, 3))
+def test_encode_equals_json_dumps(value, level):
+    # str, int, lists and str-keyed dicts are joined by _encode itself, every
+    # other value (bool is an int subclass) by json's own encoder
+    want = json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + " " * level)
+    assert _encode(value, level) == want
 
 
 REPORT_CASES = {

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -239,6 +240,22 @@ def test_dyadic_partition_count():
     J = len(pts) - 1
     nominal = (T / eps) * math.log(x**0.75)
     assert nominal / 4 <= J <= nominal * 4
+
+
+def test_dyadic_partition_equals_the_point_by_point_loop():
+    unit_only = [(500, 600, 1.0), (2000, 10**4, 0.5)]
+    merged = [(777, 2, 0.7), (5000, 7.5, 0.9), (10**5, 10, 0.25)]
+    rng = random.Random(0)
+    drawn = [(rng.randrange(16, 10 ** rng.randrange(2, 7)),
+              rng.choice([1.0, rng.uniform(1, 50), 10 ** rng.uniform(0, 3.5)]),
+              rng.choice([1.0, 0.5, rng.uniform(1e-3, 1)])) for _ in range(300)]
+    for x, T, eps in [(16, 1, 1)] + unit_only + merged + drawn:
+        want = oracles.dyadic_partition_point_by_point(x, T, eps)
+        assert dyadic_partition(x, T, eps) == want, (x, T, eps)
+        if (x, T, eps) in unit_only:
+            assert want == list(range(want[0], x + 1))
+        if (x, T, eps) in merged:  # the final step is longer than its target
+            assert want[-1] - want[-2] > max(1, int(eps * want[-2] / T))
 
 
 def test_dyadic_partition_sizing_guard():
