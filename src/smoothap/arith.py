@@ -2,8 +2,9 @@
 
 Everything here is trial-division based with memoization; it is meant for
 moduli and conductors (a few thousand at most), not for sieve-scale n.
-The two array helpers at the end are the one expression for residues of
-an integer array and for the units mod q.
+The array helpers at the end are the one expression for residues of an
+integer array and for the units mod q, and the one chunking of a pass
+over a support.
 """
 
 from __future__ import annotations
@@ -111,3 +112,15 @@ def unit_mask(q: int) -> np.ndarray:
     for p, _ in factorize(q):
         mask[::p] = False
     return mask
+
+
+# positions per chunk of every per-modulus pass over a support: each pass
+# walks the support in ascending slices of this length, so its buffers
+# are chunk-length, not support-length
+CHUNK = 1 << 15
+
+
+def chunks(n: int) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of the ascending CHUNK-long slices of range(n)."""
+    step = CHUNK  # read at call time, so tests can vary it
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]

@@ -11,11 +11,11 @@ ints, an array of residues for several characters of one group at once
 (`exponent_rows`, an integer matmul over the components).  No command
 builds an induced character: a sum against the character mod q induced by
 psi reads psi's own table at the units of q.  Exact fractions k/m appear
-only where a caller asks for them, in `value()`; complex floats only in
-`cvalue()` and the cached `complex_table()`, which `fill_tables` builds
-for the characters of one modulus at once.  Induction, decomposition,
-products and exact root-of-unity sums are the test suite's references
-(tests/oracles.py).
+only where a caller asks for them, in `value()` (no command does, so no
+command imports `fractions`); complex floats only in `cvalue()` and the
+cached `complex_table()`, which `fill_tables` builds for the characters
+of one modulus at once.  Induction, decomposition, products and exact
+root-of-unity sums are the test suite's references (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -187,6 +186,8 @@ class DirichletCharacter:
 
     def value(self, n: int) -> Fraction | None:
         """chi(n) as the reduced fraction k/m meaning e^{2 pi i k/m}; None when chi(n)=0."""
+        from fractions import Fraction
+
         k = self._exponent(int(n) % self.q)
         return None if k < 0 else Fraction(k, self.group.M)
 
@@ -294,20 +295,21 @@ def exponent_rows(chars: list[DirichletCharacter], n: np.ndarray) -> np.ndarray:
 
 
 def fill_tables(chars: list[DirichletCharacter]) -> None:
-    """Build and cache the complex_table of each character of chars (one modulus).
+    """Build and cache the complex_table of each character of chars.
 
-    The tables are the rows of one read-only (characters x q) array, from
-    one `exponent_rows` call; a character whose table is cached is skipped.
+    The tables of each run of equal modulus in chars are the rows of one
+    read-only (characters x q) array, from one `exponent_rows` call; a
+    character whose table is cached is skipped.
     """
     todo = [chi for chi in chars if chi._table is None]
-    if not todo:
-        return
-    k = exponent_rows(todo, np.arange(todo[0].q))
-    tabs = np.exp(2j * np.pi * (k / todo[0].group.M))
-    tabs[k < 0] = 0
-    tabs.setflags(write=False)
-    for chi, tab in zip(todo, tabs):
-        chi._table = tab
+    for _, run in itertools.groupby(todo, key=lambda chi: chi.q):
+        run = list(run)
+        k = exponent_rows(run, np.arange(run[0].q))
+        tabs = np.exp(2j * np.pi * (k / run[0].group.M))
+        tabs[k < 0] = 0
+        tabs.setflags(write=False)
+        for chi, tab in zip(run, tabs):
+            chi._table = tab
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:

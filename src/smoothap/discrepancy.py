@@ -19,21 +19,21 @@ and the scalar Delta, Delta_Xi, Delta_A and S_f(x, chi), are the test
 suite's references (tests/oracles.py).
 
 All complex sums reduce residue-wise first (np.add.at in ascending n, a
-fixed order), then combine over at most q terms with numpy's pairwise
-sum, so serial and threaded runs agree byte for byte.
+fixed order, one chunk of the support at a time), then combine over at
+most q terms with numpy's pairwise sum, so serial and threaded runs agree
+byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .arith import (divisors, euler_phi, factorize, moebius, modinv, radical_multiples,
-                    residues, unit_mask)
-from .characters import CharacterFamily, DirichletCharacter
+from .arith import (chunks, divisors, euler_phi, factorize, moebius, modinv,
+                    radical_multiples, residues, unit_mask)
+from .characters import CharacterFamily, DirichletCharacter, fill_tables
 from .errors import DomainError
 from .multfn import MultFnSpec, dirichlet_inverse, evaluate, get_support
 from .util import ordered_map
@@ -95,6 +95,8 @@ class ExceptionalSet:
     @property
     def beta(self) -> Fraction:
         """sum of 1/conductor over members, exact."""
+        from fractions import Fraction  # no command reads beta
+
         return sum((Fraction(1, chi.q) for chi in self.characters), Fraction(0))
 
     @property
@@ -113,12 +115,14 @@ class ExceptionalSet:
 def residue_sums(ns: np.ndarray, vs: np.ndarray, q: int) -> np.ndarray:
     """sum of vs[i] over the i with ns[i] = r (mod q), as a length-q complex vector.
 
-    One floor divide and one unbuffered np.add.at in the given (ascending)
-    order, so each bin is the same sequential sum, real and imaginary parts
-    apart, whatever the dtype of ns and whether vs is a strided view.
+    One floor divide and one unbuffered np.add.at per chunk (`chunks`), in
+    the given (ascending) order, so each bin is the same sequential sum,
+    real and imaginary parts apart, whatever the chunk length, the dtype of
+    ns and whether vs is a strided view.  It holds one chunk of residues.
     """
     out = np.zeros(q, dtype=np.complex128)
-    np.add.at(out, residues(ns, q), vs)
+    for lo, hi in chunks(ns.size):
+        np.add.at(out, residues(ns[lo:hi], q), vs[lo:hi])
     return out
 
 
@@ -168,7 +172,9 @@ def _record(rs: np.ndarray, q: int, a1: int, a2: int, xi: ExceptionalSet | None,
                             progression_sum=prog, coprime_main=coprime / phi)
     if xi is not None:
         xi_main = 0j
-        for psi in xi.members_dividing(q):
+        psis = xi.members_dividing(q)
+        fill_tables(psis)
+        for psi in psis:
             # b is a unit mod q, where the character induced by psi equals psi
             xi_main += psi.cvalue(b) * _sum_induced(rs_units, units, psi)
         rec.delta_xi = prog - xi_main / phi
@@ -206,8 +212,8 @@ def u_kernel_moebius_row(q: int, D: int) -> np.ndarray:
     [n=1 mod q] - (1/phi(q)) * sum_{d<=D, d | (q, n-1)} phi(d) *
                                sum_{b<=D/d, b | q/d} mu(b).
     The value at a unit n depends only on g = gcd(q, n-1), and n = 1 (mod q)
-    exactly when g = q, so the divisor sum and the Fraction are formed once
-    per distinct g.
+    exactly when g = q, so the divisor sum and the quotient are formed once
+    per distinct g; int / int is correctly rounded, as float(Fraction) is.
     """
     if q < 1 or D < 1:
         raise DomainError(f"need q >= 1 and D >= 1, got q={q}, D={D}")
@@ -220,7 +226,7 @@ def u_kernel_moebius_row(q: int, D: int) -> np.ndarray:
     seen = np.zeros(q + 1, dtype=bool)
     seen[gs] = True
     for g in np.flatnonzero(seen).tolist():
-        by_gcd[g] = float(Fraction((g == q) * phi - _kernel_divisor_sum(g, q, D), phi))
+        by_gcd[g] = ((g == q) * phi - _kernel_divisor_sum(g, q, D)) / phi
     row = np.zeros(q)
     row[units] = by_gcd[gs]
     return row
@@ -229,9 +235,9 @@ def u_kernel_moebius_row(q: int, D: int) -> np.ndarray:
 def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
     """Definition form: [n=1 mod q] - (1/phi(q)) sum_{chi mod q, cond<=D} chi(n).
 
-    At every residue n mod q at once: one table gather per member and no
-    induction, bitwise equal to the sum of the induced characters' values
-    cell by cell.  The real and imaginary parts are divided by phi(q)
+    At every residue n mod q at once: one `fill_tables` call, one table
+    gather per member and no induction, bitwise equal to the sum of the
+    induced characters' values cell by cell.  The real and imaginary parts are divided by phi(q)
     separately, as Python's complex / int does: numpy's complex / float can
     differ in the last bit.
     """
@@ -241,9 +247,10 @@ def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
     ind = np.zeros(q)
     ind[1 % q] = 1.0
     s = np.zeros(q, dtype=np.complex128)
-    for psi in family.members:
-        if psi.q <= D and q % psi.q == 0:
-            s += psi.complex_table()[residues(n, psi.q)]
+    psis = [psi for psi in family.members if psi.q <= D and q % psi.q == 0]
+    fill_tables(psis)
+    for psi in psis:
+        s += psi.complex_table()[residues(n, psi.q)]
     s[~unit_mask(q)] = 0  # induced characters vanish off the units of q
     phi = euler_phi(q)
     out = np.empty(q, dtype=np.complex128)
@@ -254,6 +261,33 @@ def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # averages over moduli
+
+
+def _prime_to(g: int, ns: np.ndarray, vs: np.ndarray,
+              out: tuple[np.ndarray, np.ndarray] | None = None):
+    """The entries of (ns, vs) with gcd(n, g) = 1, in the same (ascending) order.
+
+    One chunk at a time, into out: arrays at least as long as the result,
+    ns and vs themselves included, since no entry is written past the
+    position it is read from.  Without out, into new arrays of the exact
+    length, which a first pass counts.
+    """
+    units = unit_mask(g)
+
+    def kept():
+        for lo, hi in chunks(ns.size):
+            yield lo, hi, units[residues(ns[lo:hi], g)]
+
+    if out is None:
+        size = sum(int(np.count_nonzero(keep)) for _, _, keep in kept())
+        out = (np.empty(size, dtype=ns.dtype), np.empty(size, dtype=vs.dtype))
+    w = 0
+    for lo, hi, keep in kept():
+        k = int(np.count_nonzero(keep))
+        out[0][w:w + k] = ns[lo:hi][keep]
+        out[1][w:w + k] = vs[lo:hi][keep]
+        w += k
+    return out[0][:w], out[1][:w]
 
 
 def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
@@ -276,23 +310,28 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
     # the part of the support prime to g = gcd(q, 6), about 0.55 Psi points
     # on average over q.  A part keeps ascending n, so every unit bin is the
     # same sequential sum as over the whole support.  The support itself is
-    # the part for g = 1; each other part is built once and serves all its q
-    # before the next one is built, so at most one copy is alive at a time.
+    # the part for g = 1.  The odd part (g = 2) is the one copy; the part
+    # prime to 6 is then compacted into it in place, and last the part
+    # prime to 3 into the support, which this call owns.  So the support
+    # and one odd part are the most ever held.
     ns, vs = get_support(f, x=x)
+    part, odd = (ns, vs), None
     by_q = {}
-    for g in sorted({math.gcd(q, 6) for q in qs}):
-        if g == 1:
-            part = (ns, vs)
-        else:
-            keep = unit_mask(g)[residues(ns, g)]
-            part = (ns[keep], vs[keep])
-            del keep
+    for g in (1, 2, 6, 3):  # the order in which the parts are built
         qg = [q for q in qs if math.gcd(q, 6) == g]
+        if not qg:
+            continue
+        if g == 2:
+            part = odd = _prime_to(2, ns, vs)
+        elif g == 6:  # admitting q = 6 admits q = 2, so odd is built
+            part = _prime_to(6, *odd, out=odd)
+        elif g == 3:
+            odd = None
+            part = _prime_to(3, ns, vs, out=(ns, vs))
         # x=1e7, y=215, Q=300: 2 threads 1.09-1.13 -> 1.00 s, won 14/20 pairs, +5 MB
         by_q.update(zip(qg, ordered_map(
             lambda q, part=part: _record(residue_sums(*part, q), q, a1, a2, xi),
             qg, threads)))
-        del part
     records = [by_q[q] for q in qs]
     total = 0.0
     for rec in records:

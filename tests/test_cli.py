@@ -199,6 +199,19 @@ EVERY_COMMAND = {
 }
 
 
+def test_no_command_loads_fractions_or_decimal(tmp_path):
+    # fractions pulls in decimal (about 0.4 MB RSS); only value() and
+    # ExceptionalSet.beta build a Fraction, and no command calls them
+    code = ("import sys\n"
+            "from smoothap.cli import main\n"
+            f"for name, argv in {EVERY_COMMAND!r}.items():\n"
+            f"    assert main(['--out', {str(tmp_path)!r} + '/' + name, *argv]) == 0, name\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_large_sieve_walks_once_and_no_command_allocates_over_0_to_x(tmp_path, monkeypatch):
     # large-sieve builds its smooth set once, before the trials
     walks = []

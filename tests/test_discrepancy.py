@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from oracles import character_sum, delta, delta_A, delta_xi, induce, u_kernel_moebius
-from smoothap import discrepancy, multfn
+from smoothap import arith, characters, discrepancy, multfn
 from smoothap.arith import euler_phi, factorize, residues, unit_mask
 from smoothap.characters import enumerate_characters, family_A, trivial_character
 from smoothap.discrepancy import (ExceptionalSet, _record, bv_average,
@@ -16,6 +16,7 @@ from smoothap.discrepancy import (ExceptionalSet, _record, bv_average,
                                   u_kernel_chardef_row, u_kernel_moebius_row,
                                   verify_transfer_identity)
 from smoothap.errors import DomainError
+from smoothap.large_sieve import detect_exceptional
 from smoothap.multfn import dirichlet_inverse, evaluate
 from smoothap.sieve import X_MAX_CAP, psi_coprime, psi_progression
 
@@ -180,6 +181,35 @@ def test_kernel_chardef_row_bitwise_equals_cells():
             assert row[n].real == cell.real and row[n].imag == cell.imag, (q, D, n)
 
 
+def test_xi_and_chardef_row_build_tables_one_batch_per_modulus(monkeypatch):
+    # the Xi main term and the definition-form kernel fill the tables of
+    # each modulus at once (one exponent_rows call), bitwise those built
+    # one character at a time
+    batches = []
+    rows = characters.exponent_rows
+
+    def counted(chars, n):
+        batches.append(chars[0].q)
+        return rows(chars, n)
+
+    monkeypatch.setattr(characters, "exponent_rows", counted)
+    ns, vs = multfn.get_support(multfn.random_unit_circle(5, smooth_bound=50), 10**4)
+    for q in (60, 84, 90):
+        fam = family_A(30)  # fresh characters: no table is cached
+        batches.clear()
+        _record(residue_sums(ns, vs, q), q, 1, 1, ExceptionalSet.from_characters(fam.members))
+        moduli = sorted({psi.q for psi in fam.members if q % psi.q == 0})
+        assert batches == moduli, q
+        fam = family_A(30)
+        batches.clear()
+        u_kernel_chardef_row(q, 30, fam)
+        assert batches == moduli, q
+        for psi in fam.members:
+            if q % psi.q == 0:
+                assert (psi.complex_table().view(np.uint64).tobytes()
+                        == oracles.complex_table_one(psi).view(np.uint64).tobytes()), psi
+
+
 def test_kernel_moebius_row_bitwise_equals_cells():
     for q in range(1, 301):
         for D in (1, 2, 3, 5, 10, 20, 30):
@@ -300,6 +330,66 @@ def test_support_and_bv_average_peak_bytes_per_point():
     n = multfn.get_support(f, x)[0].size
     assert peaks[0] <= 32 * n, peaks[0] / n
     assert peaks[1] <= 40 * n, peaks[1] / n
+
+
+def test_bv_average_and_exceptional_peak_bytes_per_point():
+    # at x = 4e6 and y = x^(1/3), Psi = 278,562 spans several chunks: each
+    # per-modulus pass holds chunk-length buffers, so bv_average holds the
+    # support and its odd part and the scan the support, the grid and the
+    # thresholds.  Measured: support 26.7, bv_average 28.3 and the scan
+    # 35.1 bytes per point (32.4 and 75.6 with support-length buffers)
+    x, y = 4_000_000, 158
+    f = multfn.random_unit_circle(0, smooth_bound=y)
+    n = multfn.get_support(f, x)[0].size
+    assert n > 8 * arith.CHUNK
+    fams = family_A(10)
+    peaks = []
+    for run in (lambda: multfn.get_support(f, x),
+                lambda: bv_average(f, x, 100, 1, 1, XI_EMPTY),
+                lambda: detect_exceptional(f, x, y, 10, 1.0, 0.5, families=fams)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4 * n, (peaks[0] / n, peaks[1] / n)
+    assert peaks[2] <= peaks[0] + 12 * n, (peaks[0] / n, peaks[2] / n)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 777])
+def test_residue_sums_bitwise_at_any_chunk_length(monkeypatch, chunk):
+    # np.add.at one chunk at a time keeps each bin's sequential sum
+    ns, vs = multfn.get_support(multfn.random_unit_circle(3, smooth_bound=50), 10**4)
+    assert ns.size > 2 * 777
+    want = {q: oracles.bincount_residue_sums(ns, vs, q) for q in (1, 2, 7, 60, 97, 9999)}
+    monkeypatch.setattr(arith, "CHUNK", chunk)
+    for q, w in want.items():
+        for pos in (ns, ns.astype(np.int64)):
+            assert residue_sums(pos, vs, q).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 777])
+def test_bv_average_bitwise_at_any_chunk_length(monkeypatch, chunk):
+    # the parts prime to 2, 6 and 3, compacted a chunk at a time, and the
+    # chunked residue sums give the records of per-q discrepancy_record
+    x, Q = 5000, 30
+    xi = ExceptionalSet.from_characters(family_A(12).members)
+    cases = []
+    for f in (multfn.random_unit_circle(5, smooth_bound=50), multfn.moebius_smooth(50)):
+        for a1, a2 in ((1, 1), (2, 3), (5, 7)):
+            want = [discrepancy_record(f, x, q, a1, a2, xi=xi)
+                    for q in range(1, Q + 1) if math.gcd(q, a1 * a2) == 1]
+            total = 0.0
+            for rec in want:
+                total += abs(rec.delta_xi)
+            cases.append((f, a1, a2, want, total))
+    monkeypatch.setattr(arith, "CHUNK", chunk)
+    for f, a1, a2, want, want_total in cases:
+        for threads in (1, 2):
+            total, got = bv_average(f, x, Q, a1, a2, xi, threads=threads)
+            assert total == want_total
+            assert _same_records(got, want)
 
 
 RECORD_FIELDS = ("delta", "delta_xi", "progression_sum", "coprime_main", "xi_main")

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from oracles import (_character_combination, character_sum, classify_eta, decompose,
                      ls_dual, max_ratio_power_iteration)
-from smoothap import cli, multfn
+from smoothap import arith, cli, large_sieve, multfn
 from smoothap.characters import enumerate_characters, family_A
 from smoothap.errors import DomainError
 from smoothap.large_sieve import (_by_modulus, _character_sums, context_bound,
@@ -337,6 +337,38 @@ def test_detect_exceptional_equals_the_per_character_scan(threads):
                 assert got.members or got.near_misses
                 assert _witness_rows(got.members) == _witness_rows(want.members)
                 assert _witness_rows(got.near_misses) == _witness_rows(want.near_misses)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunk", [1, 7, 777])
+def test_detect_exceptional_bitwise_at_any_chunk_length(monkeypatch, chunk, threads):
+    # the chunk-major scan, with its carries and running first max, equals
+    # the per-character scan bit for bit, also on a support trimmed below 20
+    # (so the grid's first points, from 8 on, lie before its first point)
+    fams = family_A(20)
+    wanted = []
+
+    def trimmed_support(f, x):
+        ns, vs = multfn.get_support(f, x=x)
+        return ns[ns > 20], vs[ns > 20]
+
+    cases = [(3000, 20, 12)] + ([(10**4, 50, 20)] if chunk > 1 else [])
+    for x, y, Q in cases:
+        for spec in ("smooth-indicator", "moebius-smooth", "random-unit", "twist:7:1"):
+            f = cli._parse_function(spec, y, 3)
+            for support in (multfn.get_support, trimmed_support):
+                with monkeypatch.context() as m:
+                    m.setattr(oracles, "get_support", support)
+                    want = oracles.detect_exceptional_per_character(f, x, y, Q, 1.0, 0.5, fams)
+                wanted.append((x, y, Q, f, support, want))
+    monkeypatch.setattr(arith, "CHUNK", chunk)
+    for x, y, Q, f, support, want in wanted:
+        with monkeypatch.context() as m:
+            m.setattr(large_sieve, "get_support", support)
+            got = detect_exceptional(f, x, y, Q, 1.0, 0.5, families=fams, threads=threads)
+        assert got.members or got.near_misses
+        assert _witness_rows(got.members) == _witness_rows(want.members)
+        assert _witness_rows(got.near_misses) == _witness_rows(want.near_misses)
 
 
 @pytest.mark.parametrize("x", [0, 15])
