@@ -12,9 +12,10 @@ ints, an array of residues for several characters of one group at once
 builds an induced character: a sum against the character mod q induced by
 psi reads psi's own table at the units of q.  Exact fractions k/m appear
 only where a caller asks for them, in `value()` (no command does, so no
-command imports `fractions`); complex floats only in `cvalue()` and the
-cached `complex_table()`, which `fill_tables` builds for the characters
-of one modulus at once.  Induction, decomposition, products and exact
+command imports `fractions`); complex floats only in `cvalue()`,
+`complex_tables()` (the tables of the characters of one modulus, built
+afresh on each call) and the cached `complex_table()`, which `fill_tables`
+fills from it.  Induction, decomposition, products and exact
 root-of-unity sums are the test suite's references (tests/oracles.py).
 """
 
@@ -33,8 +34,10 @@ from .errors import DomainError, SizingError
 MODULUS_CAP = 1_000_000  # dlog tables are O(q); raise deliberately if needed
 
 # bytes of the complex_table of every member of family_A(D), 16 per residue,
-# that family_A accepts: a command keeps every table it reads for its whole
-# run, and the sum grows about as D^3 (D = 514 is the largest under the cap)
+# that family_A accepts: `--xi A:D`, verify-identities and large-sieve keep
+# every table they read for the whole run (exceptional keeps one modulus'
+# tables at a time, yet is capped alike), and the sum grows about as D^3
+# (D = 514 is the largest under the cap)
 FAMILY_TABLE_CAP = 1 << 28
 
 
@@ -294,19 +297,30 @@ def exponent_rows(chars: list[DirichletCharacter], n: np.ndarray) -> np.ndarray:
     return k
 
 
+def complex_tables(chars: list[DirichletCharacter]) -> np.ndarray:
+    """The complex tables of chars, which share one modulus q, as the rows of
+    a fresh writable (characters x q) array, from one `exponent_rows` call.
+
+    Nothing is cached: a caller that reads each table once (the exceptional
+    scan) drops them with the array, and `fill_tables` caches them.
+    """
+    k = exponent_rows(chars, np.arange(chars[0].q))
+    tabs = np.exp(2j * np.pi * (k / chars[0].group.M))
+    tabs[k < 0] = 0
+    return tabs
+
+
 def fill_tables(chars: list[DirichletCharacter]) -> None:
     """Build and cache the complex_table of each character of chars.
 
-    The tables of each run of equal modulus in chars are the rows of one
-    read-only (characters x q) array, from one `exponent_rows` call; a
+    For a caller that reads a table again.  The tables of each run of equal
+    modulus in chars are the rows of one read-only `complex_tables` array; a
     character whose table is cached is skipped.
     """
     todo = [chi for chi in chars if chi._table is None]
     for _, run in itertools.groupby(todo, key=lambda chi: chi.q):
         run = list(run)
-        k = exponent_rows(run, np.arange(run[0].q))
-        tabs = np.exp(2j * np.pi * (k / run[0].group.M))
-        tabs[k < 0] = 0
+        tabs = complex_tables(run)
         tabs.setflags(write=False)
         for chi, tab in zip(run, tabs):
             chi._table = tab
@@ -356,8 +370,9 @@ def family_A(D: int) -> CharacterFamily:
         raise DomainError(f"need D >= 1, got {D}")
     tables = itertools.accumulate(16 * r * _primitive_count(r) for r in range(1, D + 1))
     if any(t > FAMILY_TABLE_CAP for t in tables):  # stops at the cap, even for a huge D
-        raise SizingError(f"the primitive characters of conductor <= {D} need more "
-                          f"than {FAMILY_TABLE_CAP} bytes of tables")
+        raise SizingError(f"the primitive characters of conductor <= {D} have more "
+                          f"than {FAMILY_TABLE_CAP} bytes of tables, the cap for a "
+                          f"command that keeps every table of the family")
     members = []
     for r in range(1, D + 1):
         if r % 4 == 2:

@@ -163,6 +163,8 @@ def cmd_large_sieve(args):
     if args.Q is None:  # pick the range the inequality is stated for
         args.Q = modulus_range_Q(args.x, args.y, args.c,
                                  weighted=args.weight_mode == "sqrt")
+    if args.Q < 1:  # checked here, so that the message names the flag, not family_A's D
+        raise DomainError(f"need --Q >= 1, got {args.Q}")
     families = family_A(args.Q)
     smooth = smooth_numbers(args.x, args.y)  # built once: every trial reads it
     Psi = len(smooth.ns)
@@ -191,6 +193,8 @@ def cmd_large_sieve(args):
 def cmd_exceptional(args):
     _check_query(args.x, args.y, least=1)
     bound = context_bound(args.x, args.B)
+    if args.Q < 1:  # checked here, so that the message names the flag, not family_A's D
+        raise DomainError(f"need --Q >= 1, got {args.Q}")
     families = family_A(args.Q)
     f = _parse_function(args.f, args.y, args.f_seed)
     found = detect_exceptional(f, args.x, args.y, args.Q, args.B, args.eps,

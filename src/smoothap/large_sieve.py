@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import chunks, residues
-from .characters import CharacterFamily, DirichletCharacter, fill_tables
+from .characters import CharacterFamily, DirichletCharacter, complex_tables, fill_tables
 from .discrepancy import ExceptionalSet, ExceptionalWitness, residue_sums
 from .errors import DomainError
 from .multfn import MultFnSpec, get_support
@@ -137,7 +137,7 @@ def detection_scale(x: int, y: int, B: float) -> float:
     return T
 
 
-def refine_grid(grid: list[int], smooth: np.ndarray, T: float) -> list[int]:
+def refine_grid(grid: np.ndarray, smooth: np.ndarray, T: float) -> np.ndarray:
     """Split grid steps until each holds few enough smooth numbers.
 
     smooth is the ascending y-smooth numbers (`smooth_numbers(...).ns`), so
@@ -147,7 +147,7 @@ def refine_grid(grid: list[int], smooth: np.ndarray, T: float) -> list[int]:
     point.  This realizes the 'eps small enough' requirement of the scan
     argument constructively.  A step's fate depends only on its two ends, so
     each round bisects every failing step at once; the points are those of
-    bisecting one step at a time, left to right.
+    bisecting one step at a time, left to right, returned as a new int64 array.
     """
     out = np.array(grid, dtype=np.int64)
     # needles of smooth's dtype: any other makes numpy copy smooth to it
@@ -156,7 +156,7 @@ def refine_grid(grid: list[int], smooth: np.ndarray, T: float) -> list[int]:
         fail = np.flatnonzero((out[1:] - out[:-1] >= 2)
                               & (counts[1:] - counts[:-1] > counts[:-1] / (2.0 * T)))
         if not fail.size:
-            return out.tolist()
+            return out
         mids = (out[fail] + out[fail + 1]) // 2
         out = np.insert(out, fail + 1, mids)
         counts = np.insert(counts, fail + 1,
@@ -193,15 +193,15 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
 
     T = detection_scale(x, y, B)
     smooth = smooth_numbers(x, y).ns
-    grid = refine_grid(dyadic_partition(x, T, eps), smooth, T)
-    gx = np.array(grid, dtype=ns.dtype)  # as in refine_grid: no copy of ns or smooth
+    # needles of ns's dtype, as in refine_grid: no copy of ns or smooth
+    gx = refine_grid(dyadic_partition(x, T, eps), smooth, T).astype(ns.dtype)
     at = np.searchsorted(ns, gx, side="right")  # S(X_j) sums the first at[j] terms
     # |S| is the same at grid points of one support prefix and the thresholds
     # never decrease, so each margin's max is at the first such point
     first = np.flatnonzero(np.diff(at, prepend=-1))
     gx, at = gx[first], at[first]
     thresholds = np.searchsorted(smooth, gx, side="right") / (2.0 * T)  # Psi(X_j, y)/(2T)
-    del smooth, grid
+    del smooth
     # the grid points whose prefix ends in each chunk, as slices of at; at
     # is strictly increasing, and a point with at = 0 (S = 0) is in none
     bounds = [(lo, hi, *np.searchsorted(at, [lo + 1, hi + 1]).tolist())
@@ -209,8 +209,10 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
 
     def scan(chars: list[DirichletCharacter]):
         """(margin, witness) of each character of one modulus, in order."""
-        fill_tables(chars)
-        tables = [np.conj(chi.complex_table()) for chi in chars]
+        # each table is read once, so none is cached on the characters: they
+        # are built afresh, conjugated in place and dropped with the modulus
+        tables = complex_tables(chars)
+        np.conj(tables, out=tables)
         carry = [None] * len(chars)  # S over the chunks before this one
         # (margin, j, |S|) of each first max so far, the one np.argmax over
         # the grid gives; a point with at = 0 has S = 0, so margin 0, and

@@ -298,13 +298,13 @@ def primes_upto(y: int) -> tuple:
     return tuple(int(p) for p in np.nonzero(_prime_mask(y))[0])
 
 
-def dyadic_partition(x: int, T: float, eps: float) -> list[int]:
+def dyadic_partition(x: int, T: float, eps: float) -> np.ndarray:
     """Geometric grid ceil(x^(1/4)) = X_0 < ... < X_J = x with steps ~ eps*X_j/T.
 
     Steps are floor(eps*X_j/T) clamped below at 1 (integer grids cannot step
     finer), and a final step shorter than half its target is merged into its
-    predecessor.  Rejects parameter combinations producing more than 1e7
-    points.
+    predecessor.  The points are an ascending int64 array.  Rejects parameter
+    combinations producing more than 1e7 points.
     """
     if x < 16:
         raise DomainError(f"need x >= 16, got {x}")
@@ -342,12 +342,12 @@ def dyadic_partition(x: int, T: float, eps: float) -> list[int]:
         pieces.append(run)
         count += run.size
         cur = int(run[-1])
-    points = np.concatenate(pieces).tolist()
-    if x - cur < 0.5 * eps * cur / T and len(points) > 1:
-        points[-1] = x  # merge the short final step into its predecessor
+    if x - cur < 0.5 * eps * cur / T and count > 1:
+        pieces[-1][-1] = x  # merge the short final step into its predecessor
     else:
-        points.append(x)
-    if len(points) > 10_000_000:
+        pieces.append(np.array([x], dtype=np.int64))
+    points = np.concatenate(pieces)
+    if points.size > 10_000_000:
         raise SizingError(
             f"dyadic partition of [{x0}, {x}] at T={T}, eps={eps} exceeds 1e7 points"
         )

@@ -601,13 +601,14 @@ def _character_combination(ns: np.ndarray, b: np.ndarray,
     return out
 
 
-def refine_grid_one_step(grid: list[int], smooth: np.ndarray, T: float) -> list[int]:
+def refine_grid_one_step(grid, smooth: np.ndarray, T: float) -> list[int]:
     """`refine_grid` splitting one step at a time, left to right.
 
     A failing step is bisected and its left half checked again before the
-    scan moves right, with one searchsorted per inserted point.
+    scan moves right, with one searchsorted per inserted point.  The points
+    are Python ints, whether grid is a list or an array.
     """
-    out = list(grid)
+    out = [int(g) for g in grid]
     # needles of smooth's dtype: any other makes numpy copy smooth to it
     needle = smooth.dtype.type
     counts = np.searchsorted(smooth, np.array(out, dtype=smooth.dtype), side="right").tolist()

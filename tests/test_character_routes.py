@@ -15,7 +15,7 @@ import numpy as np
 import oracles
 from oracles import decompose, induce
 from smoothap.characters import (DirichletCharacter, UnitGroup, enumerate_characters,
-                                 exponent_rows, fill_tables)
+                                 complex_tables, exponent_rows, fill_tables)
 
 
 def test_values_and_records_match_fraction_route():
@@ -48,11 +48,15 @@ def test_batched_rows_and_tables_equal_the_per_character_route():
         n = np.arange(q)
         rows = exponent_rows(prims, n)
         assert rows.shape == (len(prims), q)
+        tables = complex_tables(prims)  # built afresh, and caches nothing
+        assert tables.shape == (len(prims), q)
+        assert all(chi._table is None for chi in prims)
         fill_tables(prims)
-        for chi, row in zip(prims, rows):
+        for chi, row, tab in zip(prims, rows, tables):
             assert np.array_equal(row, oracles.exponent_row(chi, n)), chi
-            assert np.array_equal(chi.complex_table().view(np.uint64),
-                                  oracles.complex_table_one(chi).view(np.uint64)), chi
+            want = oracles.complex_table_one(chi).view(np.uint64)
+            assert np.array_equal(tab.view(np.uint64), want), chi
+            assert np.array_equal(chi.complex_table().view(np.uint64), want), chi
             assert chi.to_record() == oracles.to_record_one(chi), chi
     assert count == 7517
 

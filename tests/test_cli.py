@@ -447,6 +447,12 @@ def test_usage_error_exit_2(tmp_path, capsys):
         assert run_cli(args, tmp_path) == 2, args
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["type"] == "DomainError" and err["error"], args
+    # named D, family_A's parameter, not the flag the user set
+    for cmd in ("exceptional", "large-sieve"):
+        args = [cmd, "--x", "1000", "--y", "10", "--Q", "0"]
+        assert run_cli(args, tmp_path) == 2, args
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "DomainError" and "--Q" in err["error"], args
 
 
 def test_exceptional_checks_context_bound_before_the_scan(tmp_path, monkeypatch, capsys):

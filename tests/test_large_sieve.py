@@ -202,7 +202,7 @@ def test_refine_grid_controls_smooth_increments():
     T = detection_scale(x, y, B)
     prefix = dense_prefix(x, y)
     grid = refine_grid(dyadic_partition(x, T, 0.5), smooth_numbers(x, y).ns, T)
-    assert type(grid) is list
+    assert isinstance(grid, np.ndarray) and grid.dtype == np.int64
     for a, b in zip(grid, grid[1:]):
         if b - a >= 2:
             assert prefix[b] - prefix[a] <= prefix[a] / (2 * T)
@@ -219,7 +219,7 @@ def test_refine_grid_equals_the_one_step_loop():
         smooth = smooth_numbers(x, y).ns
         grid = dyadic_partition(x, T, eps)
         want = oracles.refine_grid_one_step(grid, smooth, T)
-        assert refine_grid(grid, smooth, T) == want
+        assert refine_grid(grid, smooth, T).tolist() == want
         split += len(want) > len(grid)
     assert split >= 10, split
 
@@ -369,6 +369,21 @@ def test_detect_exceptional_bitwise_at_any_chunk_length(monkeypatch, chunk, thre
         assert got.members or got.near_misses
         assert _witness_rows(got.members) == _witness_rows(want.members)
         assert _witness_rows(got.near_misses) == _witness_rows(want.near_misses)
+
+
+def test_detect_exceptional_keeps_no_character_tables():
+    # the scan reads each table once: caching every table of A(200) (about
+    # 16 MB) on the characters set the call's memory
+    fams = family_A(200)
+    tracemalloc.start()
+    try:
+        detect_exceptional(multfn.smooth_indicator(20), 10**4, 20, 200, 1.0, 0.5,
+                           families=fams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(chi._table is not None for chi in fams.members) == 0
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.parametrize("x", [0, 15])

@@ -216,7 +216,7 @@ def test_smooth_short_interval():
 
 
 def test_dyadic_partition_geometric():
-    assert dyadic_partition(16, 1, 1) == [2, 4, 8, 16]
+    assert dyadic_partition(16, 1, 1).tolist() == [2, 4, 8, 16]
 
 
 def test_dyadic_partition_step_bounds():
@@ -251,7 +251,7 @@ def test_dyadic_partition_equals_the_point_by_point_loop():
               rng.choice([1.0, 0.5, rng.uniform(1e-3, 1)])) for _ in range(300)]
     for x, T, eps in [(16, 1, 1)] + unit_only + merged + drawn:
         want = oracles.dyadic_partition_point_by_point(x, T, eps)
-        assert dyadic_partition(x, T, eps) == want, (x, T, eps)
+        assert dyadic_partition(x, T, eps).tolist() == want, (x, T, eps)
         if (x, T, eps) in unit_only:
             assert want == list(range(want[0], x + 1))
         if (x, T, eps) in merged:  # the final step is longer than its target
