@@ -12,11 +12,11 @@ ints, an array of residues for several characters of one group at once
 builds an induced character: a sum against the character mod q induced by
 psi reads psi's own table at the units of q.  Exact fractions k/m appear
 only where a caller asks for them, in `value()` (no command does, so no
-command imports `fractions`); complex floats only in `cvalue()`,
-`complex_tables()` (the tables of the characters of one modulus, built
-afresh on each call) and the cached `complex_table()`, which `fill_tables`
-fills from it.  Induction, decomposition, products and exact
-root-of-unity sums are the test suite's references (tests/oracles.py).
+command imports `fractions`); complex floats only in `cvalue()` and
+`complex_tables()`, the one table builder, which caches nothing: a caller
+that reads tables again holds the dict `character_tables` returns.
+Induction, decomposition, products and exact root-of-unity sums are the
+test suite's references (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from .errors import DomainError, SizingError
 
 MODULUS_CAP = 1_000_000  # dlog tables are O(q); raise deliberately if needed
 
-# bytes of the complex_table of every member of family_A(D), 16 per residue,
-# that family_A accepts: `--xi A:D`, verify-identities and large-sieve keep
-# every table they read for the whole run (exceptional keeps one modulus'
-# tables at a time, yet is capped alike), and the sum grows about as D^3
-# (D = 514 is the largest under the cap)
+# bytes of the complex tables of every member of family_A(D), 16 per residue,
+# that family_A accepts: `--xi A:D` and verify-identities hold them all for the
+# run (large-sieve and exceptional one modulus' at a time, yet are capped
+# alike); the sum grows about as D^3 (D = 514 is the largest under the cap)
 FAMILY_TABLE_CAP = 1 << 28
 
 
@@ -136,7 +135,7 @@ class DirichletCharacter:
     a modulus and exponent vector on the canonical generators.
     """
 
-    __slots__ = ("group", "exps", "_conductor", "_table")
+    __slots__ = ("group", "exps", "_conductor")
 
     def __init__(self, group: UnitGroup, exps: tuple[int, ...]):
         if len(exps) != len(group.components):
@@ -144,7 +143,6 @@ class DirichletCharacter:
         self.group = group
         self.exps = tuple(c % comp.order for c, comp in zip(exps, group.components))
         self._conductor = None
-        self._table = None
 
     @property
     def q(self) -> int:
@@ -197,12 +195,6 @@ class DirichletCharacter:
     def cvalue(self, n: int) -> complex:
         k = self._exponent(int(n) % self.q)
         return 0j if k < 0 else complex(np.exp(2j * np.pi * (k / self.group.M)))
-
-    def complex_table(self) -> np.ndarray:
-        """Length-q complex array of chi over residues (0 off units); cached."""
-        if self._table is None:
-            fill_tables([self])
-        return self._table
 
     @property
     def conductor(self) -> int:
@@ -299,31 +291,39 @@ def exponent_rows(chars: list[DirichletCharacter], n: np.ndarray) -> np.ndarray:
 
 def complex_tables(chars: list[DirichletCharacter]) -> np.ndarray:
     """The complex tables of chars, which share one modulus q, as the rows of
-    a fresh writable (characters x q) array, from one `exponent_rows` call.
-
-    Nothing is cached: a caller that reads each table once (the exceptional
-    scan) drops them with the array, and `fill_tables` caches them.
-    """
-    k = exponent_rows(chars, np.arange(chars[0].q))
-    tabs = np.exp(2j * np.pi * (k / chars[0].group.M))
-    tabs[k < 0] = 0
-    return tabs
+    a fresh writable (characters x q) array: one `exponent_rows` call, then a
+    gather of the M roots e^{2 pi i k/M}, each taken once.  Nothing is cached."""
+    M = chars[0].group.M
+    roots = np.zeros(M + 1, dtype=np.complex128)  # roots[-1] = 0, read off the units
+    roots[:M] = np.exp(2j * np.pi * (np.arange(M) / M))
+    return roots[exponent_rows(chars, np.arange(chars[0].q))]
 
 
-def fill_tables(chars: list[DirichletCharacter]) -> None:
-    """Build and cache the complex_table of each character of chars.
+def by_modulus(chars: list[DirichletCharacter]) -> list[list[DirichletCharacter]]:
+    """The runs of equal modulus in chars (one run per modulus in family order)."""
+    return [list(run) for _, run in itertools.groupby(chars, key=lambda chi: chi.q)]
 
-    For a caller that reads a table again.  The tables of each run of equal
-    modulus in chars are the rows of one read-only `complex_tables` array; a
-    character whose table is cached is skipped.
-    """
-    todo = [chi for chi in chars if chi._table is None]
-    for _, run in itertools.groupby(todo, key=lambda chi: chi.q):
-        run = list(run)
+
+def character_tables(chars: list[DirichletCharacter]) -> dict[DirichletCharacter, np.ndarray]:
+    """The complex table of each character of chars, for a caller that reads a table
+    again: the read-only rows of one `complex_tables` call per run of equal modulus."""
+    tables = {}
+    for run in by_modulus(chars):
         tabs = complex_tables(run)
         tabs.setflags(write=False)
-        for chi, tab in zip(run, tabs):
-            chi._table = tab
+        tables.update(zip(run, tabs))
+    return tables
+
+
+def character_of_rank(q: int, rank: int) -> DirichletCharacter:
+    """`enumerate_characters(q)[rank]` alone: its exponents are the mixed-radix
+    digits of rank, which `DirichletCharacter.rank` reads back."""
+    group = UnitGroup.get(q)
+    orders = [comp.order for comp in group.components]
+    if not 0 <= rank < math.prod(orders):
+        raise DomainError(f"the characters mod {q} have ranks 0..{math.prod(orders) - 1}, "
+                          f"got {rank}")
+    return DirichletCharacter(group, tuple(map(int, np.unravel_index(rank, orders))))
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
@@ -352,6 +352,11 @@ class CharacterFamily:
 
     D: int
     members: list[DirichletCharacter] = field(default_factory=list)
+
+    @functools.cached_property
+    def tables(self) -> dict[DirichletCharacter, np.ndarray]:
+        """`character_tables` of every member, built on first read and kept."""
+        return character_tables(self.members)
 
     def up_to(self, bound: int) -> list[DirichletCharacter]:
         return [chi for chi in self.members if chi.q <= bound]

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import multfn
-from .characters import enumerate_characters, family_A, trivial_character
+from .characters import character_of_rank, family_A, trivial_character
 from .discrepancy import (ExceptionalSet, bv_average, discrepancy_record,
                           u_kernel_chardef_row, u_kernel_moebius_row,
                           verify_transfer_identity)
@@ -53,10 +53,10 @@ def _parse_function(name: str, y: int, f_seed: int):
             raise DomainError(f"expected twist:<conductor>:<rank>, got {name!r}")
         r = _int(fields[1], "twist conductor")
         rank = _int(fields[2], "twist rank")
-        chars = enumerate_characters(r)
-        if not (0 <= rank < len(chars) and chars[rank].primitive):
+        chi = character_of_rank(r, rank)
+        if not chi.primitive:
             raise DomainError(f"no primitive character mod {r} with rank {rank}")
-        return multfn.character_twist(chars[rank], y)
+        return multfn.character_twist(chi, y)
     raise DomainError(f"unknown function spec {name!r}")
 
 
@@ -258,7 +258,9 @@ def cmd_verify_identities(args):
     if args.tuples > 0 and args.xmax < 50:
         raise DomainError(f"the transfer tuples draw x from 50..xmax, so need --xmax >= 50, "
                           f"got {args.xmax}")
-    _check_query(args.xmax, least=1)
+    if args.xmax < 2:
+        raise DomainError(f"the Dirichlet-inverse check reads n = 2..xmax, got --xmax {args.xmax}")
+    _check_query(args.xmax)
     rng = random.Random(args.seed)
     rows = []
 
@@ -266,8 +268,8 @@ def cmd_verify_identities(args):
         rows.append({"check": check, "params": params, "residual": residual,
                      "tolerance": tol, "ok": residual <= tol})
 
-    # kernel identity: definition route vs divisor-sum route
-    fam = family_A(max(args.Dset))
+    # kernel identity: definition vs divisor-sum route; no conductor > qmax divides a q
+    fam = family_A(min(max(args.Dset), args.qmax))
     for D in args.Dset:
         worst = max(_kernel_worst(q, D, fam) for q in range(1, args.qmax + 1))
         add("kernel-identity", f"q<={args.qmax},D={D}", worst, 1e-10)

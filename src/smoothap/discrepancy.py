@@ -33,7 +33,7 @@ import numpy as np
 
 from .arith import (chunks, divisors, euler_phi, factorize, moebius, modinv,
                     radical_multiples, residues, unit_mask)
-from .characters import CharacterFamily, DirichletCharacter, fill_tables
+from .characters import CharacterFamily, DirichletCharacter, character_tables
 from .errors import DomainError
 from .multfn import MultFnSpec, dirichlet_inverse, evaluate, get_support
 from .util import ordered_map
@@ -88,10 +88,6 @@ class ExceptionalSet:
     def characters(self) -> list[DirichletCharacter]:
         return [w.character for w in self.members]
 
-    def members_dividing(self, q: int) -> list[DirichletCharacter]:
-        """The primitive members whose conductor divides q (they induce Xi_q)."""
-        return [w.character for w in self.members if q % w.character.q == 0]
-
     @property
     def beta(self) -> Fraction:
         """sum of 1/conductor over members, exact."""
@@ -126,16 +122,6 @@ def residue_sums(ns: np.ndarray, vs: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _sum_induced(rs_units: np.ndarray, units: np.ndarray, psi: DirichletCharacter) -> complex:
-    """sum over the units u mod q of rs[u] * conj(psi(u)), given rs_units = rs[units].
-
-    On the units of q the character induced by psi equals psi, and off them
-    it vanishes, so this is the sum against conj of psi induced to q.
-    """
-    vals = np.conj(psi.complex_table()[residues(units, psi.q)])
-    return complex((vals * rs_units).sum())
-
-
 # ---------------------------------------------------------------------------
 # the discrepancies
 
@@ -145,7 +131,9 @@ def discrepancy_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
                        D: int | None = None) -> DiscrepancyRecord:
     """Delta(f,x;q,a1*conj(a2)), plus Delta_Xi when xi is given and Delta_A when D is."""
     _check_cell(q, a1, a2)
-    return _record(residue_sums(*get_support(f, x=x), q), q, a1, a2, xi, D)
+    tables = None if xi is None else character_tables(
+        [psi for psi in xi.characters if q % psi.q == 0])  # all that Delta_Xi at q reads
+    return _record(residue_sums(*get_support(f, x=x), q), q, a1, a2, tables, D)
 
 
 def _check_cell(q: int, a1: int, a2: int):
@@ -155,12 +143,14 @@ def _check_cell(q: int, a1: int, a2: int):
         raise DomainError(f"need gcd(a1*a2, q) = 1, got a1={a1}, a2={a2}, q={q}")
 
 
-def _record(rs: np.ndarray, q: int, a1: int, a2: int, xi: ExceptionalSet | None,
+def _record(rs: np.ndarray, q: int, a1: int, a2: int, xi_tables: dict | None,
             D: int | None = None) -> DiscrepancyRecord:
     """The record at q from the residue sums rs of f mod q.
 
-    Without D it reads rs only at the units mod q (b is one), so bv_average
-    may leave the non-unit bins incomplete; Delta_A reads all q bins.
+    xi_tables, when given, maps the members of Xi to their tables, which the
+    caller builds once (`character_tables`).  Without D it reads rs only at the
+    units mod q (b is one), so bv_average may leave the non-unit bins
+    incomplete; Delta_A reads all q bins.
     """
     b = (a1 % q) * modinv(a2, q) % q if q > 1 else 0
     prog = complex(rs[b])
@@ -170,13 +160,14 @@ def _record(rs: np.ndarray, q: int, a1: int, a2: int, xi: ExceptionalSet | None,
     phi = euler_phi(q)
     rec = DiscrepancyRecord(q=q, a1=a1, a2=a2, delta=prog - coprime / phi,
                             progression_sum=prog, coprime_main=coprime / phi)
-    if xi is not None:
+    if xi_tables is not None:
         xi_main = 0j
-        psis = xi.members_dividing(q)
-        fill_tables(psis)
-        for psi in psis:
-            # b is a unit mod q, where the character induced by psi equals psi
-            xi_main += psi.cvalue(b) * _sum_induced(rs_units, units, psi)
+        # psi induced to q equals psi on the units of q, b among them, and
+        # vanishes off them
+        for psi, tab in xi_tables.items():
+            if q % psi.q == 0:
+                s = complex((np.conj(tab[residues(units, psi.q)]) * rs_units).sum())
+                xi_main += psi.cvalue(b) * s
         rec.delta_xi = prog - xi_main / phi
         rec.xi_main = xi_main / phi
     if D is not None:
@@ -235,22 +226,20 @@ def u_kernel_moebius_row(q: int, D: int) -> np.ndarray:
 def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
     """Definition form: [n=1 mod q] - (1/phi(q)) sum_{chi mod q, cond<=D} chi(n).
 
-    At every residue n mod q at once: one `fill_tables` call, one table
-    gather per member and no induction, bitwise equal to the sum of the
-    induced characters' values cell by cell.  The real and imaginary parts are divided by phi(q)
-    separately, as Python's complex / int does: numpy's complex / float can
-    differ in the last bit.
+    At every residue n mod q at once: the tables the family keeps
+    (`CharacterFamily.tables`) tiled to length q, no induction, bitwise equal
+    to the sum of the induced characters' values cell by cell.  The real and
+    imaginary parts are divided by phi(q) separately, as Python's complex /
+    int does: numpy's complex / float can differ in the last bit.
     """
     if family.D < min(D, q):
         raise DomainError(f"family only covers conductors <= {family.D}, need {min(D, q)}")
-    n = np.arange(q)
     ind = np.zeros(q)
     ind[1 % q] = 1.0
     s = np.zeros(q, dtype=np.complex128)
-    psis = [psi for psi in family.members if psi.q <= D and q % psi.q == 0]
-    fill_tables(psis)
-    for psi in psis:
-        s += psi.complex_table()[residues(n, psi.q)]
+    for psi, tab in family.tables.items():
+        if psi.q <= D and q % psi.q == 0:
+            s += np.tile(tab, q // psi.q)
     s[~unit_mask(q)] = 0  # induced characters vanish off the units of q
     phi = euler_phi(q)
     out = np.empty(q, dtype=np.complex128)
@@ -315,6 +304,7 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
     # prime to 3 into the support, which this call owns.  So the support
     # and one odd part are the most ever held.
     ns, vs = get_support(f, x=x)
+    tables = character_tables([psi for psi in xi.characters if psi.q <= Q])
     part, odd = (ns, vs), None
     by_q = {}
     for g in (1, 2, 6, 3):  # the order in which the parts are built
@@ -330,7 +320,7 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
             part = _prime_to(3, ns, vs, out=(ns, vs))
         # x=1e7, y=215, Q=300: 2 threads 1.09-1.13 -> 1.00 s, won 14/20 pairs, +5 MB
         by_q.update(zip(qg, ordered_map(
-            lambda q, part=part: _record(residue_sums(*part, q), q, a1, a2, xi),
+            lambda q, part=part: _record(residue_sums(*part, q), q, a1, a2, tables),
             qg, threads)))
     records = [by_q[q] for q in qs]
     total = 0.0
@@ -372,7 +362,9 @@ def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
             )
     _check_cell(q, a1, a2)
     ns, vs = get_support(f, x=x)
-    rec = _record(residue_sums(ns, vs, q), q, a1, a2, xi, D)
+    # Delta_Xi at q and at the divisors d of q below reads these tables
+    tables = character_tables([psi for psi in xi.characters if q % psi.q == 0])
+    rec = _record(residue_sums(ns, vs, q), q, a1, a2, tables, D)
     lhs = rec.delta_xi - rec.delta_a
 
     g = dirichlet_inverse(f, x)
@@ -394,7 +386,7 @@ def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
             if math.gcd(d, ell) != 1 or mu_sums[d] == 0:
                 continue
             a = (b % d) * modinv(ell, d) % d if d > 1 else 0
-            dx = _record(residue_sums(ns[:hi], vs[:hi], d), d, a, 1, xi).delta_xi
+            dx = _record(residue_sums(ns[:hi], vs[:hi], d), d, a, 1, tables).delta_xi
             rhs += gl * euler_phi(d) * dx * mu_sums[d]
     rhs /= euler_phi(q)
     return TransferCheck(lhs, rhs)

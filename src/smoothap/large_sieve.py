@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import chunks, residues
-from .characters import CharacterFamily, DirichletCharacter, complex_tables, fill_tables
+from .characters import CharacterFamily, DirichletCharacter, by_modulus, complex_tables
 from .discrepancy import ExceptionalSet, ExceptionalWitness, residue_sums
 from .errors import DomainError
 from .multfn import MultFnSpec, get_support
@@ -65,23 +65,17 @@ def modulus_range_Q(x: int, y: int, c: float = 0.2, weighted: bool = False) -> i
                           f"c={c}") from None
 
 
-def _by_modulus(chars: list[DirichletCharacter]) -> list[list[DirichletCharacter]]:
-    """The runs of equal modulus in chars (one run per modulus in family order)."""
-    return [list(run) for _, run in itertools.groupby(chars, key=lambda chi: chi.q)]
-
-
 def _character_sums(ns: np.ndarray, a: np.ndarray,
                     groups: list[list[DirichletCharacter]]) -> np.ndarray:
-    """(M a)_chi = sum_i a[i] chi(ns[i]) over the characters of groups (`_by_modulus`).
+    """(M a)_chi = sum_i a[i] chi(ns[i]) over the characters of groups (`by_modulus`).
 
-    Each modulus costs one `fill_tables` call, one `residue_sums` pass over
-    ns and one length-q dot product per character.
+    Each modulus costs one `complex_tables` call, dropped with the modulus,
+    one `residue_sums` pass over ns and one length-q dot product per character.
     """
     sums = []
     for chars in groups:
-        fill_tables(chars)
         rs = residue_sums(ns, a, chars[0].q)
-        sums += [complex((chi.complex_table() * rs).sum()) for chi in chars]
+        sums += [complex((tab * rs).sum()) for tab in complex_tables(chars)]
     return np.array(sums, dtype=np.complex128)
 
 
@@ -106,7 +100,7 @@ def ls_primal(smooth: SmoothSet, Q: int, a: np.ndarray, weight_mode: str,
     a = _nonzero_coefficients(a, ns.size, "y-smooth n <= x")
     if families.D < Q:
         raise DomainError(f"family covers conductors <= {families.D}, need {Q}")
-    groups = _by_modulus(families.up_to(Q))
+    groups = by_modulus(families.up_to(Q))
     sums = iter(_character_sums(ns, a, groups).tolist())
     lhs = 0.0
     for chars in groups:
@@ -248,7 +242,7 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
 
     # x=2e6, y=126, Q=40, fanned out per modulus: 2 threads 0.55 -> 0.42 s and
     # 0.58 -> 0.46 s (medians), won 8/10 and 9/10 pairs, +8 MB
-    results = ordered_map(scan, _by_modulus(families.up_to(Q)), threads)
+    results = ordered_map(scan, by_modulus(families.up_to(Q)), threads)
     out = ExceptionalSet()
     for margin, wit in itertools.chain.from_iterable(results):
         if margin >= 1.0:

@@ -28,7 +28,7 @@ built on what the package keeps (unit groups, residue sums, supports,
 discrepancy records), and the tests hold the package's one route to them.
 Beside them are the loops that the package's batched forms replaced, each
 the bitwise reference of its replacement: one character's exponent row,
-table and record (`exponent_rows`, `fill_tables`, `to_record`), the
+table and record (`exponent_rows`, `complex_tables`, `to_record`), the
 exceptional scan one character at a time (`detect_exceptional`, which
 scans one modulus at a time), and the grids built one point or one step
 at a time (`dyadic_partition`, `refine_grid`).
@@ -48,11 +48,11 @@ import numpy as np
 
 from smoothap.arith import euler_phi, residues
 from smoothap.characters import (CharacterFamily, DirichletCharacter, UnitGroup,
-                                 enumerate_characters)
+                                 by_modulus, complex_tables, enumerate_characters)
 from smoothap.discrepancy import (ExceptionalSet, ExceptionalWitness, _kernel_divisor_sum,
                                   discrepancy_record, residue_sums)
 from smoothap.errors import DomainError, OracleError
-from smoothap.large_sieve import (SieveExperiment, _by_modulus, _character_sums,
+from smoothap.large_sieve import (SieveExperiment, _character_sums,
                                   _nonzero_coefficients, detection_scale)
 from smoothap.multfn import MultFnSpec, get_support
 from smoothap.reports import fmt_number
@@ -164,7 +164,7 @@ def bincount_residue_sums(ns, vs, q):
 
 def dense_character_matrix(ns, chars):
     """M[j, i] = chars[j](ns[i]): one gather of the complex table per character."""
-    return np.array([chi.complex_table()[ns % chi.q] for chi in chars])
+    return np.array([complex_table_one(chi)[ns % chi.q] for chi in chars])
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +545,7 @@ def exact_unit_sum(values) -> int:
 def character_sum(f: MultFnSpec, X: int, chi: DirichletCharacter) -> complex:
     """S_f(X, chi) = sum_{n<=X} f(n) * conj(chi(n))."""
     rs = residue_sums(*get_support(f, x=X), chi.q)
-    return complex((np.conj(chi.complex_table()) * rs).sum())
+    return complex((np.conj(complex_table_one(chi)) * rs).sum())
 
 
 def delta(f: MultFnSpec, x: int, q: int, a: int) -> complex:
@@ -595,8 +595,8 @@ def _character_combination(ns: np.ndarray, b: np.ndarray,
     """
     out = np.zeros(ns.size, dtype=np.complex128)
     coefs = iter(b)
-    for chars in groups:  # zip stops at the end of chars, taking one coef per chi
-        row = sum(coef * chi.complex_table() for chi, coef in zip(chars, coefs))
+    for chars in groups:  # zip stops at the last table, taking one coef per chi
+        row = sum(coef * tab for tab, coef in zip(complex_tables(chars), coefs))
         out += row[residues(ns, chars[0].q)]
     return out
 
@@ -663,7 +663,7 @@ def ls_dual(smooth: SmoothSet, Q: int, b: np.ndarray,
     members = families.up_to(Q)
     b = _nonzero_coefficients(b, len(members), "primitive character")
     ns = smooth.ns
-    G = _character_combination(ns, b, _by_modulus(members))
+    G = _character_combination(ns, b, by_modulus(members))
     lhs = float(np.sum(np.abs(G) ** 2))
     rhs = float(ns.size) * float(np.sum(np.abs(b) ** 2))
     return SieveExperiment(smooth.x, smooth.y, Q, "unweighted", lhs, rhs)
@@ -681,7 +681,7 @@ def max_ratio_power_iteration(smooth: SmoothSet, Q: int,
     agreement an actual check rather than a tautology.
     """
     members = families.up_to(Q)
-    groups = _by_modulus(members)
+    groups = by_modulus(members)
     ns = smooth.ns
     if side == "primal":
         first, second, size = _character_sums, _character_combination, ns.size
@@ -726,7 +726,7 @@ def classify_eta(smooth: SmoothSet, Q: int,
     Psi = float(ns.size)
     chars = [chi for q in range(1, Q * Q + 1) for chi in enumerate_characters(q)
              if not chi.is_principal]
-    sums = _character_sums(ns, np.ones(ns.size, dtype=np.complex128), _by_modulus(chars))
+    sums = _character_sums(ns, np.ones(ns.size, dtype=np.complex128), by_modulus(chars))
     classes = [EtaClass(eta=2.0 ** -(k + 1)) for k in range(levels)]
     for chi, S in zip(chars, np.abs(sums).tolist()):
         k, thr = 1, Psi / 2.0

@@ -278,7 +278,7 @@ def test_criterion_7_exceptional_detection_suite(golden_dir):
     x0 = math.ceil(x**0.25)
     oracle_hits = 0
     for chi in fams.members:
-        terms = fv * np.conj(chi.complex_table())[np.arange(x + 1) % chi.q]
+        terms = fv * np.conj(oracles.complex_table_one(chi))[np.arange(x + 1) % chi.q]
         csum = np.abs(np.cumsum(terms))
         hit = bool(np.any(csum[x0 + 1:] >= prefix[x0 + 1:] / T))
         if hit:

@@ -14,8 +14,8 @@ import numpy as np
 
 import oracles
 from oracles import decompose, induce
-from smoothap.characters import (DirichletCharacter, UnitGroup, enumerate_characters,
-                                 complex_tables, exponent_rows, fill_tables)
+from smoothap.characters import (DirichletCharacter, UnitGroup, character_tables,
+                                 complex_tables, enumerate_characters, exponent_rows)
 
 
 def test_values_and_records_match_fraction_route():
@@ -31,10 +31,10 @@ def test_values_and_records_match_fraction_route():
 
 def test_cvalue_bitwise_equals_complex_table():
     for q in range(1, 201):
-        for chi in enumerate_characters(q):
+        chars = enumerate_characters(q)
+        for chi, tab in zip(chars, complex_tables(chars)):
             points = np.array([chi.cvalue(n) for n in range(q)], dtype=np.complex128)
-            assert np.array_equal(points.view(np.uint64),
-                                  chi.complex_table().view(np.uint64)), chi
+            assert np.array_equal(points.view(np.uint64), tab.view(np.uint64)), chi
 
 
 def test_batched_rows_and_tables_equal_the_per_character_route():
@@ -48,15 +48,16 @@ def test_batched_rows_and_tables_equal_the_per_character_route():
         n = np.arange(q)
         rows = exponent_rows(prims, n)
         assert rows.shape == (len(prims), q)
-        tables = complex_tables(prims)  # built afresh, and caches nothing
-        assert tables.shape == (len(prims), q)
-        assert all(chi._table is None for chi in prims)
-        fill_tables(prims)
+        tables = complex_tables(prims)
+        assert tables.shape == (len(prims), q) and tables.flags.writeable
+        kept = character_tables(prims)
+        assert list(kept) == prims
         for chi, row, tab in zip(prims, rows, tables):
             assert np.array_equal(row, oracles.exponent_row(chi, n)), chi
             want = oracles.complex_table_one(chi).view(np.uint64)
             assert np.array_equal(tab.view(np.uint64), want), chi
-            assert np.array_equal(chi.complex_table().view(np.uint64), want), chi
+            assert np.array_equal(kept[chi].view(np.uint64), want), chi
+            assert not kept[chi].flags.writeable
             assert chi.to_record() == oracles.to_record_one(chi), chi
     assert count == 7517
 

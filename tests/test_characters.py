@@ -8,7 +8,7 @@ import oracles
 from oracles import decompose, exact_root_counts_sum, exact_unit_sum, induce, multiply
 from smoothap.arith import euler_phi
 from smoothap.characters import (FAMILY_TABLE_CAP, UnitGroup, _primitive_count,
-                                 enumerate_characters, family_A,
+                                 character_of_rank, enumerate_characters, family_A,
                                  principal_character, trivial_character)
 from smoothap.errors import DomainError, SizingError
 
@@ -153,6 +153,17 @@ def test_decompose_examples():
             assert decompose(chi) == chi
 
 
+def test_character_of_rank_is_the_enumerated_character():
+    # one odd prime, prime powers, 2^e with e = 1, 2, 3, 5, and mixed moduli
+    for q in (1, 2, 4, 7, 8, 9, 12, 25, 32, 45, 60, 120, 240):
+        chars = enumerate_characters(q)
+        assert [character_of_rank(q, rank) for rank in range(len(chars))] == chars, q
+        assert [chi.rank for chi in chars] == list(range(len(chars))), q
+        for rank in (-1, len(chars)):
+            with pytest.raises(DomainError):
+                character_of_rank(q, rank)
+
+
 def test_family_sizes():
     assert len(family_A(1).members) == 1
     assert len(family_A(3).members) == 2
@@ -163,7 +174,7 @@ def test_family_table_bytes_come_from_the_primitive_counts():
     # family_A sizes its tables by sum_r 16 r * #primitive characters mod r;
     # test_primitive_decomposition_count checks that count against enumeration
     fam = family_A(60)
-    assert sum(chi.complex_table().nbytes for chi in fam.members) == 16 * 26445
+    assert sum(tab.nbytes for tab in fam.tables.values()) == 16 * 26445
     tables, D = 0, 0
     while tables <= FAMILY_TABLE_CAP:
         D += 1

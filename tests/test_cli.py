@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from smoothap import cli, discrepancy, multfn, sieve
-from smoothap.characters import family_A
+from smoothap.characters import UnitGroup, family_A
 from smoothap.cli import _dirichlet_convolution, _kernel_worst, main
 from smoothap.reports import DISCREPANCY_COLUMNS, emit_reports, fmt_number
 
@@ -88,6 +88,16 @@ def test_verify_identities_zero_tuples_reads_tuples_0(tmp_path):
                    tmp_path) == 0
     rows = (tmp_path / "verify-identities.csv").read_text().splitlines()
     assert "transfer-identity,tuples=0,0,1e-08,true" in rows
+
+
+def test_verify_identities_builds_the_family_up_to_qmax(tmp_path):
+    # no conductor above --qmax divides a q the kernel rows check, so a D
+    # past the family cap (A(600) has more tables than it allows) runs
+    assert run_cli(["verify-identities", "--qmax", "5", "--tuples", "0", "--xmax", "10",
+                    "--Dset", "1,600"], tmp_path) == 0
+    doc = json.loads((tmp_path / "verify-identities.json").read_text())
+    assert [(r["params"], r["ok"]) for r in doc["records"] if r["check"] == "kernel-identity"] \
+        == [("q<=5,D=1", "true"), ("q<=5,D=600", "true")], doc["records"]
 
 
 def test_verify_identities_kernel_rows_pinned(tmp_path):
@@ -405,6 +415,9 @@ def test_usage_error_exit_2(tmp_path, capsys):
     cases = [["delta", "--x", "100", "--y", "5", "--q", "6", "--a", "3"],
              delta + ["twist:5"], delta + ["twist:abc"], delta + ["twist:7:1:2"],
              delta + ["twist:7:x"],
+             # a rank outside 0..phi(R)-1, and ranks of imprimitive characters
+             delta + ["twist:7:6"], delta + ["twist:7:-1"], delta + ["twist:9:3"],
+             delta + ["twist:9:0"], delta + ["twist:2:0"],
              ["bv-average", "--x", "100", "--y", "5", "--Q", "3", "--xi", "A:x"],
              ["bv-average", "--xs", "1000,zz", "--y", "5", "--Q", "3"],
              # summed over no modulus and reported total 0 (exit 0)
@@ -434,6 +447,10 @@ def test_usage_error_exit_2(tmp_path, capsys):
              ["verify-identities", "--xmax", "10"],
              # checked nothing and wrote an ok transfer-identity row (exit 0)
              ["verify-identities", "--tuples", "-1"],
+             # took np.max of the empty conv[2:] (a ValueError, exit 1)
+             ["verify-identities", "--qmax", "1", "--tuples", "0", "--xmax", "1",
+              "--Dset", "1"],
+             ["verify-identities", "--qmax", "3", "--tuples", "0", "--xmax", "1"],
              # ran serially (exit 0)
              ["--threads", "0", "bv-average", "--x", "1000", "--y", "10", "--Q", "5"],
              ["--threads", "-3", "exceptional", "--x", "1000", "--y", "10", "--Q", "3"],
@@ -496,6 +513,27 @@ def test_every_command_writes_the_whole_document_text(tmp_path, monkeypatch, fmt
         assert got == want, (cmd, fmt)
 
 
+def test_twist_builds_only_its_own_character(tmp_path):
+    # twist:R:RANK built every character mod R (about 200 MB at R = 999983)
+    # to keep one; the unit group's discrete logs are 8 MB
+    UnitGroup._cache.pop(999983, None)
+    tracemalloc.start()
+    try:
+        f = cli._parse_function("twist:999983:5", 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        UnitGroup._cache.pop(999983, None)
+    assert peak < 16 << 20, peak
+    assert f.label == "twist[q=999983,rank=5,y=10]"
+
+
+def test_verify_identities_names_the_range_xmax_bounds(tmp_path, capsys):
+    assert run_cli(["verify-identities", "--tuples", "0", "--xmax", "1"], tmp_path) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "DomainError" and "2..xmax" in err["error"], err
+
+
 def test_exceptional_twist_outside_the_scanned_family(tmp_path):
     # twist:R:RANK reads character RANK mod R, whatever the conductors scanned
     assert run_cli(["exceptional", "--x", "5000", "--y", "20", "--Q", "5",
@@ -521,27 +559,32 @@ def test_seed0_reports_match_pinned_digests(tmp_path, threads):
         assert got == spec["reports"], name
 
 
-# sha256 of large-sieve --x 20000 --y 30 --Q 6 --trials 3 with each coefficient
-# family, pinned before the coefficients moved from 0..x to the smooth positions
+# sha256 of large-sieve reports.  At --Q 6 --trials 3 with each coefficient
+# family, pinned before the coefficients moved from 0..x to the smooth
+# positions; at --Q 60 --trials 2, where many moduli have many characters,
+# pinned before the tables were built afresh for each trial
 LARGE_SIEVE_DIGESTS = {
-    ("--coeffs", "ones"): {
+    ("--Q", "6", "--trials", "3", "--coeffs", "ones"): {
         "large-sieve.csv": "da2cc94498d0469cce9c27ae1f2f3fb7fd4749cde95a258c3a4243705f3ce567",
         "large-sieve.json": "f9cc825ec6eaed3b2d693704a6a20d96caf5b769a8c7b071759ea38cf8a70d21",
     },
-    ("--coeffs", "pm1", "--seed", "0"): {
+    ("--Q", "6", "--trials", "3", "--coeffs", "pm1", "--seed", "0"): {
         "large-sieve.csv": "963c0c0686d50c498ce3650271998dbe4a38c7b372d4e79ae0c9a2d60fbcff7c",
         "large-sieve.json": "b00fe222b5e2b231b146f5994604f38e23da88e17ad5afd5a8bf870a8810709b",
+    },
+    ("--Q", "60", "--trials", "2", "--coeffs", "pm1"): {
+        "large-sieve.csv": "6c3cb484242c4864cfee6021986e88ff3901eaba9d7938da87130de19505eff6",
+        "large-sieve.json": "e56f512654adace5f6c8f3894d87a40f937d43873b799e4223122a5028fe7b81",
     },
 }
 
 
 def test_large_sieve_reports_match_pinned_digests(tmp_path):
-    for i, (coeffs, want) in enumerate(LARGE_SIEVE_DIGESTS.items()):
+    for i, (args, want) in enumerate(LARGE_SIEVE_DIGESTS.items()):
         out = tmp_path / str(i)
-        assert run_cli(["large-sieve", "--x", "20000", "--y", "30", "--Q", "6",
-                        "--trials", "3", *coeffs], out) == 0, coeffs
+        assert run_cli(["large-sieve", "--x", "20000", "--y", "30", *args], out) == 0, args
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-        assert got == want, coeffs
+        assert got == want, args
 
 
 # sha256 of two delta reports, pinned before Delta, Delta_Xi and Delta_A

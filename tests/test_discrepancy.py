@@ -10,7 +10,8 @@ import oracles
 from oracles import character_sum, delta, delta_A, delta_xi, induce, u_kernel_moebius
 from smoothap import arith, characters, discrepancy, multfn
 from smoothap.arith import euler_phi, factorize, residues, unit_mask
-from smoothap.characters import enumerate_characters, family_A, trivial_character
+from smoothap.characters import (character_tables, enumerate_characters, family_A,
+                                 trivial_character)
 from smoothap.discrepancy import (ExceptionalSet, _record, bv_average,
                                   discrepancy_record, residue_sums,
                                   u_kernel_chardef_row, u_kernel_moebius_row,
@@ -182,9 +183,10 @@ def test_kernel_chardef_row_bitwise_equals_cells():
 
 
 def test_xi_and_chardef_row_build_tables_one_batch_per_modulus(monkeypatch):
-    # the Xi main term and the definition-form kernel fill the tables of
-    # each modulus at once (one exponent_rows call), bitwise those built
-    # one character at a time
+    # the Xi main term and the definition-form kernel build the tables of
+    # each modulus at once (one exponent_rows call), bitwise those built one
+    # character at a time, and once per call: not per modulus of a record,
+    # nor per kernel row
     batches = []
     rows = characters.exponent_rows
 
@@ -193,21 +195,32 @@ def test_xi_and_chardef_row_build_tables_one_batch_per_modulus(monkeypatch):
         return rows(chars, n)
 
     monkeypatch.setattr(characters, "exponent_rows", counted)
-    ns, vs = multfn.get_support(multfn.random_unit_circle(5, smooth_bound=50), 10**4)
+    f = multfn.random_unit_circle(5, smooth_bound=50)
+    xi = ExceptionalSet.from_characters(family_A(30).members)
     for q in (60, 84, 90):
-        fam = family_A(30)  # fresh characters: no table is cached
         batches.clear()
-        _record(residue_sums(ns, vs, q), q, 1, 1, ExceptionalSet.from_characters(fam.members))
-        moduli = sorted({psi.q for psi in fam.members if q % psi.q == 0})
-        assert batches == moduli, q
-        fam = family_A(30)
-        batches.clear()
-        u_kernel_chardef_row(q, 30, fam)
-        assert batches == moduli, q
-        for psi in fam.members:
-            if q % psi.q == 0:
-                assert (psi.complex_table().view(np.uint64).tobytes()
-                        == oracles.complex_table_one(psi).view(np.uint64).tobytes()), psi
+        discrepancy_record(f, 10**4, q, 1, 1, xi=xi)
+        assert batches == sorted({psi.q for psi in xi.characters if q % psi.q == 0}), q
+    batches.clear()
+    bv_average(f, 10**4, 24, 1, 1, xi)
+    assert batches == sorted({psi.q for psi in xi.characters if psi.q <= 24})
+    tables = character_tables(xi.characters)
+    batches.clear()
+    ns, vs = multfn.get_support(f, 10**4)
+    for q in (60, 84, 90):
+        _record(residue_sums(ns, vs, q), q, 1, 1, tables)
+    assert batches == []
+    fam = family_A(30)
+    batches.clear()
+    u_kernel_chardef_row(60, 30, fam)
+    assert batches == sorted({psi.q for psi in fam.members})
+    batches.clear()
+    u_kernel_chardef_row(84, 30, fam)
+    assert batches == []
+    for psi, tab in fam.tables.items():
+        assert not tab.flags.writeable
+        assert (tab.view(np.uint64).tobytes()
+                == oracles.complex_table_one(psi).view(np.uint64).tobytes()), psi
 
 
 def test_kernel_moebius_row_bitwise_equals_cells():
@@ -477,7 +490,8 @@ def test_xi_record_reads_only_unit_bins():
     # bv_average sums each q over the support prime to gcd(q, 6) only, so
     # the non-unit bins it passes are incomplete: _record must not read them
     ns, vs = multfn.get_support(multfn.random_unit_circle(5, smooth_bound=50), 10**4)
-    xis = (XI_EMPTY, XI_TRIVIAL, ExceptionalSet.from_characters(family_A(12).members))
+    xis = ({}, character_tables([trivial_character()]),
+           character_tables(family_A(12).members))
     for q in range(1, 61):
         rs = residue_sums(ns, vs, q)
         poisoned = rs.copy()
@@ -615,7 +629,7 @@ def test_delta_xi_against_definition():
         main = 0j
         for psi0 in xi.characters:
             chi = induce(psi0, q)
-            s = sum(evaluate(f, n) * complex(np.conj(chi.complex_table()[n % q]))
+            s = sum(evaluate(f, n) * complex(np.conj(oracles.complex_table_one(chi)[n % q]))
                     for n in range(1, x + 1))
             main += chi.cvalue(b) * s
         want = prog - main / euler_phi(q)

@@ -9,9 +9,9 @@ import oracles
 from oracles import (_character_combination, character_sum, classify_eta, decompose,
                      ls_dual, max_ratio_power_iteration)
 from smoothap import arith, cli, large_sieve, multfn
-from smoothap.characters import enumerate_characters, family_A
+from smoothap.characters import by_modulus, enumerate_characters, family_A
 from smoothap.errors import DomainError
-from smoothap.large_sieve import (_by_modulus, _character_sums, context_bound,
+from smoothap.large_sieve import (_character_sums, context_bound,
                                   detect_exceptional, detection_scale, ls_primal,
                                   refine_grid, modulus_range_Q)
 from smoothap.multfn import values_array
@@ -107,7 +107,7 @@ def test_character_sums_and_combination_match_dense_gather(x, y, Q):
     rng = np.random.RandomState(x + Q)
     a = rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)
     b = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
-    groups = _by_modulus(members)
+    groups = by_modulus(members)
     for got, want in ((_character_sums(ns, a, groups), M @ a),
                       (_character_combination(ns, b, groups), M.T @ b)):
         assert got.shape == want.shape
@@ -119,7 +119,7 @@ def test_character_combination_is_the_transpose(x, y, Q):
     # sum_chi b_chi (M a)_chi = sum_n a_n (M^T b)_n, a bilinear form (no conjugate)
     ns = smooth_numbers(x, y).ns
     members = family_A(Q).members
-    groups = _by_modulus(members)
+    groups = by_modulus(members)
     rng = np.random.RandomState(Q)
     a = rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)
     b = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
@@ -132,8 +132,6 @@ def test_power_iteration_holds_no_characters_by_points_matrix():
     # the dense route kept one complex row of length Psi per member (6.8 MB here)
     x, y, Q = 10**5, 50, 15
     fam = family_A(Q)
-    for chi in fam.members:
-        chi.complex_table()  # cached: not this call's memory
     smooth = smooth_numbers(x, y)
     tracemalloc.start()
     try:
@@ -170,7 +168,7 @@ def test_classify_eta_brute_force():
         for chi in enumerate_characters(q):
             if chi.is_principal:
                 continue
-            S = abs(complex(chi.complex_table()[ns % q].sum()))
+            S = abs(complex(oracles.complex_table_one(chi)[ns % q].sum()))
             for k in range(1, 13):
                 if P * 2.0**-k < S <= P * 2.0 ** -(k - 1):
                     assigned[(q, chi.rank)] = k
@@ -261,7 +259,7 @@ def test_detect_exceptional_superset_of_full_scan():
         got = {(w.character.q, w.character.rank) for w in found.members}
         fv = values_array(f, x)
         for chi in fams.members:
-            terms = fv * np.conj(chi.complex_table())[np.arange(x + 1) % chi.q]
+            terms = fv * np.conj(oracles.complex_table_one(chi))[np.arange(x + 1) % chi.q]
             csum = np.abs(np.cumsum(terms))
             thresholds = prefix / T
             hit = np.any(csum[x0 + 1 : x + 1] >= thresholds[x0 + 1 : x + 1])
@@ -279,7 +277,7 @@ def dense_scan_oracle(f, x, y, Q, B, eps, fams):
     fv = values_array(f, x)
     members, near = [], []
     for chi in fams.up_to(Q):
-        terms = fv * np.conj(chi.complex_table())[np.arange(x + 1) % chi.q]
+        terms = fv * np.conj(oracles.complex_table_one(chi))[np.arange(x + 1) % chi.q]
         svals = np.abs(np.cumsum(terms)[gx])
         margins = svals / thresholds
         j = int(np.argmax(margins))
@@ -373,7 +371,7 @@ def test_detect_exceptional_bitwise_at_any_chunk_length(monkeypatch, chunk, thre
 
 def test_detect_exceptional_keeps_no_character_tables():
     # the scan reads each table once: caching every table of A(200) (about
-    # 16 MB) on the characters set the call's memory
+    # 16 MB) set the call's memory
     fams = family_A(200)
     tracemalloc.start()
     try:
@@ -382,8 +380,22 @@ def test_detect_exceptional_keeps_no_character_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(chi._table is not None for chi in fams.members) == 0
     assert peak < 8 << 20, peak
+
+
+def test_ls_primal_holds_one_modulus_tables_at_a_time():
+    # keeping every table of A(200) for the trials to come (about 16 MB)
+    # set the call's memory; one modulus' tables are at most 0.63 MB (q = 199)
+    smooth = smooth_numbers(10**4, 20)
+    fam = family_A(200)
+    a = ones_vector(10**4, 20)
+    tracemalloc.start()
+    try:
+        ls_primal(smooth, 200, a, "unweighted", fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize("x", [0, 15])
