@@ -2,6 +2,9 @@
 
 Everything here is trial-division based with memoization; it is meant for
 moduli and conductors (a few thousand at most), not for sieve-scale n.
+`multfn.evaluate` factors its n here too: a command evaluates only the l
+of the transfer identity, products of the primes of a modulus q, so the
+cache stays small.
 The array helpers at the end are the one expression for residues of an
 integer array and for the units mod q, and the one chunking of a pass
 over a support.

@@ -10,13 +10,12 @@ exponent of the group) from the discrete logs of n: one residue in Python
 ints, an array of residues for several characters of one group at once
 (`exponent_rows`, an integer matmul over the components).  No command
 builds an induced character: a sum against the character mod q induced by
-psi reads psi's own table at the units of q.  Exact fractions k/m appear
-only where a caller asks for them, in `value()` (no command does, so no
-command imports `fractions`); complex floats only in `cvalue()` and
-`complex_tables()`, the one table builder, which caches nothing: a caller
-that reads tables again holds the dict `character_tables` returns.
-Induction, decomposition, products and exact root-of-unity sums are the
-test suite's references (tests/oracles.py).
+psi reads psi's own table at the units of q.  Complex floats appear only
+in `cvalue()` and `complex_tables()`, the one table builder, which caches
+nothing: a caller that reads tables again holds the dict
+`character_tables` returns.  Values as exact fractions, the principal
+test, conjugation, induction, decomposition, products and exact
+root-of-unity sums are the test suite's references (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -149,10 +148,6 @@ class DirichletCharacter:
         return self.group.q
 
     @property
-    def is_principal(self) -> bool:
-        return all(c == 0 for c in self.exps)
-
-    @property
     def order(self) -> int:
         if not self.exps:
             return 1
@@ -184,13 +179,6 @@ class DirichletCharacter:
             if c:
                 k += comp.dlog.item(n % comp.pe) * c * (g.M // comp.order)
         return k % g.M
-
-    def value(self, n: int) -> Fraction | None:
-        """chi(n) as the reduced fraction k/m meaning e^{2 pi i k/m}; None when chi(n)=0."""
-        from fractions import Fraction
-
-        k = self._exponent(int(n) % self.q)
-        return None if k < 0 else Fraction(k, self.group.M)
 
     def cvalue(self, n: int) -> complex:
         k = self._exponent(int(n) % self.q)
@@ -227,12 +215,6 @@ class DirichletCharacter:
     @property
     def primitive(self) -> bool:
         return self.conductor == self.q
-
-    def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(
-            self.group,
-            tuple((-c) % comp.order for c, comp in zip(self.exps, self.group.components)),
-        )
 
     def __eq__(self, other):
         return (

@@ -20,9 +20,8 @@ import numpy as np
 
 from . import multfn
 from .characters import character_of_rank, family_A, trivial_character
-from .discrepancy import (ExceptionalSet, bv_average, discrepancy_record,
-                          u_kernel_chardef_row, u_kernel_moebius_row,
-                          verify_transfer_identity)
+from .discrepancy import (bv_average, discrepancy_record, u_kernel_chardef_row,
+                          u_kernel_moebius_row, verify_transfer_identity)
 from .errors import DomainError, OracleError, SizingError
 from .large_sieve import context_bound, detect_exceptional, ls_primal, modulus_range_Q
 from .multfn import dirichlet_inverse, values_array
@@ -61,12 +60,13 @@ def _parse_function(name: str, y: int, f_seed: int):
 
 
 def _parse_xi(spec: str):
+    """Xi, a list of primitive characters, from `--xi`."""
     if spec == "none":
-        return ExceptionalSet(members=[])
+        return []
     if spec == "trivial":
-        return ExceptionalSet.from_characters([trivial_character()])
+        return [trivial_character()]
     if spec.startswith("A:"):
-        return ExceptionalSet.from_characters(family_A(_int(spec[2:], "Xi bound D")).members)
+        return family_A(_int(spec[2:], "Xi bound D")).members
     raise DomainError(f"unknown Xi spec {spec!r}")
 
 
@@ -275,7 +275,7 @@ def cmd_verify_identities(args):
         add("kernel-identity", f"q<={args.qmax},D={D}", worst, 1e-10)
 
     # transfer identity on random tuples
-    xi_triv = ExceptionalSet.from_characters([trivial_character()])
+    xi_triv = [trivial_character()]
     worst = 0.0
     for trial in range(args.tuples):
         q = rng.randrange(2, 31)

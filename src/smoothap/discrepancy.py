@@ -18,6 +18,13 @@ verify-identities checks that they agree; their one-cell-at-a-time forms,
 and the scalar Delta, Delta_Xi, Delta_A and S_f(x, chi), are the test
 suite's references (tests/oracles.py).
 
+Xi is a plain list of primitive characters: `bv_average` and
+`verify_transfer_identity` take it, and `xi_tables` checks it and builds
+the tables of the members that a call reads.  Every record comes from
+`_record`: `discrepancy_record` gives Delta at one cell (the `delta`
+command), `bv_average` Delta_Xi at every q, and `verify_transfer_identity`
+Delta_Xi and Delta_A.
+
 All complex sums reduce residue-wise first (np.add.at in ascending n, a
 fixed order, one chunk of the support at a time), then combine over at
 most q terms with numpy's pairwise sum, so serial and threaded runs agree
@@ -27,7 +34,7 @@ byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,50 +67,6 @@ class DiscrepancyRecord:
         return self.delta
 
 
-@dataclass
-class ExceptionalWitness:
-    character: DirichletCharacter
-    X: int | None = None
-    value: float | None = None
-    threshold: float | None = None
-
-
-@dataclass
-class ExceptionalSet:
-    """A set Xi of primitive characters, optionally with detection witnesses."""
-
-    members: list[ExceptionalWitness] = field(default_factory=list)
-    near_misses: list[ExceptionalWitness] = field(default_factory=list)
-
-    @classmethod
-    def from_characters(cls, chars) -> "ExceptionalSet":
-        ms = []
-        for chi in chars:
-            if not chi.primitive:
-                raise DomainError(f"Xi members must be primitive; got modulus {chi.q}")
-            ms.append(ExceptionalWitness(chi))
-        return cls(ms)
-
-    @property
-    def characters(self) -> list[DirichletCharacter]:
-        return [w.character for w in self.members]
-
-    @property
-    def beta(self) -> Fraction:
-        """sum of 1/conductor over members, exact."""
-        from fractions import Fraction  # no command reads beta
-
-        return sum((Fraction(1, chi.q) for chi in self.characters), Fraction(0))
-
-    @property
-    def weighted_count(self) -> float:
-        """sum of conductor^{-1/2} over members, added in member order."""
-        weighted = 0.0
-        for chi in self.characters:
-            weighted += 1.0 / math.sqrt(chi.q)
-        return weighted
-
-
 # ---------------------------------------------------------------------------
 # residue-wise summation helpers
 
@@ -126,14 +89,10 @@ def residue_sums(ns: np.ndarray, vs: np.ndarray, q: int) -> np.ndarray:
 # the discrepancies
 
 
-def discrepancy_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
-                       xi: ExceptionalSet | None = None,
-                       D: int | None = None) -> DiscrepancyRecord:
-    """Delta(f,x;q,a1*conj(a2)), plus Delta_Xi when xi is given and Delta_A when D is."""
+def discrepancy_record(f: MultFnSpec, x: int, q: int, a1: int, a2: int) -> DiscrepancyRecord:
+    """Delta(f,x;q,a1*conj(a2)) from one residue-sum pass over the support of f."""
     _check_cell(q, a1, a2)
-    tables = None if xi is None else character_tables(
-        [psi for psi in xi.characters if q % psi.q == 0])  # all that Delta_Xi at q reads
-    return _record(residue_sums(*get_support(f, x=x), q), q, a1, a2, tables, D)
+    return _record(residue_sums(*get_support(f, x=x), q), q, a1, a2, None)
 
 
 def _check_cell(q: int, a1: int, a2: int):
@@ -143,12 +102,24 @@ def _check_cell(q: int, a1: int, a2: int):
         raise DomainError(f"need gcd(a1*a2, q) = 1, got a1={a1}, a2={a2}, q={q}")
 
 
-def _record(rs: np.ndarray, q: int, a1: int, a2: int, xi_tables: dict | None,
+def xi_tables(xi: list[DirichletCharacter], reads) -> dict[DirichletCharacter, np.ndarray]:
+    """The tables (`character_tables`) of the members psi of Xi with reads(psi.q).
+
+    Xi is a list of primitive characters, and a member that is not
+    primitive is a DomainError.
+    """
+    for psi in xi:
+        if not psi.primitive:
+            raise DomainError(f"Xi members must be primitive; got modulus {psi.q}")
+    return character_tables([psi for psi in xi if reads(psi.q)])
+
+
+def _record(rs: np.ndarray, q: int, a1: int, a2: int, tables: dict | None,
             D: int | None = None) -> DiscrepancyRecord:
     """The record at q from the residue sums rs of f mod q.
 
-    xi_tables, when given, maps the members of Xi to their tables, which the
-    caller builds once (`character_tables`).  Without D it reads rs only at the
+    tables, when given, maps the members of Xi to their tables, which the
+    caller builds once (`xi_tables`).  Without D it reads rs only at the
     units mod q (b is one), so bv_average may leave the non-unit bins
     incomplete; Delta_A reads all q bins.
     """
@@ -160,11 +131,11 @@ def _record(rs: np.ndarray, q: int, a1: int, a2: int, xi_tables: dict | None,
     phi = euler_phi(q)
     rec = DiscrepancyRecord(q=q, a1=a1, a2=a2, delta=prog - coprime / phi,
                             progression_sum=prog, coprime_main=coprime / phi)
-    if xi_tables is not None:
+    if tables is not None:
         xi_main = 0j
         # psi induced to q equals psi on the units of q, b among them, and
         # vanishes off them
-        for psi, tab in xi_tables.items():
+        for psi, tab in tables.items():
             if q % psi.q == 0:
                 s = complex((np.conj(tab[residues(units, psi.q)]) * rs_units).sum())
                 xi_main += psi.cvalue(b) * s
@@ -280,7 +251,7 @@ def _prime_to(g: int, ns: np.ndarray, vs: np.ndarray,
 
 
 def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
-               xi: ExceptionalSet,
+               xi: list[DirichletCharacter],
                threads: int = 1) -> tuple[float, list[DiscrepancyRecord]]:
     """sum_{q<=Q, gcd(q, a1*a2)=1} |Delta_Xi(f,x;q,a1*conj(a2))| plus the records.
 
@@ -304,7 +275,7 @@ def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
     # prime to 3 into the support, which this call owns.  So the support
     # and one odd part are the most ever held.
     ns, vs = get_support(f, x=x)
-    tables = character_tables([psi for psi in xi.characters if psi.q <= Q])
+    tables = xi_tables(xi, lambda r: r <= Q)
     part, odd = (ns, vs), None
     by_q = {}
     for g in (1, 2, 6, 3):  # the order in which the parts are built
@@ -344,7 +315,7 @@ class TransferCheck:
 
 
 def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
-                             xi: ExceptionalSet, D: int) -> TransferCheck:
+                             xi: list[DirichletCharacter], D: int) -> TransferCheck:
     """Evaluate both sides of the exact identity relating Delta_Xi to Delta_A.
 
     lhs = Delta_Xi - Delta_A at (f, x; q, a1*conj(a2)).
@@ -355,7 +326,7 @@ def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
     once x/l < 1.  Every Delta_Xi(f, x/l; ...) reads the prefix n <= x/l of
     the one support of f up to x.
     """
-    for chi in xi.characters:
+    for chi in xi:
         if chi.q > D:
             raise DomainError(
                 f"Xi member of conductor {chi.q} lies outside A({D}); identity needs Xi in A(D)"
@@ -363,7 +334,7 @@ def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
     _check_cell(q, a1, a2)
     ns, vs = get_support(f, x=x)
     # Delta_Xi at q and at the divisors d of q below reads these tables
-    tables = character_tables([psi for psi in xi.characters if q % psi.q == 0])
+    tables = xi_tables(xi, lambda r: q % r == 0)
     rec = _record(residue_sums(ns, vs, q), q, a1, a2, tables, D)
     lhs = rec.delta_xi - rec.delta_a
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arith import chunks, residues
 from .characters import CharacterFamily, DirichletCharacter, by_modulus, complex_tables
-from .discrepancy import ExceptionalSet, ExceptionalWitness, residue_sums
+from .discrepancy import residue_sums
 from .errors import DomainError
 from .multfn import MultFnSpec, get_support
 from .sieve import SmoothSet, dyadic_partition, smooth_numbers
@@ -115,6 +115,33 @@ def ls_primal(smooth: SmoothSet, Q: int, a: np.ndarray, weight_mode: str,
 
 # ---------------------------------------------------------------------------
 # exceptional-character detection
+
+
+@dataclass
+class ExceptionalWitness:
+    """A scanned character, the grid point X of its largest margin, |S_f(X, chi)|
+    there and the threshold Psi(X, y)/(2T) it was compared with."""
+
+    character: DirichletCharacter
+    X: int
+    value: float
+    threshold: float
+
+
+@dataclass
+class ExceptionalSet:
+    """The characters `detect_exceptional` marks, with their witnesses."""
+
+    members: list[ExceptionalWitness] = field(default_factory=list)
+    near_misses: list[ExceptionalWitness] = field(default_factory=list)
+
+    @property
+    def weighted_count(self) -> float:
+        """sum of conductor^{-1/2} over members, added in member order."""
+        weighted = 0.0
+        for w in self.members:
+            weighted += 1.0 / math.sqrt(w.character.q)
+        return weighted
 
 
 def detection_scale(x: int, y: int, B: float) -> float:

@@ -11,7 +11,6 @@ are test oracles (tests/oracles.py).
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -20,8 +19,9 @@ try:  # hashlib loads OpenSSL (about 3.5 MB RSS) and never uses it for blake2
 except ImportError:
     from hashlib import blake2b
 
+from .arith import factorize
 from .errors import DomainError, OracleError
-from .sieve import X_MAX_CAP, _check_query, primes_upto, smooth_ascending
+from .sieve import _check_query, primes_upto, smooth_ascending
 
 
 class MultFnSpec:
@@ -115,26 +115,14 @@ def character_twist(psi, y: int) -> MultFnSpec:
 
 
 def evaluate(f: MultFnSpec, n: int) -> complex:
-    """f(n) as the oracle product over the factorization of n.
+    """f(n) as the oracle product over the factorization of n (`arith.factorize`).
 
-    n is factored by trial division by the primes <= sqrt(n); the factors
-    are multiplied in largest prime first, as in the support walk.
+    The factors are multiplied in largest prime first, as in the support walk.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     _check_query(n)
-    factors = []
-    for p in primes_upto(math.isqrt(X_MAX_CAP)):
-        if p * p > n:
-            break
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        if k:
-            factors.append((p, k))
-    if n > 1:  # no prime <= sqrt(n) divides it, so n is prime
-        factors.append((n, 1))
+    factors = factorize(n)
     if factors and f.smooth_bound is not None and factors[-1][0] > f.smooth_bound:
         return 0j
     val = 1.0 + 0j

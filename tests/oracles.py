@@ -19,10 +19,12 @@ them byte for byte.
 
 The second part holds the routes that no command runs, moved out of the
 package with their bodies, docstrings and input checks, one section per
-module: induction, decomposition, products and exact root sums of
-characters; the scalar S_f(X, chi), Delta, Delta_Xi, Delta_A and
-divisor-sum kernel; the dual large sieve, its power-iteration maximum and
-the eta classes; dict-backed oracles, smooth restriction, Lambda_f and the
+module: exact fraction values, the principal test, conjugation,
+induction, decomposition, products and exact root sums of characters; the
+one-cell record with Delta_Xi and Delta_A, the scalar S_f(X, chi), Delta,
+Delta_Xi, Delta_A and divisor-sum kernel; the exact beta of a scan's
+result, the dual large sieve, its power-iteration maximum and the eta
+classes; dict-backed oracles, smooth restriction, Lambda_f and the
 class-C test; the saddle exponent and short-interval counts.  They are
 built on what the package keeps (unit groups, residue sums, supports,
 discrepancy records), and the tests hold the package's one route to them.
@@ -49,11 +51,11 @@ import numpy as np
 from smoothap.arith import euler_phi, residues
 from smoothap.characters import (CharacterFamily, DirichletCharacter, UnitGroup,
                                  by_modulus, complex_tables, enumerate_characters)
-from smoothap.discrepancy import (ExceptionalSet, ExceptionalWitness, _kernel_divisor_sum,
-                                  discrepancy_record, residue_sums)
+from smoothap.discrepancy import (DiscrepancyRecord, _check_cell, _kernel_divisor_sum,
+                                  _record, discrepancy_record, residue_sums, xi_tables)
 from smoothap.errors import DomainError, OracleError
-from smoothap.large_sieve import (SieveExperiment, _character_sums,
-                                  _nonzero_coefficients, detection_scale)
+from smoothap.large_sieve import (ExceptionalSet, ExceptionalWitness, SieveExperiment,
+                                  _character_sums, _nonzero_coefficients, detection_scale)
 from smoothap.multfn import MultFnSpec, get_support
 from smoothap.reports import fmt_number
 from smoothap.sieve import (SmoothSet, _check_query, primes_upto, psi, smooth_numbers,
@@ -208,7 +210,7 @@ def conductor_by_scan(chi):
         good = True
         for n in range(1, q + 1):
             if math.gcd(n, q) == 1 and n % r == 1 % r:
-                if chi.value(n) != 0:
+                if value(chi, n) != 0:
                     good = False
                     break
         if good:
@@ -412,12 +414,34 @@ def json_report_text(rows, config, summary=None):
 
 
 # ---------------------------------------------------------------------------
-# smoothap.characters: induction, decomposition, products, exact root sums,
-# and one character's exponent row, table and record
+# smoothap.characters: exact values, the principal test, conjugation,
+# induction, decomposition, products, exact root sums, and one character's
+# exponent row, table and record
 
 
 class RootSumStructureError(ArithmeticError):
     """A root-of-unity multiset lacked the uniform-subgroup shape."""
+
+
+def value(chi: DirichletCharacter, n: int) -> Fraction | None:
+    """chi(n) as the reduced fraction k/m meaning e^{2 pi i k/m}; None when chi(n)=0.
+
+    It reads the package's exponent (`DirichletCharacter._exponent`), so it
+    checks that route against the fraction oracles above.
+    """
+    k = chi._exponent(int(n) % chi.q)
+    return None if k < 0 else Fraction(k, chi.group.M)
+
+
+def is_principal(chi: DirichletCharacter) -> bool:
+    return all(c == 0 for c in chi.exps)
+
+
+def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
+    return DirichletCharacter(
+        chi.group,
+        tuple((-c) % comp.order for c, comp in zip(chi.exps, chi.group.components)),
+    )
 
 
 def _carry(chi: DirichletCharacter, q: int) -> DirichletCharacter:
@@ -548,20 +572,32 @@ def character_sum(f: MultFnSpec, X: int, chi: DirichletCharacter) -> complex:
     return complex((np.conj(complex_table_one(chi)) * rs).sum())
 
 
+def record(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
+           xi: list[DirichletCharacter] | None = None,
+           D: int | None = None) -> DiscrepancyRecord:
+    """Delta(f,x;q,a1*conj(a2)), plus Delta_Xi when xi (a list of primitive
+    characters) is given and Delta_A when D is: `_record` over one
+    residue-sum pass, with the tables of the members of Xi whose conductor
+    divides q, all that Delta_Xi at q reads."""
+    _check_cell(q, a1, a2)
+    tables = None if xi is None else xi_tables(xi, lambda r: q % r == 0)
+    return _record(residue_sums(*get_support(f, x=x), q), q, a1, a2, tables, D)
+
+
 def delta(f: MultFnSpec, x: int, q: int, a: int) -> complex:
     """Delta(f,x;q,a): progression sum minus the coprime average."""
     return discrepancy_record(f, x, q, a, 1).delta
 
 
 def delta_xi(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
-             xi: ExceptionalSet) -> complex:
+             xi: list[DirichletCharacter]) -> complex:
     """Delta_Xi(f,x;q,a1*conj(a2)): main terms only from characters induced by Xi."""
-    return discrepancy_record(f, x, q, a1, a2, xi=xi).delta_xi
+    return record(f, x, q, a1, a2, xi=xi).delta_xi
 
 
 def delta_A(f: MultFnSpec, x: int, q: int, a1: int, a2: int, D: int) -> complex:
     """Delta_A(f,x;q,a1*conj(a2)) = sum_{n<=x} f(n) u_D(n*conj(a1)*a2; q)."""
-    return discrepancy_record(f, x, q, a1, a2, D=D).delta_a
+    return record(f, x, q, a1, a2, D=D).delta_a
 
 
 def u_kernel_moebius(n: int, q: int, D: int) -> Fraction:
@@ -583,7 +619,8 @@ def u_kernel_moebius(n: int, q: int, D: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # smoothap.large_sieve: the dual form, one-step grid refinement, the
-# per-character scan, power iteration, eta classes
+# per-character scan, the exact beta of a scan's result, power iteration,
+# eta classes
 
 
 def _character_combination(ns: np.ndarray, b: np.ndarray,
@@ -652,6 +689,11 @@ def detect_exceptional_per_character(f: MultFnSpec, x: int, y: int, Q: int, B: f
         elif margins[j] >= 0.5:
             out.near_misses.append(wit)
     return out
+
+
+def beta(found: ExceptionalSet) -> Fraction:
+    """sum of 1/conductor over the members, exact."""
+    return sum((Fraction(1, w.character.q) for w in found.members), Fraction(0))
 
 
 def ls_dual(smooth: SmoothSet, Q: int, b: np.ndarray,
@@ -725,7 +767,7 @@ def classify_eta(smooth: SmoothSet, Q: int,
     ns = smooth.ns
     Psi = float(ns.size)
     chars = [chi for q in range(1, Q * Q + 1) for chi in enumerate_characters(q)
-             if not chi.is_principal]
+             if not is_principal(chi)]
     sums = _character_sums(ns, np.ones(ns.size, dtype=np.complex128), by_modulus(chars))
     classes = [EtaClass(eta=2.0 ** -(k + 1)) for k in range(levels)]
     for chi, S in zip(chars, np.abs(sums).tolist()):

@@ -21,8 +21,7 @@ from oracles import (alpha_saddle, check_class_c, ls_dual, max_ratio_power_itera
 from smoothap import multfn
 from smoothap.arith import euler_phi
 from smoothap.characters import family_A, trivial_character
-from smoothap.discrepancy import (ExceptionalSet, bv_average, u_kernel_chardef_row,
-                                  verify_transfer_identity)
+from smoothap.discrepancy import bv_average, u_kernel_chardef_row, verify_transfer_identity
 from smoothap.large_sieve import context_bound, detect_exceptional, detection_scale, ls_primal
 from smoothap.multfn import dirichlet_inverse, values_array
 from smoothap.sieve import psi, smooth_numbers
@@ -117,7 +116,7 @@ def test_criterion_2_transfer_identity_suite():
             continue
         f = multfn.random_unit_circle(seed=trials, smooth_bound=rng.choice([20, 50, 10**4]))
         mem = [c for c in fam10.members if c.q <= D]
-        xi = ExceptionalSet.from_characters(rng.sample(mem, rng.randrange(len(mem) + 1)))
+        xi = rng.sample(mem, rng.randrange(len(mem) + 1))
         chk = verify_transfer_identity(f, x, q, a1, a2, xi, D)
         worst = max(worst, chk.residual / (1 + abs(chk.lhs)))
         trials += 1
@@ -227,7 +226,7 @@ def test_criterion_5_sharpness_duality_goldens(golden_dir):
 
 
 def test_criterion_6_bv_decay_trend(golden_dir):
-    xi = ExceptionalSet.from_characters([trivial_character()])
+    xi = [trivial_character()]
     normalized = []
     per_q_checked = 0
     for x in (10**4, 10**5, 10**6):
@@ -353,7 +352,7 @@ def test_ls_dual_golden(golden_dir):
 
 def test_bv_golden_regression(golden_dir):
     # regression baseline at x=1e4, y=50, Q=x^0.55
-    xi = ExceptionalSet.from_characters([trivial_character()])
+    xi = [trivial_character()]
     f = multfn.smooth_indicator(50)
     total, records = bv_average(f, 10**4, int((10**4) ** 0.55), 1, 1, xi)
     pin_golden(golden_dir, "bv_total_10000_50", total, tol=1e-9 * (1 + total))

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 
 import oracles
-from oracles import decompose, induce
+from oracles import decompose, induce, value
 from smoothap.characters import (DirichletCharacter, UnitGroup, character_tables,
                                  complex_tables, enumerate_characters, exponent_rows)
 
@@ -23,7 +23,7 @@ def test_values_and_records_match_fraction_route():
         for chi in enumerate_characters(q):
             row = oracles.fraction_row(chi)
             # off the units the record's "0" entries check the None branch
-            assert [chi.value(n) for n, v in enumerate(row) if v is not None] == [
+            assert [value(chi, n) for n, v in enumerate(row) if v is not None] == [
                 v for v in row if v is not None], chi
             assert chi.to_record()["values"] == [
                 "0" if v is None else f"{v.numerator}/{v.denominator}" for v in row], chi
@@ -80,7 +80,7 @@ def test_point_reads_build_no_length_q_array():
     chi = DirichletCharacter(group, tuple(range(1, 8)))
     psi = next(c for c in enumerate_characters(117) if c.primitive)
     low = induce(psi, q)  # conductor 117: decompose carries it down to a built group
-    for read in (lambda: chi.value(17), lambda: chi.cvalue(17),
+    for read in (lambda: value(chi, 17), lambda: chi.cvalue(17),
                  lambda: decompose(low), lambda: induce(psi, q)):
         tracemalloc.start()
         try:
@@ -95,6 +95,6 @@ def test_point_reads_build_no_length_q_array():
 def test_many_point_reads_at_a_large_prime_modulus():
     chars = enumerate_characters(99991)[:20000]
     t0 = time.perf_counter()
-    vals = [chi.value(2) for chi in chars]
+    vals = [value(chi, 2) for chi in chars]
     assert time.perf_counter() - t0 < 5.0
     assert vals[::1000] == [oracles.fraction_value(chi, 2) for chi in chars[::1000]]

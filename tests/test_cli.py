@@ -210,8 +210,8 @@ EVERY_COMMAND = {
 
 
 def test_no_command_loads_fractions_or_decimal(tmp_path):
-    # fractions pulls in decimal (about 0.4 MB RSS); only value() and
-    # ExceptionalSet.beta build a Fraction, and no command calls them
+    # fractions pulls in decimal (about 0.4 MB RSS), and no module in
+    # src/smoothap imports fractions
     code = ("import sys\n"
             "from smoothap.cli import main\n"
             f"for name, argv in {EVERY_COMMAND!r}.items():\n"

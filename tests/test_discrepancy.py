@@ -12,17 +12,16 @@ from smoothap import arith, characters, discrepancy, multfn
 from smoothap.arith import euler_phi, factorize, residues, unit_mask
 from smoothap.characters import (character_tables, enumerate_characters, family_A,
                                  trivial_character)
-from smoothap.discrepancy import (ExceptionalSet, _record, bv_average,
-                                  discrepancy_record, residue_sums,
+from smoothap.discrepancy import (_record, bv_average, discrepancy_record, residue_sums,
                                   u_kernel_chardef_row, u_kernel_moebius_row,
                                   verify_transfer_identity)
 from smoothap.errors import DomainError
-from smoothap.large_sieve import detect_exceptional
+from smoothap.large_sieve import ExceptionalSet, ExceptionalWitness, detect_exceptional
 from smoothap.multfn import dirichlet_inverse, evaluate
 from smoothap.sieve import X_MAX_CAP, psi_coprime, psi_progression
 
-XI_TRIVIAL = ExceptionalSet.from_characters([trivial_character()])
-XI_EMPTY = ExceptionalSet(members=[])
+XI_TRIVIAL = [trivial_character()]
+XI_EMPTY = []
 
 
 def brute_delta(f, x, q, a):
@@ -34,7 +33,7 @@ def brute_delta(f, x, q, a):
 def test_character_sum_principal_is_psi_q():
     f = multfn.smooth_indicator(5)
     for q in (3, 7, 12):
-        chi0 = [c for c in enumerate_characters(q) if c.is_principal][0]
+        chi0 = [c for c in enumerate_characters(q) if oracles.is_principal(c)][0]
         s = character_sum(f, 100, chi0)
         assert s == pytest.approx(psi_coprime(100, 5, q))
 
@@ -51,7 +50,7 @@ def test_character_sum_hand_example():
     # 15 coprime members of the 5-smooth set below 100: 8 at residue 1, 7 at 2;
     # the real nontrivial character mod 3 sends 2 to -1, so the sum is 8 - 7
     f = multfn.smooth_indicator(5)
-    chi = [c for c in enumerate_characters(3) if not c.is_principal][0]
+    chi = [c for c in enumerate_characters(3) if not oracles.is_principal(c)][0]
     assert psi_progression(100, 5, 1, 3) == 8
     assert psi_progression(100, 5, 2, 3) == 7
     s = character_sum(f, 100, chi)
@@ -114,7 +113,7 @@ def test_delta_xi_empty_is_progression_sum():
 def test_delta_A_dual_route_spec_tuple():
     # x=100, y=5, q=7, D=3: divisor-sum route against the character route
     f = multfn.smooth_indicator(5)
-    xi = ExceptionalSet.from_characters(family_A(3).members)
+    xi = family_A(3).members
     a = delta_xi(f, 100, 7, 1, 1, xi)
     b = delta_A(f, 100, 7, 1, 1, 3)
     assert abs(a - b) <= 1e-10
@@ -123,7 +122,7 @@ def test_delta_A_dual_route_spec_tuple():
 def test_delta_xi_full_family_equals_delta_A():
     f = multfn.smooth_indicator(5)
     for q, D in ((7, 10), (12, 15), (9, 9)):
-        xi = ExceptionalSet.from_characters(family_A(D).members)
+        xi = family_A(D).members
         a = delta_xi(f, 300, q, 1, 1, xi)
         b = delta_A(f, 300, q, 1, 1, D)
         assert abs(a - b) <= 1e-8
@@ -196,15 +195,15 @@ def test_xi_and_chardef_row_build_tables_one_batch_per_modulus(monkeypatch):
 
     monkeypatch.setattr(characters, "exponent_rows", counted)
     f = multfn.random_unit_circle(5, smooth_bound=50)
-    xi = ExceptionalSet.from_characters(family_A(30).members)
+    xi = family_A(30).members
     for q in (60, 84, 90):
         batches.clear()
-        discrepancy_record(f, 10**4, q, 1, 1, xi=xi)
-        assert batches == sorted({psi.q for psi in xi.characters if q % psi.q == 0}), q
+        oracles.record(f, 10**4, q, 1, 1, xi=xi)
+        assert batches == sorted({psi.q for psi in xi if q % psi.q == 0}), q
     batches.clear()
     bv_average(f, 10**4, 24, 1, 1, xi)
-    assert batches == sorted({psi.q for psi in xi.characters if psi.q <= 24})
-    tables = character_tables(xi.characters)
+    assert batches == sorted({psi.q for psi in xi if psi.q <= 24})
+    tables = character_tables(xi)
     batches.clear()
     ns, vs = multfn.get_support(f, 10**4)
     for q in (60, 84, 90):
@@ -387,11 +386,11 @@ def test_bv_average_bitwise_at_any_chunk_length(monkeypatch, chunk):
     # the parts prime to 2, 6 and 3, compacted a chunk at a time, and the
     # chunked residue sums give the records of per-q discrepancy_record
     x, Q = 5000, 30
-    xi = ExceptionalSet.from_characters(family_A(12).members)
+    xi = family_A(12).members
     cases = []
     for f in (multfn.random_unit_circle(5, smooth_bound=50), multfn.moebius_smooth(50)):
         for a1, a2 in ((1, 1), (2, 3), (5, 7)):
-            want = [discrepancy_record(f, x, q, a1, a2, xi=xi)
+            want = [oracles.record(f, x, q, a1, a2, xi=xi)
                     for q in range(1, Q + 1) if math.gcd(q, a1 * a2) == 1]
             total = 0.0
             for rec in want:
@@ -421,7 +420,7 @@ def _same_records(recs1, recs2) -> bool:
 
 def test_bv_average_thread_determinism():
     f = multfn.random_unit_circle(5, smooth_bound=50)
-    xi_a = ExceptionalSet.from_characters(family_A(12).members)
+    xi_a = family_A(12).members
     for xi in (XI_TRIVIAL, xi_a):
         runs = [bv_average(f, 3000, 40, 1, 1, xi, threads=k)
                 for k in (1, 4, 8)]
@@ -482,7 +481,7 @@ def test_member_value_equals_induced_value_at_units():
             chi = induce(psi0, q)
             for b in range(q):
                 if math.gcd(b, q) == 1:
-                    assert psi0.value(b) == chi.value(b)
+                    assert oracles.value(psi0, b) == oracles.value(chi, b)
                     assert _bits(psi0.cvalue(b)) == _bits(chi.cvalue(b))
 
 
@@ -508,14 +507,14 @@ def test_bv_average_records_equal_delta_xi_record():
     # gcd(q, 6), against the public one over the whole support; (5, 7) puts
     # q with gcd(q, 6) in {2, 3, 6} at a unit b != 1
     x, Q = 10**5, 60
-    xis = (XI_EMPTY, XI_TRIVIAL, ExceptionalSet.from_characters(family_A(12).members))
+    xis = (XI_EMPTY, XI_TRIVIAL, family_A(12).members)
     twist = family_A(12).members[7]
     fs = (multfn.random_unit_circle(5, smooth_bound=50), multfn.moebius_smooth(50),
           multfn.character_twist(twist, 50))
     for f in fs:
         for xi in xis:
             for a1, a2 in ((1, 1), (2, 3), (5, 7)):
-                want = [discrepancy_record(f, x, q, a1, a2, xi=xi)
+                want = [oracles.record(f, x, q, a1, a2, xi=xi)
                         for q in range(1, Q + 1) if math.gcd(q, a1 * a2) == 1]
                 want_total = 0.0
                 for rec in want:
@@ -530,7 +529,7 @@ def test_bv_average_records_equal_delta_xi_record():
 def test_transfer_identity_xi_equals_family():
     f = multfn.smooth_indicator(20)
     D = 5
-    xi = ExceptionalSet.from_characters(family_A(D).members)
+    xi = family_A(D).members
     chk = verify_transfer_identity(f, 2000, 12, 1, 1, xi, D)
     assert abs(chk.lhs) <= 1e-8 and abs(chk.rhs) <= 1e-8
 
@@ -543,10 +542,23 @@ def test_transfer_identity_prime_modulus():
 
 def test_transfer_identity_requires_xi_in_family():
     psi7 = [c for c in enumerate_characters(7) if c.primitive][0]
-    xi = ExceptionalSet.from_characters([psi7])
+    xi = [psi7]
     with pytest.raises(DomainError):
         verify_transfer_identity(multfn.smooth_indicator(5), 100, 7, 1, 1, xi,
                                  3)
+
+
+def test_xi_members_must_be_primitive():
+    # chi0 mod 3 and the character mod 6 induced by the one mod 3 are not
+    # primitive, and both entry points that take Xi refuse them
+    f = multfn.smooth_indicator(5)
+    psi3 = [c for c in enumerate_characters(3) if c.primitive][0]
+    for bad in (characters.principal_character(3), induce(psi3, 6)):
+        xi = [trivial_character(), bad]
+        with pytest.raises(DomainError, match="Xi members must be primitive"):
+            bv_average(f, 100, 10, 1, 1, xi)
+        with pytest.raises(DomainError, match="Xi members must be primitive"):
+            verify_transfer_identity(f, 100, 6, 1, 1, xi, 6)
 
 
 def test_transfer_identity_randomized():
@@ -558,7 +570,7 @@ def test_transfer_identity_randomized():
         D = rng.randrange(1, 11)
         f = multfn.random_unit_circle(seed=trial, smooth_bound=rng.choice([20, 50]))
         mem = [c for c in fam.members if c.q <= D]
-        xi = ExceptionalSet.from_characters(rng.sample(mem, rng.randrange(len(mem) + 1)))
+        xi = rng.sample(mem, rng.randrange(len(mem) + 1))
         a1, a2 = rng.choice([(1, 1), (2, 1), (-1, 2), (5, 3)])
         if math.gcd(a1 * a2, q) != 1:
             continue
@@ -567,11 +579,15 @@ def test_transfer_identity_randomized():
 
 
 def test_beta_stats():
-    assert (XI_EMPTY.beta, XI_EMPTY.weighted_count) == (0, 0.0)
-    assert XI_TRIVIAL.beta == 1 and XI_TRIVIAL.weighted_count == 1.0
+    def found(chars):
+        return ExceptionalSet([ExceptionalWitness(chi, 100, 2.0, 1.0) for chi in chars])
+
+    empty, triv = found([]), found([trivial_character()])
+    assert (oracles.beta(empty), empty.weighted_count) == (0, 0.0)
+    assert oracles.beta(triv) == 1 and triv.weighted_count == 1.0
     psi3 = [c for c in enumerate_characters(3) if c.primitive][0]
-    xi = ExceptionalSet.from_characters([trivial_character(), psi3])
-    assert xi.beta == Fraction(4, 3)
+    xi = found([trivial_character(), psi3])
+    assert oracles.beta(xi) == Fraction(4, 3)
     assert xi.weighted_count == pytest.approx(1 + 3 ** -0.5)
 
 
@@ -620,14 +636,13 @@ def test_delta_xi_against_definition():
         x = rng.randrange(40, 800)
         f = multfn.random_unit_circle(seed=400 + trial, smooth_bound=30)
         mem = [c for c in fam.members if q % c.q == 0]
-        xi = ExceptionalSet.from_characters(
-            rng.sample(mem, rng.randrange(1, len(mem) + 1)))
+        xi = rng.sample(mem, rng.randrange(1, len(mem) + 1))
         b = rng.choice([r for r in range(1, q) if math.gcd(r, q) == 1] or [0])
         got = delta_xi(f, x, q, b, 1, xi)
         prog = sum(evaluate(f, n) for n in range(1, x + 1)
                    if n % q == b % q)
         main = 0j
-        for psi0 in xi.characters:
+        for psi0 in xi:
             chi = induce(psi0, q)
             s = sum(evaluate(f, n) * complex(np.conj(oracles.complex_table_one(chi)[n % q]))
                     for n in range(1, x + 1))

@@ -166,7 +166,7 @@ def test_classify_eta_brute_force():
     assigned = {}
     for q in range(1, Q * Q + 1):
         for chi in enumerate_characters(q):
-            if chi.is_principal:
+            if oracles.is_principal(chi):
                 continue
             S = abs(complex(oracles.complex_table_one(chi)[ns % q].sum()))
             for k in range(1, 13):
@@ -422,11 +422,11 @@ def test_detect_exceptional_requires_smooth_support():
 
 
 def test_exceptional_counts():
-    from smoothap.discrepancy import ExceptionalSet
+    from smoothap.large_sieve import ExceptionalSet, ExceptionalWitness
     from smoothap.characters import trivial_character
     empty = ExceptionalSet(members=[])
     assert (len(empty.members), empty.weighted_count) == (0, 0.0)
-    xi = ExceptionalSet.from_characters([trivial_character()])
+    xi = ExceptionalSet([ExceptionalWitness(trivial_character(), 100, 2.0, 1.0)])
     assert (len(xi.members), xi.weighted_count) == (1, 1.0)
     assert context_bound(10**4, 1.0) == pytest.approx(math.log(10**4) ** 16)
 

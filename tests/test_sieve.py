@@ -9,8 +9,7 @@ import oracles
 from oracles import alpha_saddle, character_sum, delta, delta_A, delta_xi, smooth_short_interval
 from smoothap import multfn, sieve
 from smoothap.characters import enumerate_characters, family_A, trivial_character
-from smoothap.discrepancy import (ExceptionalSet, bv_average, discrepancy_record,
-                                  verify_transfer_identity)
+from smoothap.discrepancy import bv_average, discrepancy_record, verify_transfer_identity
 from smoothap.errors import DomainError, SizingError
 from smoothap.large_sieve import detect_exceptional
 from smoothap.sieve import (X_MAX_CAP, dyadic_partition, psi, psi_coprime,
@@ -24,7 +23,7 @@ def test_every_query_rejects_x_past_the_cap():
     f = multfn.smooth_indicator(5)
     chi = enumerate_characters(3)[1]
     fam = family_A(5)
-    xi = ExceptionalSet.from_characters([trivial_character()])
+    xi = [trivial_character()]
     queries = [
         lambda x: psi(x, 5),
         lambda x: psi_coprime(x, 5, 3),
@@ -35,7 +34,8 @@ def test_every_query_rejects_x_past_the_cap():
         lambda x: multfn.get_support(f, x),
         lambda x: multfn.values_array(f, x),
         lambda x: character_sum(f, x, chi),
-        lambda x: discrepancy_record(f, x, 7, 1, 1, xi=xi, D=3),
+        lambda x: discrepancy_record(f, x, 7, 1, 1),
+        lambda x: oracles.record(f, x, 7, 1, 1, xi=xi, D=3),
         lambda x: delta(f, x, 7, 1),
         lambda x: delta_xi(f, x, 7, 1, 1, xi),
         lambda x: delta_A(f, x, 7, 1, 1, 3),
