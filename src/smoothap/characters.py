@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import factorize, residues, unit_mask
+from .arith import chunks, factorize, residues, unit_mask
 from .errors import DomainError, SizingError
 
 MODULUS_CAP = 1_000_000  # dlog tables are O(q); raise deliberately if needed
@@ -70,6 +70,25 @@ def _least_primitive_root(p: int, e: int) -> int:
     return g
 
 
+def _power_blocks(g: int, n: int, m: int):
+    """(lo, g^lo, ..., g^(hi-1) mod m) for the CHUNK-long blocks [lo, hi) of range(n).
+
+    The powers are int64.  The first block is filled by doubling, and each
+    later block is the one before times g^CHUNK mod m; m <= MODULUS_CAP, so
+    every product stays below 10^12.
+    """
+    for lo, hi in chunks(n):
+        if lo == 0:
+            block = np.ones(1, dtype=np.int64)
+            while block.size < hi:
+                block = np.concatenate([block, block * pow(g, block.size, m) % m])
+            block = block[:hi]
+            step = pow(g, hi, m)
+        else:
+            block = block[:hi - lo] * step % m
+        yield lo, block
+
+
 class UnitGroup:
     """Cached structure of (Z/qZ)*: components, discrete logs, unit mask."""
 
@@ -87,32 +106,26 @@ class UnitGroup:
     @staticmethod
     def _local(p: int, e: int) -> list[_Component]:
         pe = p**e
-        if p == 2:
-            if e == 1:
-                return []
-            if e == 2:
-                dlog = np.full(4, -1, dtype=np.int64)
-                dlog[1], dlog[3] = 0, 1
-                return [_Component(2, 4, 2, 3, dlog)]
-            half = 2 ** (e - 2)
+        if pe == 2:
+            return []
+        if pe % 8 == 0:  # 2^e, e >= 3: <-1> x <5>
+            half = pe // 4
             d_sign = np.full(pe, -1, dtype=np.int64)
             d_five = np.full(pe, -1, dtype=np.int64)
-            v = 1
-            for b in range(half):
+            for lo, v in _power_blocks(5, half, pe):
+                b = np.arange(lo, lo + v.size)
                 d_sign[v], d_five[v] = 0, b
                 d_sign[pe - v], d_five[pe - v] = 1, b
-                v = (v * 5) % pe
             return [
                 _Component(2, pe, 2, pe - 1, d_sign),
                 _Component(2, pe, half, 5, d_five, slot=1),
             ]
+        # cyclic: an odd p^e, or 4 with generator 3 = -1
         s = pe - pe // p
-        g = _least_primitive_root(p, e)
+        g = 3 if p == 2 else _least_primitive_root(p, e)
         dlog = np.full(pe, -1, dtype=np.int64)
-        v = 1
-        for k in range(s):
-            dlog[v] = k
-            v = (v * g) % pe
+        for lo, v in _power_blocks(g, s, pe):
+            dlog[v] = np.arange(lo, lo + v.size)
         return [_Component(p, pe, s, g, dlog)]
 
     @classmethod

@@ -25,24 +25,8 @@ from .characters import CharacterFamily, DirichletCharacter, by_modulus, complex
 from .discrepancy import residue_sums
 from .errors import DomainError
 from .multfn import MultFnSpec, get_support
-from .sieve import SmoothSet, dyadic_partition, smooth_numbers
+from .sieve import dyadic_partition, smooth_numbers
 from .util import ordered_map
-
-
-@dataclass
-class SieveExperiment:
-    """One evaluated instance of the inequality."""
-
-    x: int
-    y: int
-    Q: int
-    weight_mode: str  # "unweighted" | "sqrt"
-    lhs: float
-    rhs: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs
 
 
 def modulus_range_Q(x: int, y: int, c: float = 0.2, weighted: bool = False) -> int:
@@ -89,14 +73,17 @@ def _nonzero_coefficients(v: np.ndarray, n: int, what: str) -> np.ndarray:
     return v
 
 
-def ls_primal(smooth: SmoothSet, Q: int, a: np.ndarray, weight_mode: str,
-              families: CharacterFamily) -> SieveExperiment:
-    """Primal form: lhs = sum_{q<=Q} w(q) sum*_chi |sum_n a_n chi(n)|^2.
+def ls_primal(ns: np.ndarray, Q: int, a: np.ndarray, weight_mode: str,
+              families: CharacterFamily) -> tuple[float, float]:
+    """Both sides (lhs, rhs) of the primal form; their ratio is lhs / rhs.
 
-    a[i] is the coefficient at the i-th y-smooth n <= x in ascending order
-    (smooth.ns), so a has length Psi(x,y) and no other support.
+    lhs = sum_{q<=Q} w(q) sum*_chi |sum_n a_n chi(n)|^2, with w(q) = 1
+    ("unweighted") or q^{-1/2} ("sqrt"), and rhs = Psi(x,y) * sum |a_n|^2.
+    ns is the y-smooth n <= x (`smooth_numbers`) and a[i] the coefficient
+    at ns[i], so a has length Psi(x,y) and no other support.
     """
-    ns = smooth.ns
+    if weight_mode not in ("unweighted", "sqrt"):
+        raise DomainError(f"weight_mode must be 'unweighted' or 'sqrt', got {weight_mode!r}")
     a = _nonzero_coefficients(a, ns.size, "y-smooth n <= x")
     if families.D < Q:
         raise DomainError(f"family covers conductors <= {families.D}, need {Q}")
@@ -110,7 +97,7 @@ def ls_primal(smooth: SmoothSet, Q: int, a: np.ndarray, weight_mode: str,
             sub += w * (T.real * T.real + T.imag * T.imag)
         lhs += sub
     rhs = float(ns.size) * float(np.sum(np.abs(a) ** 2))
-    return SieveExperiment(smooth.x, smooth.y, Q, weight_mode, lhs, rhs)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +148,7 @@ def detection_scale(x: int, y: int, B: float) -> float:
 def refine_grid(grid: np.ndarray, smooth: np.ndarray, T: float) -> np.ndarray:
     """Split grid steps until each holds few enough smooth numbers.
 
-    smooth is the ascending y-smooth numbers (`smooth_numbers(...).ns`), so
+    smooth is the ascending y-smooth numbers (`smooth_numbers`), so
     Psi(t, y) is the count of them <= t.  Guarantees, for every step of
     length >= 2, that the smooth count inside it is at most Psi(X_j, y)/(2T);
     unit steps need no condition since every integer there is itself a grid
@@ -213,7 +200,7 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
         raise DomainError("f must be 1-bounded")
 
     T = detection_scale(x, y, B)
-    smooth = smooth_numbers(x, y).ns
+    smooth = smooth_numbers(x, y)
     # needles of ns's dtype, as in refine_grid: no copy of ns or smooth
     gx = refine_grid(dyadic_partition(x, T, eps), smooth, T).astype(ns.dtype)
     at = np.searchsorted(ns, gx, side="right")  # S(X_j) sums the first at[j] terms

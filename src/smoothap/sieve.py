@@ -5,7 +5,7 @@ the primes p <= y (`smooth_pieces`), in O(Psi(x,y)) work and memory for
 y <= sqrt(x).  Every query here reads that walk: `psi`, the coprime and
 progression counts (a gcd or a residue per walked number), `smooth_numbers`
 and `smooth_ascending`.  `smooth_numbers` is the y-smooth set of the
-large-sieve experiments, a `SmoothSet` that carries its (x, y) (a count
+large-sieve experiments, a read-only ascending int32 array (a count
 Psi(t,y) is a searchsorted on it): psi(x, y) slots, filled by one walk and
 sorted in place.  `smooth_ascending` is the support of a multiplicative f
 with its values (`multfn.get_support`), in ascending order without a sort:
@@ -16,7 +16,6 @@ place.  Every query checks its x against X_MAX_CAP first (`_check_query`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,18 +54,6 @@ def _prime_mask(limit: int) -> np.ndarray:
         if is_p[p]:
             is_p[p * p :: p] = False
     return is_p
-
-
-@dataclass(frozen=True, eq=False)
-class SmoothSet:
-    """The y-smooth n <= x as a read-only ascending int32 array, with its (x, y).
-
-    Built by `smooth_numbers`; Psi(t, y) for t <= x is the count of ns <= t.
-    """
-
-    x: int
-    y: int
-    ns: np.ndarray
 
 
 def smooth_pieces(x: int, y: int, fpk=None, values: bool = True):
@@ -197,12 +184,13 @@ def psi_progression(x: int, y: int, a: int, q: int) -> int:
                for ns, _ in smooth_pieces(x, y))
 
 
-def smooth_numbers(x: int, y: int) -> SmoothSet:
-    """The n <= x with P(n) <= y (n = 1 included) as a SmoothSet, read-only int32.
+def smooth_numbers(x: int, y: int) -> np.ndarray:
+    """The n <= x with P(n) <= y (n = 1 included), ascending, read-only int32.
 
-    Count, fill, sort.  A walk that fills other than psi(x, y) slots raises
-    RuntimeError, never a partial set (psi counts the primes above sqrt(x)
-    without walking them, so for y > sqrt(x) that is an independent check).
+    Psi(t, y) for t <= x is the count of them <= t.  Count, fill, sort.  A
+    walk that fills other than psi(x, y) slots raises RuntimeError, never a
+    partial set (psi counts the primes above sqrt(x) without walking them,
+    so for y > sqrt(x) that is an independent check).
     """
     ns = np.empty(psi(x, y), dtype=np.int32)  # psi checks the query
     filled = 0
@@ -214,7 +202,7 @@ def smooth_numbers(x: int, y: int) -> SmoothSet:
         raise RuntimeError(f"the walk gave {filled} numbers, Psi({x}, {y}) = {ns.size}")
     ns.sort()
     ns.setflags(write=False)
-    return SmoothSet(x, y, ns)
+    return ns
 
 
 def smooth_ascending(x: int, y: int, fpk):

@@ -29,7 +29,8 @@ class-C test; the saddle exponent and short-interval counts.  They are
 built on what the package keeps (unit groups, residue sums, supports,
 discrepancy records), and the tests hold the package's one route to them.
 Beside them are the loops that the package's batched forms replaced, each
-the bitwise reference of its replacement: one character's exponent row,
+the bitwise reference of its replacement: the discrete logs of a unit
+group one unit at a time (`UnitGroup`), one character's exponent row,
 table and record (`exponent_rows`, `complex_tables`, `to_record`), the
 exceptional scan one character at a time (`detect_exceptional`, which
 scans one modulus at a time), and the grids built one point or one step
@@ -49,17 +50,17 @@ from functools import lru_cache
 import numpy as np
 
 from smoothap.arith import euler_phi, residues
-from smoothap.characters import (CharacterFamily, DirichletCharacter, UnitGroup,
-                                 by_modulus, complex_tables, enumerate_characters)
+from smoothap.characters import (CharacterFamily, DirichletCharacter, UnitGroup, _Component,
+                                 _least_primitive_root, by_modulus, complex_tables,
+                                 enumerate_characters)
 from smoothap.discrepancy import (DiscrepancyRecord, _check_cell, _kernel_divisor_sum,
                                   _record, discrepancy_record, residue_sums, xi_tables)
 from smoothap.errors import DomainError, OracleError
-from smoothap.large_sieve import (ExceptionalSet, ExceptionalWitness, SieveExperiment,
-                                  _character_sums, _nonzero_coefficients, detection_scale)
+from smoothap.large_sieve import (ExceptionalSet, ExceptionalWitness, _character_sums,
+                                  _nonzero_coefficients, detection_scale)
 from smoothap.multfn import MultFnSpec, get_support
 from smoothap.reports import fmt_number
-from smoothap.sieve import (SmoothSet, _check_query, primes_upto, psi, smooth_numbers,
-                            smooth_pieces)
+from smoothap.sieve import _check_query, primes_upto, psi, smooth_numbers, smooth_pieces
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +416,8 @@ def json_report_text(rows, config, summary=None):
 
 # ---------------------------------------------------------------------------
 # smoothap.characters: exact values, the principal test, conjugation,
-# induction, decomposition, products, exact root sums, and one character's
-# exponent row, table and record
+# induction, decomposition, products, exact root sums, the discrete logs
+# one unit at a time, and one character's exponent row, table and record
 
 
 class RootSumStructureError(ArithmeticError):
@@ -486,6 +487,41 @@ def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCha
         for c1, c2, comp in zip(a.exps, b.exps, group.components)
     )
     return DirichletCharacter(group, exps)
+
+
+def local_components_unit_by_unit(p: int, e: int) -> list[_Component]:
+    """The cyclic factors of (Z/p^eZ)* (`UnitGroup._local`), one multiply per unit.
+
+    The package's loop before it took the generator's powers in blocks.
+    """
+    pe = p**e
+    if p == 2:
+        if e == 1:
+            return []
+        if e == 2:
+            dlog = np.full(4, -1, dtype=np.int64)
+            dlog[1], dlog[3] = 0, 1
+            return [_Component(2, 4, 2, 3, dlog)]
+        half = 2 ** (e - 2)
+        d_sign = np.full(pe, -1, dtype=np.int64)
+        d_five = np.full(pe, -1, dtype=np.int64)
+        v = 1
+        for b in range(half):
+            d_sign[v], d_five[v] = 0, b
+            d_sign[pe - v], d_five[pe - v] = 1, b
+            v = (v * 5) % pe
+        return [
+            _Component(2, pe, 2, pe - 1, d_sign),
+            _Component(2, pe, half, 5, d_five, slot=1),
+        ]
+    s = pe - pe // p
+    g = _least_primitive_root(p, e)
+    dlog = np.full(pe, -1, dtype=np.int64)
+    v = 1
+    for k in range(s):
+        dlog[v] = k
+        v = (v * g) % pe
+    return [_Component(p, pe, s, g, dlog)]
 
 
 def exponent_row(chi: DirichletCharacter, n: np.ndarray) -> np.ndarray:
@@ -671,7 +707,7 @@ def detect_exceptional_per_character(f: MultFnSpec, x: int, y: int, Q: int, B: f
     """
     ns, vs = get_support(f, x=x)
     T = detection_scale(x, y, B)
-    smooth = smooth_numbers(x, y).ns
+    smooth = smooth_numbers(x, y)
     grid = refine_grid_one_step(dyadic_partition_point_by_point(x, T, eps), smooth, T)
     gx = np.array(grid, dtype=ns.dtype)
     thresholds = np.searchsorted(smooth, gx, side="right") / (2.0 * T)
@@ -696,22 +732,22 @@ def beta(found: ExceptionalSet) -> Fraction:
     return sum((Fraction(1, w.character.q) for w in found.members), Fraction(0))
 
 
-def ls_dual(smooth: SmoothSet, Q: int, b: np.ndarray,
-            families: CharacterFamily) -> SieveExperiment:
-    """Dual form: lhs = sum_{smooth n<=x} |sum_{q<=Q} sum*_chi b_chi chi(n)|^2.
+def ls_dual(ns: np.ndarray, Q: int, b: np.ndarray,
+            families: CharacterFamily) -> tuple[float, float]:
+    """Dual form: (lhs, rhs), lhs = sum_n |sum_{q<=Q} sum*_chi b_chi chi(n)|^2.
 
-    b is indexed by families.up_to(Q) in family order.
+    ns is the y-smooth n <= x (`smooth_numbers`), rhs = Psi(x,y) * sum |b_chi|^2,
+    and b is indexed by families.up_to(Q) in family order.
     """
     members = families.up_to(Q)
     b = _nonzero_coefficients(b, len(members), "primitive character")
-    ns = smooth.ns
     G = _character_combination(ns, b, by_modulus(members))
     lhs = float(np.sum(np.abs(G) ** 2))
     rhs = float(ns.size) * float(np.sum(np.abs(b) ** 2))
-    return SieveExperiment(smooth.x, smooth.y, Q, "unweighted", lhs, rhs)
+    return lhs, rhs
 
 
-def max_ratio_power_iteration(smooth: SmoothSet, Q: int,
+def max_ratio_power_iteration(ns: np.ndarray, Q: int,
                               families: CharacterFamily, side: str,
                               iters: int = 200, seed: int = 0) -> float:
     """Largest primal (or dual) ratio via power iteration on the Gram operator.
@@ -724,7 +760,6 @@ def max_ratio_power_iteration(smooth: SmoothSet, Q: int,
     """
     members = families.up_to(Q)
     groups = by_modulus(members)
-    ns = smooth.ns
     if side == "primal":
         first, second, size = _character_sums, _character_combination, ns.size
     elif side == "dual":
@@ -751,7 +786,7 @@ class EtaClass:
     xi_star: list[DirichletCharacter] = field(default_factory=list)
 
 
-def classify_eta(smooth: SmoothSet, Q: int,
+def classify_eta(ns: np.ndarray, Q: int,
                  families: CharacterFamily | None = None,
                  levels: int = 16) -> list[EtaClass]:
     """Assign every non-principal character mod q <= Q^2 to its dyadic class.
@@ -764,7 +799,6 @@ def classify_eta(smooth: SmoothSet, Q: int,
     if families is not None and families.D < Q * Q:
         raise DomainError(f"family covers conductors <= {families.D}, need {Q * Q}")
     canonical = {chi: chi for chi in families.members} if families is not None else {}
-    ns = smooth.ns
     Psi = float(ns.size)
     chars = [chi for q in range(1, Q * Q + 1) for chi in enumerate_characters(q)
              if not is_principal(chi)]

@@ -2,11 +2,13 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
 from oracles import (conjugate, decompose, exact_root_counts_sum, exact_unit_sum, induce,
                      is_principal, multiply, value)
+from smoothap import arith
 from smoothap.arith import euler_phi
 from smoothap.characters import (FAMILY_TABLE_CAP, UnitGroup, _primitive_count,
                                  character_of_rank, enumerate_characters, family_A,
@@ -243,6 +245,25 @@ def test_large_modulus_within_cap():
     assert chi.conductor == q and chi.primitive
     v = value(chi, 2)
     assert v is not None and 0 <= v < 1
+
+
+def test_unit_group_tables_equal_the_unit_by_unit_loop(monkeypatch):
+    # the generator's powers are taken in blocks of arith.CHUNK; 2^19, 3^12
+    # and 999983 span several blocks, and CHUNK = 7 cuts every order above 7
+    def check(q):
+        got = UnitGroup(q).components
+        want = [c for p, e in oracles.trial_division_factor(q)
+                for c in oracles.local_components_unit_by_unit(p, e)]
+        assert len(got) == len(want), q
+        for a, b in zip(got, want):
+            assert (a.p, a.pe, a.order, a.gen, a.slot) == (b.p, b.pe, b.order, b.gen, b.slot), q
+            assert a.dlog.dtype == b.dlog.dtype and np.array_equal(a.dlog, b.dlog), q
+
+    for q in (*range(1, 1001), 2**19, 3**12, 720720, 999983):
+        check(q)
+    monkeypatch.setattr(arith, "CHUNK", 7)
+    for q in range(1, 1001):
+        check(q)
 
 
 def test_induce_from_nonprimitive_with_nondividing_modulus():

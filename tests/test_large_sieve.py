@@ -32,19 +32,19 @@ def dense_prefix(x, y):
 def test_primal_trivial_character_only():
     fam = family_A(1)
     a = ones_vector(10**4, 20)
-    exp = ls_primal(smooth_numbers(10**4, 20), 1, a, "unweighted", fam)
+    lhs, rhs = ls_primal(smooth_numbers(10**4, 20), 1, a, "unweighted", fam)
     P = psi(10**4, 20)
-    assert exp.lhs == pytest.approx(P * P)
-    assert exp.rhs == pytest.approx(P * P)
-    assert exp.ratio == pytest.approx(1.0)
+    assert lhs == pytest.approx(P * P)
+    assert rhs == pytest.approx(P * P)
+    assert lhs / rhs == pytest.approx(1.0)
 
 
 def test_primal_sharpness_all_ones():
     fam = family_A(25)
     for x, y, Q in ((10**4, 20, 10), (5000, 50, 25), (2000, 7, 5)):
         a = ones_vector(x, y)
-        exp = ls_primal(smooth_numbers(x, y), Q, a, "unweighted", fam)
-        assert exp.ratio >= 1.0  # the q = 1 term alone contributes Psi^2
+        lhs, rhs = ls_primal(smooth_numbers(x, y), Q, a, "unweighted", fam)
+        assert lhs / rhs >= 1.0  # the q = 1 term alone contributes Psi^2
 
 
 def test_primal_rejects_non_smooth_support():
@@ -58,7 +58,19 @@ def test_primal_rejects_non_smooth_support():
     for bad in (a, np.ones(P - 1), np.ones(P + 1), np.ones((P, 1))):
         with pytest.raises(DomainError):
             ls_primal(smooth, 3, bad, "unweighted", family_A(3))
-    assert ls_primal(smooth, 3, np.ones(P), "unweighted", family_A(3)).ratio >= 1
+    lhs, rhs = ls_primal(smooth, 3, np.ones(P), "unweighted", family_A(3))
+    assert lhs / rhs >= 1
+
+
+def test_ls_primal_rejects_an_unknown_weight_mode():
+    # any mode but "unweighted" once gave the q^-1/2 weight; the mode is
+    # checked before the coefficients (here all zero, itself an error)
+    smooth = smooth_numbers(2000, 20)
+    fam = family_A(6)
+    for mode in ("Unweighted", "weighted", "sqrt ", ""):
+        for a in (np.ones(smooth.size), np.zeros(smooth.size)):
+            with pytest.raises(DomainError, match="'unweighted' or 'sqrt'"):
+                ls_primal(smooth, 6, a, mode, fam)
 
 
 def test_weighted_dominated_by_unweighted():
@@ -68,13 +80,13 @@ def test_weighted_dominated_by_unweighted():
     a = rng.choice([-1.0, 1.0], size=psi(x, y)).astype(np.complex128)
     smooth = smooth_numbers(x, y)
     for Q in (1, 5, 12):
-        unw = ls_primal(smooth, Q, a, "unweighted", fam)
-        wgt = ls_primal(smooth, Q, a, "sqrt", fam)
-        assert wgt.rhs == unw.rhs
+        unw_lhs, unw_rhs = ls_primal(smooth, Q, a, "unweighted", fam)
+        wgt_lhs, wgt_rhs = ls_primal(smooth, Q, a, "sqrt", fam)
+        assert wgt_rhs == unw_rhs
         if Q == 1:
-            assert wgt.lhs == pytest.approx(unw.lhs)  # w(1) = 1
+            assert wgt_lhs == pytest.approx(unw_lhs)  # w(1) = 1
         else:
-            assert wgt.lhs < unw.lhs
+            assert wgt_lhs < unw_lhs
 
 
 def test_dual_single_trivial_coefficient():
@@ -83,8 +95,8 @@ def test_dual_single_trivial_coefficient():
     b = np.zeros(len(members), dtype=np.complex128)
     b[0] = 2.0 - 1.0j  # the modulus-1 character
     assert members[0].q == 1
-    exp = ls_dual(smooth_numbers(10**4, 20), 8, b, fam)
-    assert exp.ratio == pytest.approx(1.0)
+    lhs, rhs = ls_dual(smooth_numbers(10**4, 20), 8, b, fam)
+    assert lhs / rhs == pytest.approx(1.0)
 
 
 def test_primal_dual_norms_agree():
@@ -101,7 +113,7 @@ CHARACTER_SUM_GRID = ((10**4, 20, 1), (5000, 50, 12), (3000, 7, 9))
 
 @pytest.mark.parametrize("x,y,Q", CHARACTER_SUM_GRID)
 def test_character_sums_and_combination_match_dense_gather(x, y, Q):
-    ns = smooth_numbers(x, y).ns
+    ns = smooth_numbers(x, y)
     members = family_A(Q).members
     M = oracles.dense_character_matrix(ns, members)
     rng = np.random.RandomState(x + Q)
@@ -117,7 +129,7 @@ def test_character_sums_and_combination_match_dense_gather(x, y, Q):
 @pytest.mark.parametrize("x,y,Q", CHARACTER_SUM_GRID)
 def test_character_combination_is_the_transpose(x, y, Q):
     # sum_chi b_chi (M a)_chi = sum_n a_n (M^T b)_n, a bilinear form (no conjugate)
-    ns = smooth_numbers(x, y).ns
+    ns = smooth_numbers(x, y)
     members = family_A(Q).members
     groups = by_modulus(members)
     rng = np.random.RandomState(Q)
@@ -199,7 +211,7 @@ def test_refine_grid_controls_smooth_increments():
     x, y, B = 10**4, 50, 1.0
     T = detection_scale(x, y, B)
     prefix = dense_prefix(x, y)
-    grid = refine_grid(dyadic_partition(x, T, 0.5), smooth_numbers(x, y).ns, T)
+    grid = refine_grid(dyadic_partition(x, T, 0.5), smooth_numbers(x, y), T)
     assert isinstance(grid, np.ndarray) and grid.dtype == np.int64
     for a, b in zip(grid, grid[1:]):
         if b - a >= 2:
@@ -214,7 +226,7 @@ def test_refine_grid_equals_the_one_step_loop():
         y = rng.randrange(2, 120)
         T = detection_scale(x, y, rng.choice([0.0, 0.5, 1.0, 2.0]))
         eps = rng.choice([1.0, 0.5, rng.uniform(0.05, 1)])
-        smooth = smooth_numbers(x, y).ns
+        smooth = smooth_numbers(x, y)
         grid = dyadic_partition(x, T, eps)
         want = oracles.refine_grid_one_step(grid, smooth, T)
         assert refine_grid(grid, smooth, T).tolist() == want
@@ -271,7 +283,7 @@ def dense_scan_oracle(f, x, y, Q, B, eps, fams):
     """(members, near_misses) from one dense cumulative sum over 0..x per character."""
     T = detection_scale(x, y, B)
     prefix = dense_prefix(x, y)
-    gx = np.array(refine_grid(dyadic_partition(x, T, eps), smooth_numbers(x, y).ns, T),
+    gx = np.array(refine_grid(dyadic_partition(x, T, eps), smooth_numbers(x, y), T),
                   dtype=np.int64)
     thresholds = prefix[gx] / (2.0 * T)
     fv = values_array(f, x)

@@ -19,7 +19,7 @@ from smoothap.sieve import (X_MAX_CAP, dyadic_partition, psi, psi_coprime,
 def test_every_query_rejects_x_past_the_cap():
     # every public function of x raises before it allocates anything;
     # ls_primal, ls_dual, max_ratio_power_iteration and classify_eta take
-    # the set smooth_numbers built
+    # the array smooth_numbers built
     f = multfn.smooth_indicator(5)
     chi = enumerate_characters(3)[1]
     fam = family_A(5)
@@ -79,7 +79,7 @@ def test_smooth_pieces_and_prefix_match_lpf(x, y):
     pieces = [ns for ns, _ in smooth_pieces(x, y)]
     got = np.sort(np.concatenate(pieces))
     assert np.array_equal(got, want)  # each smooth n exactly once
-    smooth = smooth_numbers(x, y).ns
+    smooth = smooth_numbers(x, y)
     assert smooth.dtype == np.int32
     assert np.array_equal(smooth, want)  # ascending
     # Psi(t, y) as a count of smooth numbers <= t, at every t in 0..x
@@ -97,9 +97,8 @@ def test_smooth_numbers_equals_trial_division_at_the_old_fork():
         for y in (r, r + 1, 1000, x):
             want = np.flatnonzero(lpf[1 : x + 1] <= y) + 1
             smooth = smooth_numbers(x, y)
-            assert (smooth.x, smooth.y) == (x, y)
-            assert smooth.ns.dtype == np.int32 and not smooth.ns.flags.writeable
-            assert np.array_equal(smooth.ns, want), (x, y)
+            assert smooth.dtype == np.int32 and not smooth.flags.writeable
+            assert np.array_equal(smooth, want), (x, y)
 
 
 @pytest.mark.parametrize("off", [-1, 1])
@@ -123,8 +122,8 @@ def test_smooth_numbers_peak_bytes_per_point_at_low_density():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert smooth.ns.size == psi(x, y) == 11368
-    assert peak < 16 * smooth.ns.size, peak / smooth.ns.size
+    assert smooth.size == psi(x, y) == 11368
+    assert peak < 16 * smooth.size, peak / smooth.size
 
 
 def test_psi_fixed_points():
@@ -175,7 +174,7 @@ def test_partition_and_coprime_decomposition():
 def test_psi_prefix_consistent():
     # Psi(t, y) read off the smooth numbers <= 1000 at t <= 1000, as the
     # exceptional scan reads it, equals the walked count
-    smooth = smooth_numbers(1000, 7).ns
+    smooth = smooth_numbers(1000, 7)
     for x in (0, 1, 10, 500, 1000):
         assert int(np.searchsorted(smooth, x, side="right")) == psi(x, 7)
     for x, y in ((-1, 7), (100, 1)):
