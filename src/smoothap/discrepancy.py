@@ -28,7 +28,9 @@ Delta_Xi and Delta_A.
 All complex sums reduce residue-wise first (np.add.at in ascending n, a
 fixed order, one chunk of the support at a time), then combine over at
 most q terms with numpy's pairwise sum, so serial and threaded runs agree
-byte for byte.
+byte for byte.  The y-smooth indicator keeps no values (`get_support`
+gives vs = None): its residue sums are counts, one np.bincount a chunk,
+exact in any order and bit for bit the np.add.at of ones.
 """
 
 from __future__ import annotations
@@ -71,14 +73,22 @@ class DiscrepancyRecord:
 # residue-wise summation helpers
 
 
-def residue_sums(ns: np.ndarray, vs: np.ndarray, q: int) -> np.ndarray:
+def residue_sums(ns: np.ndarray, vs: np.ndarray | None, q: int) -> np.ndarray:
     """sum of vs[i] over the i with ns[i] = r (mod q), as a length-q complex vector.
 
     One floor divide and one unbuffered np.add.at per chunk (`chunks`), in
     the given (ascending) order, so each bin is the same sequential sum,
     real and imaginary parts apart, whatever the chunk length, the dtype of
-    ns and whether vs is a strided view.  It holds one chunk of residues.
+    ns and whether vs is a strided view.  vs = None stands for ones (the
+    indicator): each chunk is then one np.bincount into int64 counts, which
+    are exact, so every bin is that of the np.add.at of ones, its +0.0
+    imaginary part included.  It holds one chunk of residues.
     """
+    if vs is None:
+        counts = np.zeros(q, dtype=np.int64)
+        for lo, hi in chunks(ns.size):
+            counts += np.bincount(residues(ns[lo:hi], q), minlength=q)
+        return counts.astype(np.complex128)
     out = np.zeros(q, dtype=np.complex128)
     for lo, hi in chunks(ns.size):
         np.add.at(out, residues(ns[lo:hi], q), vs[lo:hi])
@@ -222,14 +232,15 @@ def u_kernel_chardef_row(q: int, D: int, family: CharacterFamily) -> np.ndarray:
 # averages over moduli
 
 
-def _prime_to(g: int, ns: np.ndarray, vs: np.ndarray,
-              out: tuple[np.ndarray, np.ndarray] | None = None):
+def _prime_to(g: int, ns: np.ndarray, vs: np.ndarray | None,
+              out: tuple[np.ndarray, np.ndarray | None] | None = None):
     """The entries of (ns, vs) with gcd(n, g) = 1, in the same (ascending) order.
 
     One chunk at a time, into out: arrays at least as long as the result,
     ns and vs themselves included, since no entry is written past the
     position it is read from.  Without out, into new arrays of the exact
-    length, which a first pass counts.
+    length, which a first pass counts.  vs = None (the indicator) stays
+    None: only positions are copied.
     """
     units = unit_mask(g)
 
@@ -239,14 +250,16 @@ def _prime_to(g: int, ns: np.ndarray, vs: np.ndarray,
 
     if out is None:
         size = sum(int(np.count_nonzero(keep)) for _, _, keep in kept())
-        out = (np.empty(size, dtype=ns.dtype), np.empty(size, dtype=vs.dtype))
+        out = (np.empty(size, dtype=ns.dtype),
+               None if vs is None else np.empty(size, dtype=vs.dtype))
     w = 0
     for lo, hi, keep in kept():
         k = int(np.count_nonzero(keep))
         out[0][w:w + k] = ns[lo:hi][keep]
-        out[1][w:w + k] = vs[lo:hi][keep]
+        if vs is not None:
+            out[1][w:w + k] = vs[lo:hi][keep]
         w += k
-    return out[0][:w], out[1][:w]
+    return out[0][:w], (None if vs is None else out[1][:w])
 
 
 def bv_average(f: MultFnSpec, x: int, Q: int, a1: int, a2: int,
@@ -346,7 +359,8 @@ def verify_transfer_identity(f: MultFnSpec, x: int, q: int, a1: int, a2: int,
             if math.gcd(d, ell) != 1 or mu_sums[d] == 0:
                 continue
             a = (b % d) * modinv(ell, d) % d if d > 1 else 0
-            dx = _record(residue_sums(ns[:hi], vs[:hi], d), d, a, 1, tables).delta_xi
+            rs = residue_sums(ns[:hi], None if vs is None else vs[:hi], d)
+            dx = _record(rs, d, a, 1, tables).delta_xi
             rhs += gl * euler_phi(d) * dx * mu_sums[d]
     rhs /= euler_phi(q)
     return lhs, rhs

@@ -187,7 +187,9 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
     time (`chunks`): the residues of the chunk mod q once, then for each
     character a gather of its table, a product with f and a cumulative
     sum continued from that character's carry, read at the grid points
-    whose prefix ends in the chunk.  The buffers are chunk-length.
+    whose prefix ends in the chunk.  The buffers are chunk-length.  For
+    the y-smooth indicator (vs = None) the gathered table is the term, and
+    its support is the smooth set of the thresholds, so x is walked once.
     """
     if f.smooth_bound is None or f.smooth_bound > y:
         raise DomainError("f must be supported on y-smooth integers")
@@ -196,11 +198,12 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
     if x < 16:  # dyadic_partition's bound, checked before log x is taken
         raise DomainError(f"need x >= 16, got {x}")
     ns, vs = get_support(f, x=x)
-    if float(np.max(np.abs(vs))) > 1 + 1e-9:
+    if vs is not None and float(np.max(np.abs(vs))) > 1 + 1e-9:
         raise DomainError("f must be 1-bounded")
 
     T = detection_scale(x, y, B)
-    smooth = smooth_numbers(x, y)
+    # the indicator's support is the y-smooth set itself, with no second walk
+    smooth = ns if vs is None and f.smooth_bound == y else smooth_numbers(x, y)
     # needles of ns's dtype, as in refine_grid: no copy of ns or smooth
     gx = refine_grid(dyadic_partition(x, T, eps), smooth, T).astype(ns.dtype)
     at = np.searchsorted(ns, gx, side="right")  # S(X_j) sums the first at[j] terms
@@ -232,14 +235,20 @@ def detect_exceptional(f: MultFnSpec, x: int, y: int, Q: int, B: float, eps: flo
             # intp indices and mode="clip" (r < q, so nothing is clipped) spare
             # np.take a conversion of r and a buffered copy of its output
             r = residues(ns[lo:hi], chars[0].q).astype(np.intp)
-            v, t, c = vs[lo:hi], terms[:hi - lo], csum[:hi - lo]
+            v = None if vs is None else vs[lo:hi]
+            t, c = terms[:hi - lo], csum[:hi - lo]
             ends = at[j0:j1] - (lo + 1)
             for i, tab in enumerate(tables):
-                # the product goes to a buffer apart from its operands: in
-                # place, numpy multiplies one complex element by another path,
-                # which rounds differently
-                np.take(tab, r, out=c, mode="clip")
-                np.multiply(v, c, out=t)
+                if v is None:  # the indicator: the term is the table's value
+                    # (the product by 1 + 0j could move only the sign of a
+                    # zero, which |S| drops)
+                    np.take(tab, r, out=t, mode="clip")
+                else:
+                    # the product goes to a buffer apart from its operands: in
+                    # place, numpy multiplies one complex element by another
+                    # path, which rounds differently
+                    np.take(tab, r, out=c, mode="clip")
+                    np.multiply(v, c, out=t)
                 if lo:
                     t[0] += carry[i]  # the next step of the one sequential sum
                 np.cumsum(t, out=c)

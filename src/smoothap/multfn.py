@@ -11,6 +11,7 @@ are test oracles (tests/oracles.py).
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -21,7 +22,7 @@ except ImportError:
 
 from .arith import factorize
 from .errors import DomainError, OracleError
-from .sieve import _check_query, primes_upto, smooth_ascending
+from .sieve import _check_query, _prime_mask, primes_upto, smooth_ascending, smooth_sorted
 
 
 class MultFnSpec:
@@ -131,6 +132,24 @@ def evaluate(f: MultFnSpec, n: int) -> complex:
     return val
 
 
+def _all_one(f: MultFnSpec, x: int, bound: int) -> bool:
+    """Whether f(p^k) is exactly 1 + 0j at every p <= bound with p^k <= x.
+
+    The values are asked for in the walk's order (`sieve.smooth_pieces`),
+    up to the first that is not 1: f(2) for most f.  A -0.0 imaginary part
+    is not 1, since it could reach the sign of a product's zero.
+    """
+    for p in map(int, np.flatnonzero(_prime_mask(max(bound, 0)))):
+        pk, k = p, 1
+        while pk <= x:
+            v = complex(f.at(p, k))
+            if v != 1 or math.copysign(1.0, v.imag) < 0:
+                return False
+            pk *= p
+            k += 1
+    return True
+
+
 # perfbench/tracer.py reads x at position 2 or as the keyword x, so every
 # call in the package passes x by keyword
 def get_support(f: MultFnSpec, x: int):
@@ -140,12 +159,23 @@ def get_support(f: MultFnSpec, x: int):
     support is the walk over the primes <= y, in ascending order
     (sieve.smooth_ascending), in O(Psi(x,y)) work and memory: the residue
     sums downstream only ever touch it.  A product of nonzero values can
-    underflow to 0, and such zeros are masked out.  Nothing is kept: each
-    call walks again.
+    underflow to 0, and such zeros are masked out.
+
+    First f is asked for the prime powers that the walk would ask for.  If
+    every one is exactly 1, f is the y-smooth indicator: ns is the y-smooth
+    set (`sieve.smooth_sorted`, writable and the caller's own) and vs is
+    None, which stands for 1 + 0j at every point.  The test goes by the
+    values, not by the label, so any f that is 1 on every prime power (the
+    trivial character's twist) takes it.  Nothing is kept: each call walks
+    again.
     """
     _check_query(x)
     bound = x if f.smooth_bound is None else min(x, f.smooth_bound)
     try:
+        if _all_one(f, x, bound):
+            # below 2 the walk has no prime, and n = 1 alone is smooth
+            ns = smooth_sorted(x, bound) if bound >= 2 else np.ones(min(x, 1), dtype=np.int32)
+            return ns, None
         ns, vs = smooth_ascending(x, bound, f.at)
     except OracleError as exc:
         if f.label in str(exc):  # the oracle's own error names f already
@@ -161,12 +191,13 @@ def get_support(f: MultFnSpec, x: int):
 def values_array(f: MultFnSpec, x: int) -> np.ndarray:
     """f(n) for n = 0..x as a fresh read-only complex array (f[0] = 0).
 
-    The support from get_support scattered into zeros: the dense form, kept
-    for unbounded f (the Dirichlet-inverse check convolves it).
+    The support from get_support scattered into zeros (1 where vs is None):
+    the dense form, kept for unbounded f (the Dirichlet-inverse check
+    convolves it).
     """
     ns, vs = get_support(f, x=x)
     vals = np.zeros(x + 1, dtype=np.complex128)
-    vals[ns] = vs
+    vals[ns] = 1 if vs is None else vs
     vals.setflags(write=False)
     return vals
 

@@ -4,12 +4,15 @@ The y-smooth n <= x (every prime factor <= y) are generated directly from
 the primes p <= y (`smooth_pieces`), in O(Psi(x,y)) work and memory for
 y <= sqrt(x).  Every query here reads that walk: `psi`, the coprime and
 progression counts (a gcd or a residue per walked number), `smooth_numbers`
-and `smooth_ascending`.  `smooth_numbers` is the y-smooth set of the
-large-sieve experiments, a read-only ascending int32 array (a count
-Psi(t,y) is a searchsorted on it): psi(x, y) slots, filled by one walk and
-sorted in place.  `smooth_ascending` is the support of a multiplicative f
-with its values (`multfn.get_support`), in ascending order without a sort:
-a bitmap over 0..x and an int32 rank per 64-bit word give each walked n its
+and `smooth_ascending`.  `smooth_sorted` builds the y-smooth set as an
+ascending int32 array (a count Psi(t,y) is a searchsorted on it): psi(x, y)
+slots, filled by one walk and sorted in place.  `smooth_numbers` is that
+array read-only, the smooth set of the large-sieve experiments and the
+thresholds of the exceptional scan; `multfn.get_support` takes it writable
+as the support of an f whose values are all 1, the y-smooth indicator,
+which keeps no values.  `smooth_ascending` is the support of any other
+multiplicative f with its values, in ascending order without a sort: a
+bitmap over 0..x and an int32 rank per 64-bit word give each walked n its
 place.  Every query checks its x against X_MAX_CAP first (`_check_query`).
 """
 
@@ -187,10 +190,19 @@ def psi_progression(x: int, y: int, a: int, q: int) -> int:
 def smooth_numbers(x: int, y: int) -> np.ndarray:
     """The n <= x with P(n) <= y (n = 1 included), ascending, read-only int32.
 
-    Psi(t, y) for t <= x is the count of them <= t.  Count, fill, sort.  A
-    walk that fills other than psi(x, y) slots raises RuntimeError, never a
-    partial set (psi counts the primes above sqrt(x) without walking them,
-    so for y > sqrt(x) that is an independent check).
+    Psi(t, y) for t <= x is the count of them <= t (`smooth_sorted`).
+    """
+    ns = smooth_sorted(x, y)
+    ns.setflags(write=False)
+    return ns
+
+
+def smooth_sorted(x: int, y: int) -> np.ndarray:
+    """The n <= x with P(n) <= y, ascending int32, writable and the caller's own.
+
+    Count, fill, sort.  A walk that fills other than psi(x, y) slots raises
+    RuntimeError, never a partial set (psi counts the primes above sqrt(x)
+    without walking them, so for y > sqrt(x) that is an independent check).
     """
     ns = np.empty(psi(x, y), dtype=np.int32)  # psi checks the query
     filled = 0
@@ -201,7 +213,6 @@ def smooth_numbers(x: int, y: int) -> np.ndarray:
     if filled != ns.size:
         raise RuntimeError(f"the walk gave {filled} numbers, Psi({x}, {y}) = {ns.size}")
     ns.sort()
-    ns.setflags(write=False)
     return ns
 
 

@@ -703,9 +703,12 @@ def detect_exceptional_per_character(f: MultFnSpec, x: int, y: int, Q: int, B: f
 
     Each character takes its own residues of the support, a fresh
     cumulative-sum buffer, its one-character table (`complex_table_one`),
-    and reads the sums at every grid point.
+    and reads the sums at every grid point.  Where get_support keeps no
+    values (the indicator), f is 1 + 0j at every point of its support.
     """
     ns, vs = get_support(f, x=x)
+    if vs is None:
+        vs = np.ones(ns.size, dtype=np.complex128)
     T = detection_scale(x, y, B)
     smooth = smooth_numbers(x, y)
     grid = refine_grid_one_step(dyadic_partition_point_by_point(x, T, eps), smooth, T)

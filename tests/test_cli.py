@@ -65,6 +65,22 @@ def test_bv_average_row_count(tmp_path):
     assert len(rows) - 2 == 30  # config line + header + one row per modulus
 
 
+def test_bv_average_trivial_twist_reports_the_indicators_rows(tmp_path):
+    # the trivial character's twist is 1 on every prime power, so it takes
+    # the indicator's route: only the config (its --f) differs
+    reports = []
+    for f in ("smooth-indicator", "twist:1:0"):
+        out = tmp_path / f.replace(":", "-")
+        assert run_cli(["bv-average", "--x", "20000", "--y", "30", "--Q", "60",
+                        "--xi", "A:6", "--f", f], out) == 0
+        csv = (out / "bv-average.csv").read_text().splitlines()
+        doc = json.loads((out / "bv-average.json").read_text())
+        assert csv[0].startswith("# config:") and doc["config"]["f"] == f
+        reports.append((csv[1:], doc["records"], doc["summary"]))
+    assert len(reports[0][0]) == 61
+    assert reports[0] == reports[1]
+
+
 def test_exceptional_command(tmp_path):
     assert run_cli(["exceptional", "--x", "10000", "--y", "50", "--Q", "10",
                     "--B", "1"], tmp_path) == 0

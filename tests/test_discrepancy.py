@@ -349,24 +349,30 @@ def test_bv_average_and_exceptional_peak_bytes_per_point():
     # per-modulus pass holds chunk-length buffers, so bv_average holds the
     # support and its odd part and the scan the support, the grid and the
     # thresholds.  Measured: support 26.7, bv_average 28.3 and the scan
-    # 35.1 bytes per point (32.4 and 75.6 with support-length buffers)
+    # 35.1 bytes per point (32.4 and 75.6 with support-length buffers).
+    # The indicator keeps positions only, and the scan reads them as its
+    # smooth set: 4.9, 7.0 and 14.4 bytes per point, against 26.7, 28.3 and
+    # 30.3 with a complex 1 at every point
     x, y = 4_000_000, 158
-    f = multfn.random_unit_circle(0, smooth_bound=y)
-    n = multfn.get_support(f, x)[0].size
-    assert n > 8 * arith.CHUNK
     fams = family_A(10)
-    peaks = []
-    for run in (lambda: multfn.get_support(f, x),
-                lambda: bv_average(f, x, 100, 1, 1, XI_EMPTY),
-                lambda: detect_exceptional(f, x, y, 10, 1.0, 0.5, families=fams)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 4 * n, (peaks[0] / n, peaks[1] / n)
-    assert peaks[2] <= peaks[0] + 12 * n, (peaks[0] / n, peaks[2] / n)
+    for f, caps in ((multfn.random_unit_circle(0, smooth_bound=y), None),
+                    (multfn.smooth_indicator(y), (6, 9, 18))):
+        n = multfn.get_support(f, x)[0].size
+        assert n > 8 * arith.CHUNK
+        peaks = []
+        for run in (lambda: multfn.get_support(f, x),
+                    lambda: bv_average(f, x, 100, 1, 1, XI_EMPTY),
+                    lambda: detect_exceptional(f, x, y, 10, 1.0, 0.5, families=fams)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4 * n, (peaks[0] / n, peaks[1] / n)
+        assert peaks[2] <= peaks[0] + 12 * n, (peaks[0] / n, peaks[2] / n)
+        for peak, cap in zip(peaks, caps or ()):
+            assert peak <= cap * n, [p / n for p in peaks]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 777])
@@ -379,6 +385,49 @@ def test_residue_sums_bitwise_at_any_chunk_length(monkeypatch, chunk):
     for q, w in want.items():
         for pos in (ns, ns.astype(np.int64)):
             assert residue_sums(pos, vs, q).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 777])
+def test_residue_counts_equal_the_sums_of_ones_bit_for_bit(monkeypatch, chunk):
+    # the indicator's bincount counts are exact, so every bin is the
+    # np.add.at of ones, its +0.0 imaginary part included
+    ns, vs = multfn.get_support(multfn.smooth_indicator(50), 10**4)
+    assert vs is None and ns.size > 2 * 777
+    monkeypatch.setattr(arith, "CHUNK", chunk)
+    for pos in (ns, ns.astype(np.int64), ns[:0], ns[:0].astype(np.int64)):
+        ones = np.ones(pos.size, dtype=np.complex128)
+        for q in (1, 2, 7, 60, 97, 600, 9999):
+            got = residue_sums(pos, None, q)
+            assert got.dtype == np.complex128 and got.shape == (q,)
+            assert got.tobytes() == residue_sums(pos, ones, q).tobytes(), (pos.dtype, q)
+
+
+def _bits(z):
+    return (float(z.real).hex(), float(z.imag).hex())
+
+
+def test_indicator_records_equal_those_over_explicit_ones(monkeypatch):
+    # bv_average's compacted parts and the transfer identity's prefixes keep
+    # no values for the indicator, and give what they gave over ones
+    f = multfn.smooth_indicator(50)
+    x, xi = 5000, family_A(12).members
+
+    def run():
+        total, records = bv_average(f, x, 30, 1, 1, xi)
+        rows = [tuple(_bits(z) for z in (r.delta, r.delta_xi, r.progression_sum,
+                                         r.coprime_main, r.xi_main)) for r in records]
+        pairs = [verify_transfer_identity(f, x, q, a1, 1, XI_TRIVIAL, D)
+                 for q, a1, D in ((12, 5, 6), (30, 7, 10), (16, 3, 4))]
+        return total.hex(), rows, [tuple(map(_bits, pair)) for pair in pairs]
+
+    def support_with_ones(f, x):
+        ns, vs = multfn.get_support(f, x=x)
+        assert vs is None
+        return ns, np.ones(ns.size, dtype=np.complex128)
+
+    got = run()
+    monkeypatch.setattr(discrepancy, "get_support", support_with_ones)
+    assert got == run()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 777])

@@ -327,6 +327,17 @@ def test_detect_exceptional_support_scan_matches_dense_scan(name, B):
                 assert g[3] == pytest.approx(r[3], rel=1e-12)
 
 
+def assert_indicator_keeps_no_values(f, x, indicator):
+    """get_support(f, x) keeps no values exactly for the indicator, whose
+    values on the joined walk are all exactly 1 + 0j."""
+    ns, vs = multfn.get_support(f, x=x)
+    assert (vs is None) == indicator
+    if indicator:
+        want_ns, want_vs = oracles.joined_support(f, x)
+        assert np.array_equal(ns, want_ns)
+        assert want_vs.tobytes() == np.ones(ns.size, dtype=np.complex128).tobytes()
+
+
 def _witness_rows(wits):
     return [(w.character.q, w.character.rank, w.X, w.value.hex(), w.threshold.hex())
             for w in wits]
@@ -340,6 +351,7 @@ def test_detect_exceptional_equals_the_per_character_scan(threads):
         for spec in ("smooth-indicator", "moebius-smooth", "random-unit", "twist:7:1",
                      "twist:16:5"):
             f = cli._parse_function(spec, y, 3)
+            assert_indicator_keeps_no_values(f, x, spec == "smooth-indicator")
             for B, eps in ((1.0, 0.5), (-1.0, 1.0)):
                 got = detect_exceptional(f, x, y, Q, B, eps, families=fams,
                                          threads=threads)
@@ -359,13 +371,18 @@ def test_detect_exceptional_bitwise_at_any_chunk_length(monkeypatch, chunk, thre
     wanted = []
 
     def trimmed_support(f, x):
+        # trimmed, the indicator's support is no longer the y-smooth set that
+        # vs = None stands for, so its ones are spelled out
         ns, vs = multfn.get_support(f, x=x)
+        if vs is None:
+            vs = np.ones(ns.size, dtype=np.complex128)
         return ns[ns > 20], vs[ns > 20]
 
     cases = [(3000, 20, 12)] + ([(10**4, 50, 20)] if chunk > 1 else [])
     for x, y, Q in cases:
         for spec in ("smooth-indicator", "moebius-smooth", "random-unit", "twist:7:1"):
             f = cli._parse_function(spec, y, 3)
+            assert_indicator_keeps_no_values(f, x, spec == "smooth-indicator")
             for support in (multfn.get_support, trimmed_support):
                 with monkeypatch.context() as m:
                     m.setattr(oracles, "get_support", support)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import oracles
-from smoothap import multfn
+from smoothap import cli, multfn
 from smoothap.characters import enumerate_characters
 from smoothap.errors import OracleError
 from oracles import check_class_c, from_prime_powers, lambda_f, restrict_smooth
-from smoothap.multfn import (completely_multiplicative, dirichlet_inverse, evaluate,
-                             get_support, values_array)
-from smoothap.sieve import psi, primes_upto
+from smoothap.multfn import (MultFnSpec, completely_multiplicative, dirichlet_inverse,
+                             evaluate, get_support, values_array)
+from smoothap.sieve import psi, primes_upto, smooth_numbers
 
 
 def convolution(fv, gv, N):
@@ -100,12 +100,23 @@ ORACLE_SPECS = [
 ]
 
 
+def assert_values_bitwise(vs, want):
+    """vs from get_support is want bit for bit.  The specs tested here are 1
+    on every prime power they are asked for exactly when they are 1 on their
+    support, so vs is None (the indicator keeps no values) exactly where the
+    oracle's values are all exactly 1 + 0j."""
+    if want.tobytes() == np.ones(want.size, dtype=np.complex128).tobytes():
+        assert vs is None
+    else:
+        assert vs is not None and vs.tobytes() == want.tobytes()
+
+
 def assert_support_matches_oracle(f, x):
     dense = dense_values_oracle(f, x)
     want_ns = np.flatnonzero(dense)
     ns, vs = get_support(f, x)
     assert np.array_equal(ns, want_ns)
-    assert np.array_equal(vs.view(np.float64), dense[want_ns].view(np.float64))
+    assert_values_bitwise(vs, dense[want_ns])
 
 
 def spec_id(f):
@@ -155,9 +166,9 @@ def test_support_values_bitwise_equals_join_oracle(f, x):
     # placing the values by rank gives the sorted join of the pieces
     ns, vs = multfn.get_support(f, x)
     want_ns, want_vs = oracles.joined_support(f, x)
-    assert ns.dtype == np.int32 and vs.dtype == np.complex128
+    assert ns.dtype == np.int32 and (vs is None or vs.dtype == np.complex128)
     assert np.array_equal(ns, want_ns)
-    assert vs.tobytes() == want_vs.tobytes()
+    assert_values_bitwise(vs, want_vs)
 
 
 def test_support_values_rejects_an_oracle_that_changes_between_walks():
@@ -166,6 +177,8 @@ def test_support_values_rejects_an_oracle_that_changes_between_walks():
 
     def fickle(p, k):
         calls[p, k] = calls.get((p, k), 0) + 1
+        if (p, k) == (2, 1):  # not 1, so not the indicator, which walks once
+            return -1.0
         return 1.0 if (p, k) != (3, 1) or calls[p, k] == 1 else 0.0
 
     with pytest.raises(OracleError):
@@ -179,10 +192,89 @@ def test_support_values_rejects_a_second_walk_of_the_same_size():
 
     def swap(p, k):
         calls[p, k] = calls.get((p, k), 0) + 1
+        if (p, k) == (2, 1):  # not 1, so not the indicator, which walks once
+            return -1.0
         return 0.0 if (p, k) == ((37, 2) if calls[p, k] == 1 else (2, 9)) else 1.0
 
     with pytest.raises(OracleError, match="swap: the oracle gave another support"):
         multfn.get_support(multfn.MultFnSpec("swap", swap, 50), 100_000)
+
+
+def walk_order(x, bound):
+    """The (p, k) the support walk asks f for: p <= bound ascending, p^k <= x."""
+    return [(p, k) for p in oracles.dense_primes(bound) for k in range(1, 64) if p**k <= x]
+
+
+def recording(f):
+    """f with every (p, k) it is asked for recorded, in order."""
+    asked = []
+
+    def oracle(p, k):
+        asked.append((p, k))
+        return f.at(p, k)
+
+    return MultFnSpec(f.label, oracle, f.smooth_bound), asked
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4096, 65537, 250_000])
+def test_support_of_a_function_that_is_1_everywhere_keeps_no_values(x):
+    # the indicator and the trivial character's twist: each prime power is
+    # asked for once, in the walk's order, and the support is the smooth set,
+    # writable and owned by the caller
+    for y, f in ((50, multfn.smooth_indicator(50)),
+                 (50, cli._parse_function("twist:1:0", 50, 0)),
+                 (1000, multfn.smooth_indicator(1000)),
+                 (max(x, 2), oracles.one())):
+        rec, asked = recording(f)
+        ns, vs = get_support(rec, x)
+        assert vs is None
+        assert asked == walk_order(x, min(x, y))
+        want_ns, want_vs = oracles.joined_support(f, x)
+        assert np.array_equal(ns, want_ns)
+        assert np.array_equal(ns, smooth_numbers(x, y) if x else [])
+        assert ns.dtype == np.int32 and ns.flags.writeable and ns.flags.owndata
+        assert_values_bitwise(vs, want_vs)
+        fv = values_array(f, x)
+        assert fv[ns].tobytes() == np.ones(ns.size, dtype=np.complex128).tobytes()
+        assert np.count_nonzero(fv) == ns.size
+
+
+def test_support_at_x_below_2_is_n_1_alone():
+    # min(x, y) < 2 asks f for nothing and walks no prime: the support is
+    # {1} or empty, for every f, and no y < 2 query error leaks out
+    for f in (multfn.smooth_indicator(7), multfn.moebius_smooth(7),
+              multfn.random_unit_circle(3, smooth_bound=7), multfn.random_unit_circle(3),
+              multfn.MultFnSpec("below-2", lambda p, k: -1.0, smooth_bound=1)):
+        for x in (0, 1, 2, 3):
+            ns, vs = get_support(f, x)
+            want_ns, want_vs = oracles.joined_support(f, x)
+            assert np.array_equal(ns, want_ns) and ns.dtype == np.int32, (f, x)
+            assert_values_bitwise(vs, want_vs)
+
+
+def test_support_keeps_values_once_one_prime_power_is_not_1():
+    # the detection stops at the first value that is not exactly 1: f(2) for
+    # moebius-smooth and random-unit, the last prime power asked for (47^2 at
+    # x = 10^4, y = 50) for a spec that is 1 everywhere else; each keeps the
+    # values of the walk bit for bit
+    x, y = 10**4, 50
+    order = walk_order(x, y)
+    assert order[-1] == (47, 2)
+    specs = [(f, order[:1]) for f in (multfn.moebius_smooth(y),
+                                      multfn.random_unit_circle(4, smooth_bound=y),
+                                      multfn.character_twist(enumerate_characters(7)[2], y))]
+    for v in (-1.0, 0.0, 1j, complex(1.0, -0.0), 1 + 1e-16j):
+        f = MultFnSpec(f"1-but-last={v!r}", lambda p, k, v=v: v if (p, k) == (47, 2) else 1.0, y)
+        specs.append((f, order))
+    for f, detection in specs:
+        rec, asked = recording(f)
+        ns, vs = get_support(rec, x)
+        want_ns, want_vs = oracles.joined_support(f, x)
+        assert vs is not None, f.label
+        assert np.array_equal(ns, want_ns)
+        assert vs.tobytes() == want_vs.tobytes(), f.label
+        # the detection's questions, then the walk's from f(2) on
+        assert asked[:len(detection) + 1] == detection + order[:1], f.label
 
 
 def test_unit_angle_matches_hashlib_blake2b():
